@@ -432,13 +432,6 @@ class Program:
         decl = self.function(fn_name)
         return tuple((fn_name, args) for args in decl.arg_tuples())
 
-    def controlled_locations(self) -> tuple[Location, ...]:
-        out: list[Location] = []
-        for f in self.functions:
-            if f.mode in ("controlled", "static"):
-                out.extend(self.locations(f.name))
-        return tuple(out)
-
     def monitored_locations(self) -> tuple[Location, ...]:
         out: list[Location] = []
         for f in self.functions:
@@ -472,9 +465,6 @@ class State:
         if loc in self.monitored:
             return self.monitored[loc]
         raise EvalError(f"unknown location {format_location(loc)}")
-
-    def key(self) -> tuple:
-        return tuple(sorted(self.values.items()))
 
     def with_monitored(self, monitored: dict[Location, Value]) -> "State":
         return State(values=self.values, monitored=monitored)

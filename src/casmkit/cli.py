@@ -21,8 +21,8 @@ from .interp import (
 )
 from .parser import load_program, format_term
 from .protect import (
-    ProtectedProgram, derive_safe_condition, load_protected, protect,
-    run_protected,
+    FALLBACK_TAKEN, ProtectedProgram, derive_safe_condition, load_protected,
+    protect, run_protected,
 )
 from .puf import EnrollmentExhausted, NoisyReadout, make_device
 from .symexec import SymInit, format_symexpr, merge_successors, symbolic_step
@@ -55,10 +55,13 @@ def _load(path: str) -> Program:
 def _oracle(program: Program, spec: str) -> MonitoredOracle:
     if spec == "always-true":
         return ConstantOracle.always_true(program)
-    if spec.startswith("random:"):
-        return RandomOracle(int(spec.split(":", 1)[1]))
-    if spec.startswith("file:"):
-        return load_scripted_oracle(program, spec.split(":", 1)[1])
+    try:
+        if spec.startswith("random:"):
+            return RandomOracle(int(spec.split(":", 1)[1]))
+        if spec.startswith("file:"):
+            return load_scripted_oracle(program, spec.split(":", 1)[1])
+    except (ValueError, OSError) as exc:
+        _fail(f"monitored policy {spec!r}: {exc}", EXIT_USAGE)
     raise click.UsageError(
         f"unknown monitored policy {spec!r} "
         "(use always-true, random:SEED, or file:PATH)")
@@ -275,7 +278,7 @@ def cmd_compare(directory: str, target_seed: int, clone_seeds: str,
         target = make_device(target_seed, enrollment.challenge_bits,
                              enrollment.response_bits, 0.0)
         baseline = run_protected(protected, target, steps, oracle, seed)
-        target_fallbacks = sum(e.events.count("FALLBACK_TAKEN")
+        target_fallbacks = sum(e.events.count(FALLBACK_TAKEN)
                                for e in baseline.entries)
         decoded_baseline = Trace(entries=[
             TraceEntry(e.step, protected.decoded_values(e.state),

@@ -20,8 +20,8 @@ from weakref import WeakKeyDictionary
 from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
     Ite, Let, Location, Member, NamedRule, Not, Or, And, Par, Program, Rule,
-    State, Term, Update, Value, Var, check_updates, format_location,
-    format_value, parse_location_key,
+    State, Term, Update, Value, Var, check_updates, eval_term,
+    format_location, format_value, parse_location_key,
 )
 from .rng import derive_rng
 
@@ -500,12 +500,12 @@ def enumerate_step_outcomes(program: Program, values: dict[Location, Value],
             return
         (node, env, rname), rest = items[0], items[1:]
         if isinstance(node, Update):
-            args = tuple(_eval(a, state, env) for a in node.args)
-            updates.append(((node.fn, args), _eval(node.rhs, state, env)))
+            args = tuple(eval_term(a, state, env) for a in node.args)
+            updates.append(((node.fn, args), eval_term(node.rhs, state, env)))
             walk(rest, updates, pending, site_counters)
             updates.pop()
         elif isinstance(node, Cond):
-            taken = node.then_rules if _eval(node.guard, state, env) \
+            taken = node.then_rules if eval_term(node.guard, state, env) \
                 else node.else_rules
             walk([(r, env, rname) for r in taken] + rest,
                  updates, pending, site_counters)
@@ -523,12 +523,12 @@ def enumerate_step_outcomes(program: Program, values: dict[Location, Value],
                      updates, pending, site_counters)
         elif isinstance(node, Let):
             inner = dict(env)
-            inner[node.var] = _eval(node.binding, state, env)
+            inner[node.var] = eval_term(node.binding, state, env)
             walk([(r, inner, rname) for r in node.body] + rest,
                  updates, pending, site_counters)
         elif isinstance(node, Call):
             target = program.named_rule(node.name)
-            inner = {p: _eval(a, state, env)
+            inner = {p: eval_term(a, state, env)
                      for (p, _), a in zip(target.params, node.args)}
             walk([(r, inner, node.name) for r in target.body] + rest,
                  updates, pending, site_counters)
@@ -547,7 +547,7 @@ def enumerate_step_outcomes(program: Program, values: dict[Location, Value],
     for nr in program.main_rules:
         if len(nr.body) == 1 and isinstance(nr.body[0], Cond):
             cond = nr.body[0]
-            if _eval(cond.guard, state, {}):
+            if eval_term(cond.guard, state, {}):
                 fired.append(nr.name)
                 items.extend((r, {}, nr.name) for r in cond.then_rules)
             else:
@@ -585,8 +585,3 @@ def enumerate_step_outcomes(program: Program, values: dict[Location, Value],
             outcomes.append(Outcome(check_updates(ups), tuple(fired),
                                     tuple(evs)))
     return outcomes
-
-
-def _eval(term: Term, state: State, env) -> Value:
-    from .ast import eval_term
-    return eval_term(term, state, env)

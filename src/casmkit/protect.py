@@ -26,7 +26,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
@@ -36,7 +37,8 @@ from .ast import (
     validate_program, State,
 )
 from .interp import (
-    MonitoredOracle, Trace, TraceEntry, compiled, rng_picker, _check_total,
+    CtlEnumerator, MonitoredOracle, Trace, TraceEntry, compiled, rng_picker,
+    _check_total,
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
 from .puf import Enrollment, enroll
@@ -365,6 +367,11 @@ class ProtectedProgram:
         out[ctl_loc] = plain
         return out
 
+    @cached_property
+    def decider(self) -> "SiteDecider":
+        return SiteDecider(self.program, self.enrollment,
+                           self.safe_condition)
+
     def is_unsafe(self, values: dict[Location, Value],
                   monitored: Optional[dict] = None) -> bool:
         state = State(values=self.decoded_values(values),
@@ -657,60 +664,101 @@ def make_ctl_resolver(protected: ProtectedProgram, device, seed: int,
     return resolver
 
 
-class ProtectedRunner:
-    """Precompiled protected runtime shared across many steps.
+class SiteDecider:
+    """The challenge-site rule, shared by the runtime and both model
+    checking modes: accept a response that decodes to a state ``condx``
+    does not mark dangerous in the post-update values, else fall back to a
+    uniformly drawn safe encodable state (as its first encoding), else
+    stall on the current value.  ``condx`` is compiled once per plain
+    state; :func:`choose_ctl_state` is the reference a test pins."""
 
-    Equivalent to :func:`choose_ctl_state` at every site (a test pins
-    the agreement); the safety predicate is compiled to one closure per
-    candidate state and the device's stable responses are cached."""
+    def __init__(self, program: Program, enrollment: Enrollment,
+                 safe_condition: SafeCondition):
+        cp = compiled(program)
+        plain = safe_condition.plain_values
+        self._decode = {t.response: t.target for t in enrollment.transitions}
+        self._first_enc = {v: enrollment.encodings(v)[0] for v in plain
+                           if enrollment.encodings(v)}
+        self._cond_fns = {v: cp._term(safe_condition.cond_for(v))
+                          for v in plain}
+        # every unenrolled response decides like this representative
+        rep = 0
+        while rep in self._decode or rep == enrollment.init_token:
+            rep += 1
+        self._responses = [*self._decode, rep]
+        self._empty: dict = {}
+
+    def _accepts(self, response: int, post: dict) -> bool:
+        decoded = self._decode.get(response)
+        return decoded is not None and \
+            not self._cond_fns[decoded](post, self._empty, self._empty)
+
+    def _safe(self, post: dict) -> list[Value]:
+        empty = self._empty
+        return [v for v in self._first_enc
+                if not self._cond_fns[v](post, empty, empty)]
+
+    def _fallback(self, safe: list[Value], current_ctl: Value,
+                  draw: Callable[[int], int]) -> tuple[Value, str]:
+        if not safe:
+            return current_ctl, SAFE_STALL
+        return self._first_enc[safe[draw(len(safe))]], FALLBACK_TAKEN
+
+    def decide(self, response: int, post: dict, current_ctl: Value,
+               draw: Callable[[int], int]) -> tuple[Value, str]:
+        """Resolve one site; ``draw(n)`` picks one of ``n`` safe states
+        and is called only when the site falls back."""
+        if self._accepts(response, post):
+            return response, BOUND_OK
+        return self._fallback(self._safe(post), current_ctl, draw)
+
+    def outcomes(self, post: dict, current_ctl: Value
+                 ) -> list[tuple[Value, str]]:
+        """Every result :meth:`decide` can give at this site, over every
+        device response and every draw, in first-seen order."""
+        safe = self._safe(post)
+        fallbacks = [self._fallback(safe, current_ctl, lambda n, i=i: i)
+                     for i in range(max(len(safe), 1))]
+        found: dict[tuple[Value, str], None] = {}
+        for response in self._responses:
+            if self._accepts(response, post):
+                found.setdefault((response, BOUND_OK))
+            else:
+                found.update(dict.fromkeys(fallbacks))
+        return list(found)
+
+    def enumerator(self, device) -> CtlEnumerator:
+        """Site enumerator for the model checker: every outcome, or with a
+        device the outcome of its noiseless response."""
+        def enumerate_site(site, challenge, post, current_ctl):
+            if device is None:
+                return self.outcomes(post, current_ctl)
+            return [self.decide(
+                device.query(challenge), post, current_ctl,
+                lambda n: derive_rng("bfs-fallback", site).randrange(n))]
+        return enumerate_site
+
+
+class ProtectedRunner:
+    """Precompiled protected runtime shared across many steps: each site
+    hands the device's response at that point of the run to the program's
+    :class:`SiteDecider`.  The device owns its response cache and noise."""
 
     def __init__(self, protected: ProtectedProgram, device, seed: int):
         self.protected = protected
         self.device = device
         self.seed = seed
         self.cp = compiled(protected.program)
-        enrollment = protected.enrollment
-        cond = protected.safe_condition
-        self._decode = {t.response: t.target for t in enrollment.transitions}
-        self._first_enc = {v: enrollment.encodings(v)[0]
-                           for v in cond.plain_values
-                           if enrollment.encodings(v)}
-        self._order = [v for v in cond.plain_values if v in self._first_enc]
-        self._cond_fns = {v: self.cp._term(cond.cond_for(v))
-                          for v in cond.plain_values}
-        self._stable: dict[int, int] = {}
-        self.noise = getattr(device, "noise_rate", 0.0)
-        device_id = getattr(device, "device_seed", None)
-        self._device_id = device.fingerprint() if device_id is None \
-            else device_id
+        self.decider = protected.decider
         self._step = 0
-        self._empty: dict = {}
 
     def _resolver(self, site: str, challenge: int, post: dict,
                   current_ctl: Value) -> tuple[Value, str]:
-        stable = self._stable.get(challenge)
-        if stable is None:
-            stable = self.device.stable_response(challenge)
-            self._stable[challenge] = stable
-        response = stable
-        if self.noise > 0.0:
-            rng = derive_rng("pufnoise", self._device_id, self.seed,
-                             self._step, site)
-            if rng.random() < self.noise:
-                response = rng.randrange(self.device.response_count - 1)
-                if response >= stable:
-                    response += 1
-        decoded = self._decode.get(response)
-        empty = self._empty
-        if decoded is not None and \
-                not self._cond_fns[decoded](post, empty, empty):
-            return response, BOUND_OK
-        safe = [v for v in self._order
-                if not self._cond_fns[v](post, empty, empty)]
-        if not safe:
-            return current_ctl, SAFE_STALL
-        rng = derive_rng("fallback", self.seed, self._step, site)
-        return self._first_enc[safe[rng.randrange(len(safe))]], FALLBACK_TAKEN
+        seed, step = self.seed, self._step
+        return self.decider.decide(
+            self.device.query_at(challenge, seed, step, site), post,
+            current_ctl,
+            lambda n: derive_rng("fallback", seed, step, site).randrange(n))
 
     def iter_entries(self, steps: int, oracle: MonitoredOracle
                      ) -> Iterator[TraceEntry]:
@@ -729,57 +777,16 @@ class ProtectedRunner:
             yield TraceEntry(k + 1, values, monitored, fired, events)
 
 
-def iter_run_protected(protected: ProtectedProgram, device, steps: int,
-                       oracle: MonitoredOracle, seed: int
-                       ) -> Iterator[TraceEntry]:
-    yield from ProtectedRunner(protected, device, seed).iter_entries(
-        steps, oracle)
-
-
 def run_protected(protected: ProtectedProgram, device, steps: int,
                   oracle: MonitoredOracle, seed: int) -> Trace:
     trace = Trace()
-    for entry in iter_run_protected(protected, device, steps, oracle, seed):
+    runner = ProtectedRunner(protected, device, seed)
+    for entry in runner.iter_entries(steps, oracle):
         trace.entries.append(TraceEntry(entry.step, dict(entry.state),
                                         dict(entry.monitored),
                                         list(entry.fired),
                                         list(entry.events)))
     return trace
-
-
-def adversarial_enumerator(protected: ProtectedProgram):
-    """Challenge-site enumerator for model checking: the response ranges
-    over every enrolled value plus one representative unenrolled value,
-    and the fallback draw ranges over every candidate."""
-    enrollment = protected.enrollment
-    cond = protected.safe_condition
-    enrolled = [t.response for t in enrollment.transitions]
-    rep = 0
-    known = set(enrolled) | {enrollment.init_token}
-    while rep in known:
-        rep += 1
-
-    def enumerate_site(site: str, challenge: int, post: dict,
-                       current_ctl: Value) -> list[tuple[Value, str]]:
-        outcomes: dict[tuple[Value, str], None] = {}
-        state = State(values=post, monitored={})
-        candidates = [v for v in cond.plain_values
-                      if enrollment.encodings(v)
-                      and not eval_term(cond.cond_for(v), state)]
-        for response in enrolled + [rep]:
-            decoded = enrollment.decode(response)
-            if decoded is not None and \
-                    not eval_term(cond.cond_for(decoded), state):
-                outcomes.setdefault((response, BOUND_OK))
-            elif not candidates:
-                outcomes.setdefault((current_ctl, SAFE_STALL))
-            else:
-                for v in candidates:
-                    outcomes.setdefault(
-                        (enrollment.encodings(v)[0], FALLBACK_TAKEN))
-        return list(outcomes)
-
-    return enumerate_site
 
 
 # ---------------------------------------------------------------------------

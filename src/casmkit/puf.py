@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .ast import CasmError, Value, format_value
@@ -45,6 +46,8 @@ class PufDevice:
     challenge_bits: int
     response_bits: int
     noise_rate: float = 0.0
+    _stable: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if not 1 <= self.challenge_bits <= 32:
@@ -71,7 +74,9 @@ class PufDevice:
 
     def query(self, challenge: int, query_rng=None) -> int:
         """Device response; noisy with probability ``noise_rate``."""
-        stable = self.stable_response(challenge)
+        stable = self._stable.get(challenge)
+        if stable is None:
+            stable = self._stable[challenge] = self.stable_response(challenge)
         if self.noise_rate <= 0.0:
             return stable
         if query_rng is None:
@@ -82,6 +87,15 @@ class PufDevice:
         if flipped >= stable:
             flipped += 1
         return flipped
+
+    def query_at(self, challenge: int, seed: int, step: int, site: str
+                 ) -> int:
+        """Response at a site of a run; the noise stream, named after this
+        device and (seed, step, site), is derived only if it is noisy."""
+        if self.noise_rate <= 0.0:
+            return self.query(challenge)
+        return self.query(challenge, derive_rng(
+            "pufnoise", self.device_seed, seed, step, site))
 
     def _check_challenge(self, challenge: int) -> None:
         if not 0 <= challenge < self.challenge_count:
@@ -106,6 +120,7 @@ class TraceDevice:
     challenge_bits: int = 32
     response_bits: int = 32
 
+    @cached_property
     def _map(self) -> dict[int, int]:
         return dict(self.table)
 
@@ -118,13 +133,16 @@ class TraceDevice:
         return 1 << self.response_bits
 
     def stable_response(self, challenge: int) -> int:
-        table = self._map()
-        if challenge not in table:
+        if challenge not in self._map:
             raise PufParameterError(
                 f"trace device has no entry for challenge {challenge}")
-        return table[challenge]
+        return self._map[challenge]
 
     def query(self, challenge: int, query_rng=None) -> int:
+        return self.stable_response(challenge)
+
+    def query_at(self, challenge: int, seed: int, step: int, site: str
+                 ) -> int:
         return self.stable_response(challenge)
 
     def fingerprint(self) -> str:
@@ -190,6 +208,8 @@ class Enrollment:
         self._decode.clear()
         self._encodings.clear()
         for t in self.transitions:
+            if t.response in self._decode or t.response == self.init_token:
+                raise CasmError(f"enrolled response {t.response} is reused")
             self._decode[t.response] = t.target
             self._encodings.setdefault(t.target, []).append(t.response)
 
@@ -216,12 +236,6 @@ class Enrollment:
             f"no enrolled transition {format_value(source)} -> "
             f"{format_value(target)}")
 
-    def encodable_states(self) -> tuple[Value, ...]:
-        seen: dict[Value, None] = {}
-        for t in self.transitions:
-            seen.setdefault(t.target)
-        return tuple(seen)
-
     def to_json(self) -> str:
         return json.dumps({
             "version": self.version,
@@ -240,20 +254,32 @@ class Enrollment:
 
     @classmethod
     def from_json(cls, text: str) -> "Enrollment":
-        raw = json.loads(text)
-        return cls(
-            ctl_name=raw["ctlFunction"],
-            transitions=tuple(
-                EnrolledTransition(t["from"], t["to"],
-                                   int(t["challenge"]), int(t["response"]))
-                for t in raw["transitions"]),
-            init_token=int(raw["initToken"]),
-            init_state=raw["initState"],
-            challenge_bits=int(raw["challengeBits"]),
-            response_bits=int(raw["responseBits"]),
-            fingerprint=raw.get("fingerprint", ""),
-            version=int(raw.get("version", 1)),
-        )
+        try:
+            raw = json.loads(text)
+            return cls(
+                ctl_name=raw["ctlFunction"],
+                transitions=tuple(
+                    EnrolledTransition(t["from"], t["to"],
+                                       _integer(t, "challenge"),
+                                       _integer(t, "response"))
+                    for t in raw["transitions"]),
+                init_token=_integer(raw, "initToken"),
+                init_state=raw["initState"],
+                challenge_bits=_integer(raw, "challengeBits"),
+                response_bits=_integer(raw, "responseBits"),
+                fingerprint=raw.get("fingerprint", ""),
+                version=int(raw.get("version", 1)),
+            )
+        except KeyError as exc:
+            raise CasmError(f"enrollment lacks field {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise CasmError(f"malformed enrollment: {exc}") from None
+
+
+def _integer(fields: dict, key: str) -> int:
+    if type(fields[key]) is not int:
+        raise CasmError(f"enrollment field {key!r} is not an integer")
+    return fields[key]
 
 
 def _challenge_order(device, budget: int):
@@ -334,7 +360,3 @@ def enroll(device, transitions: Sequence[tuple[Value, Value]],
         response_bits=device.response_bits,
         fingerprint=device.fingerprint(),
     )
-
-
-def query(device, challenge: int, query_rng=None) -> int:
-    return device.query(challenge, query_rng)

@@ -10,11 +10,6 @@ from __future__ import annotations
 import hashlib
 
 
-def derive_seed(*parts) -> int:
-    material = "|".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-
-
 class HashStream:
     """Deterministic uniform stream identified by its label path."""
 

@@ -227,10 +227,6 @@ def free_leaves(*terms: Term) -> list[Term]:
     return list(seen)
 
 
-def free_symbols(term: Term) -> list[Symbol]:
-    return [l.symbol for l in free_leaves(term) if isinstance(l, SymRef)]
-
-
 def eval_fd(term: Term, valuation: dict[Term, Value]) -> Value:
     if isinstance(term, Const):
         return term.value

@@ -20,9 +20,7 @@ from .interp import (
     MonitoredOracle, Trace, enumerate_step_outcomes, iter_run, step,
     ScriptedOracle,
 )
-from .protect import (
-    FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner, adversarial_enumerator,
-)
+from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
 
 
@@ -123,23 +121,11 @@ def exhaustive_safety_check(
 
     ctl_enum = None
     if protected is not None:
-        if adversarial_puf:
-            ctl_enum = adversarial_enumerator(protected)
-        else:
-            if device is None:
-                raise CasmError(
-                    "checking a protected program without the adversarial "
-                    "model needs a device")
-            enrollment = protected.enrollment
-            cond = protected.safe_condition
-
-            def ctl_enum(site, challenge, post, current_ctl):
-                from .protect import choose_ctl_state
-                from .rng import derive_rng
-                value, tag = choose_ctl_state(
-                    challenge, post, current_ctl, device, enrollment, cond,
-                    derive_rng("bfs-fallback", site), None)
-                return [(value, tag)]
+        if not adversarial_puf and device is None:
+            raise CasmError("checking a protected program without the "
+                            "adversarial model needs a device")
+        ctl_enum = protected.decider.enumerator(
+            None if adversarial_puf else device)
 
     def unsafe_state(values: dict[Location, Value]) -> bool:
         check_values = values

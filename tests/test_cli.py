@@ -140,6 +140,64 @@ class TestProtectCommands:
             assert not (state["GoLight(1)"] and state["GoLight(2)"])
 
 
+def assert_one_line_usage_error(result, names):
+    assert result.exit_code == 2, result.output
+    assert len(result.output.splitlines()) == 1, result.output
+    assert names in result.output
+    assert "Traceback" not in result.output
+
+
+def _drop_init_token(raw):
+    del raw["initToken"]
+    return json.dumps(raw)
+
+
+def _string_challenge(raw):
+    raw["transitions"][0]["challenge"] = "7"
+    return json.dumps(raw)
+
+
+def _duplicate_response(raw):
+    raw["transitions"][1]["response"] = raw["transitions"][0]["response"]
+    return json.dumps(raw)
+
+
+def _response_is_init_token(raw):
+    raw["transitions"][0]["response"] = raw["initToken"]
+    return json.dumps(raw)
+
+
+def _truncated(raw):
+    return json.dumps(raw)[:-10]
+
+
+class TestBadInputs:
+    """Malformed artifacts and input specs end in exit code 2 with a
+    one-line diagnostic, never a traceback."""
+
+    @pytest.mark.parametrize("corrupt, names", [
+        (_drop_init_token, "initToken"),
+        (_string_challenge, "challenge"),
+        (_duplicate_response, "reused"),
+        (_response_is_init_token, "reused"),
+        (_truncated, "malformed")])
+    def test_corrupt_enrollment(self, workspace, corrupt, names):
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        path = workspace / "p" / "enrollment.json"
+        path.write_text(corrupt(json.loads(path.read_text())))
+        result = invoke("run-protected", "p", "--device-seed", "42",
+                        "--steps", "3", "--seed", "1")
+        assert_one_line_usage_error(result, names)
+
+    @pytest.mark.parametrize("spec", ["random:abc", "file:/nonexistent"])
+    def test_bad_monitored_spec(self, workspace, spec):
+        result = invoke("run", "traffic.casm", "--steps", "3", "--seed", "1",
+                        "--monitored", spec)
+        assert_one_line_usage_error(result, spec)
+
+
 class TestVerifyCommand:
     def test_exhaustive_safe(self, workspace):
         result = invoke("verify", "traffic.casm", "--exhaustive")

@@ -10,8 +10,9 @@ from casmkit.interp import ConstantOracle, RandomOracle, step
 from casmkit.parser import parse_or_raise, parse_program
 from casmkit.protect import (
     AmbiguousSource, BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedRunner,
-    choose_ctl_state, compute_transition_set, derive_safe_condition,
-    load_protected, protect, rewrite_program, run_protected,
+    SafeCondition, SiteDecider, choose_ctl_state, compute_transition_set,
+    derive_safe_condition, load_protected, protect, rewrite_program,
+    run_protected,
 )
 from casmkit.puf import EnrollmentExhausted, make_device
 from casmkit.rng import derive_rng
@@ -259,6 +260,13 @@ def _walk(term):
         yield from _walk(c)
 
 
+def _decided(protected, cond, device, challenge, post, current_ctl):
+    """The site decider's answer for the reference call's inputs."""
+    decider = SiteDecider(protected.program, protected.enrollment, cond)
+    return decider.decide(device.query(challenge), post, current_ctl,
+                          derive_rng("t1").randrange)
+
+
 class TestChooseCtlState:
     def test_target_device_binds(self, traffic, protected_traffic):
         protected, enrollment, device = protected_traffic
@@ -270,6 +278,8 @@ class TestChooseCtlState:
         value, tag = choose_ctl_state(
             site.challenge, post, enrollment.init_token, device, enrollment,
             cond, derive_rng("t1"), derive_rng("t2"))
+        assert _decided(protected, cond, device, site.challenge, post,
+                        enrollment.init_token) == (value, tag)
         assert tag == BOUND_OK
         assert value == site.response
         assert enrollment.decode(value) == "Go1Stop2"
@@ -286,6 +296,8 @@ class TestChooseCtlState:
         value, tag = choose_ctl_state(
             site.challenge, post, enrollment.init_token, clone, enrollment,
             cond, derive_rng("t1"), derive_rng("t2"))
+        assert _decided(protected, cond, clone, site.challenge, post,
+                        enrollment.init_token) == (value, tag)
         assert tag == FALLBACK_TAKEN
         decoded = enrollment.decode(value)
         state = State(values=post, monitored={})
@@ -294,7 +306,6 @@ class TestChooseCtlState:
 
     def test_empty_safe_set_stalls(self, traffic, protected_traffic):
         protected, enrollment, device = protected_traffic
-        from casmkit.protect import SafeCondition
         always_bad = SafeCondition(cond_x=Const(True), ctl_name="phase",
                                    plain_values=PHASES)
         site = enrollment.transitions[0]
@@ -302,8 +313,41 @@ class TestChooseCtlState:
         value, tag = choose_ctl_state(
             site.challenge, post, enrollment.init_token, device, enrollment,
             always_bad, derive_rng("t1"), derive_rng("t2"))
+        assert _decided(protected, always_bad, device, site.challenge, post,
+                        enrollment.init_token) == (value, tag)
         assert tag == SAFE_STALL
         assert value == enrollment.init_token
+
+
+class TestSiteDecider:
+    def test_runtime_never_leaves_what_the_checker_explores(
+            self, protected_traffic):
+        """At every post-state of a random run, the results ``decide``
+        gives over every response and draw are exactly ``outcomes``."""
+        protected, enrollment, device = protected_traffic
+        trace = run_protected(protected, device, 200, RandomOracle(11),
+                              seed=3)
+        posts = {tuple(sorted(e.state.items())): e.state
+                 for e in trace.entries}
+        responses = [t.response for t in enrollment.transitions]
+        responses.append(next(r for r in range(1 << 16)
+                              if enrollment.decode_stored(r) is None))
+        always_bad = SafeCondition(cond_x=Const(True), ctl_name="phase",
+                                   plain_values=PHASES)
+        deciders = (protected.decider,
+                    SiteDecider(protected.program, enrollment, always_bad))
+        tags = set()
+        for decider in deciders:
+            for post in posts.values():
+                current = post[PHASE]
+                outcomes = decider.outcomes(post, current)
+                assert len(set(outcomes)) == len(outcomes)
+                decided = {decider.decide(r, post, current,
+                                          lambda n, i=i: i % n)
+                           for r in responses for i in range(len(PHASES))}
+                assert decided == set(outcomes), post
+                tags |= {tag for _, tag in outcomes}
+        assert tags == {BOUND_OK, FALLBACK_TAKEN, SAFE_STALL}
 
 
 class TestProtectPipeline:

@@ -3,9 +3,10 @@ from collections import Counter
 
 import pytest
 
+from casmkit.ast import CasmError
 from casmkit.puf import (
     Enrollment, EnrollmentExhausted, NoisyReadout, PufParameterError,
-    TraceDevice, enroll, make_device, query,
+    TraceDevice, enroll, make_device,
 )
 from casmkit.rng import derive_rng
 
@@ -16,7 +17,7 @@ TRAFFIC_A = [("Stop1Stop2", "Go1Stop2"), ("Go1Stop2", "Stop2Stop1"),
 class TestDevice:
     def test_noise_free_query_is_deterministic(self):
         device = make_device(42, 16, 16, 0.0)
-        assert query(device, 123) == query(device, 123)
+        assert device.query(123) == device.query(123)
 
     def test_distinct_seeds_disagree_almost_everywhere(self):
         a = make_device(42, 16, 16, 0.0)
@@ -119,6 +120,14 @@ class TestEnrollment:
         again = Enrollment.from_json(text)
         assert again.to_json() == text
         assert [(t.source, t.target) for t in again.transitions] == TRAFFIC_A
+
+    def test_non_injective_enrollment_is_rejected(self):
+        e = enroll(make_device(42, 16, 16, 0.0), TRAFFIC_A, "Stop1Stop2")
+        for response in (e.transitions[0].response, e.init_token):
+            raw = json.loads(e.to_json())
+            raw["transitions"][1]["response"] = response
+            with pytest.raises(CasmError, match="reused"):
+                Enrollment.from_json(json.dumps(raw))
 
     def test_transitions_keep_given_order(self):
         e = enroll(make_device(42, 16, 16, 0.0), TRAFFIC_A, "Stop1Stop2")
