@@ -275,6 +275,17 @@ def children(term: Term) -> tuple[Term, ...]:
     return ()
 
 
+def reads_location(term: Term, loc: Location) -> bool:
+    """Whether ``term`` reads ``loc`` through an application whose
+    arguments are the location's constants."""
+    if isinstance(term, App) and term.fn == loc[0] \
+            and len(term.args) == len(loc[1]) \
+            and all(isinstance(a, Const) and a.value == v
+                    for a, v in zip(term.args, loc[1])):
+        return True
+    return any(reads_location(c, loc) for c in children(term))
+
+
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------

@@ -271,6 +271,13 @@ def cmd_compare(directory: str, target_seed: int, clone_seeds: str,
                 monitored: str, report_out: str | None) -> None:
     """Run the protected artifact on its target device and on clones,
     and report safety and divergence statistics."""
+    if clone_seeds.strip():
+        try:
+            seeds = [int(s) for s in clone_seeds.split(",") if s.strip()]
+        except ValueError as exc:
+            _fail(f"--clone-seeds {clone_seeds!r}: {exc}", EXIT_USAGE)
+    else:
+        seeds = [target_seed + 1 + i for i in range(trials)]
     try:
         protected = load_protected(directory)
         oracle = _oracle(protected.program, monitored)
@@ -284,10 +291,6 @@ def cmd_compare(directory: str, target_seed: int, clone_seeds: str,
             TraceEntry(e.step, protected.decoded_values(e.state),
                        e.monitored, e.fired, e.events)
             for e in baseline.entries])
-        if clone_seeds.strip():
-            seeds = [int(s) for s in clone_seeds.split(",") if s.strip()]
-        else:
-            seeds = [target_seed + 1 + i for i in range(trials)]
         report = clone_divergence_report(protected, decoded_baseline, seeds,
                                          steps, noise, oracle, seed)
     except CasmError as exc:

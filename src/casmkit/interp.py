@@ -5,13 +5,14 @@ updates, checks consistency, and applies the set atomically.  ``choose``
 is resolved by a seeded draw split per (step, rule, site), so traces are
 reproducible and insensitive to unrelated rule edits.
 
-Two engines share the semantics: a compiled fast path (terms lowered to
-closures) used for runs, and a plain recursive walker that can enumerate
-every resolution of the nondeterminism, used by the model checker and as
-a cross-check in tests.
+One engine carries the semantics: terms and rules are lowered to
+closures once per program.  Runs execute it with a seeded picker; the
+model checker enumerates every resolution of the nondeterminism by
+re-running the same closures under a backtracking picker.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -19,9 +20,9 @@ from weakref import WeakKeyDictionary
 
 from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
-    Ite, Let, Location, Member, NamedRule, Not, Or, And, Par, Program, Rule,
-    State, Term, Update, Value, Var, check_updates, eval_term,
-    format_location, format_value, parse_location_key,
+    Ite, Let, Location, Member, Not, Or, And, Par, Program, Rule,
+    State, Term, Update, Value, Var, check_updates,
+    format_location, parse_location_key,
 )
 from .rng import derive_rng
 
@@ -318,9 +319,11 @@ class CompiledProgram:
 
     # -- stepping -------------------------------------------------------------
 
-    def step_values(self, values: dict, monitored: dict, pick,
-                    ctl_resolver: Optional[CtlResolver] = None
-                    ) -> tuple[dict, list[str], list[str]]:
+    def fire_rules(self, values: dict, monitored: dict, pick
+                   ) -> tuple[_Out, list[str]]:
+        """Fire every top-level rule once: the step's updates and pending
+        challenge sites before any site is resolved, and the rules that
+        fired."""
         out = _Out(pick)
         fired: list[str] = []
         empty_env: dict = {}
@@ -333,6 +336,12 @@ class CompiledProgram:
                 then(values, monitored, empty_env, out)
             else:
                 other(values, monitored, empty_env, out)
+        return out, fired
+
+    def step_values(self, values: dict, monitored: dict, pick,
+                    ctl_resolver: Optional[CtlResolver] = None
+                    ) -> tuple[dict, list[str], list[str]]:
+        out, fired = self.fire_rules(values, monitored, pick)
         updates = out.updates
         if out.pending:
             if ctl_resolver is None:
@@ -360,6 +369,55 @@ class CompiledProgram:
 
 def _noop(vals, mon, env, out):
     return None
+
+
+def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
+                            monitored: dict[Location, Value],
+                            ctl_enum: Optional[CtlEnumerator] = None
+                            ) -> list[dict[Location, Value]]:
+    """The merged updates of every possible result of one step: choose
+    draws in depth-first order, then each run's challenge sites as a
+    product over the enumerator's outcomes (the first site slowest).
+
+    Stateless search: the rule pass re-runs once per sequence of draws,
+    replaying a forced prefix of draw indices and taking the first option
+    after it; the next run advances the last draw with options left."""
+    results: list[dict[Location, Value]] = []
+    ctl_loc = cp.ctl_loc
+    forced: list[int] = []
+    while True:
+        taken: list[int] = []
+        widths: list[int] = []
+
+        def pick(site, options):
+            k = forced[len(taken)] if len(taken) < len(forced) else 0
+            taken.append(k)
+            widths.append(len(options))
+            return options[k]
+
+        out, _ = cp.fire_rules(values, monitored, pick)
+        updates = out.updates
+        if not out.pending:
+            results.append(check_updates(updates))
+        elif ctl_enum is None:
+            raise StepError("program has hardware-bound sites but no "
+                            "device is attached")
+        else:
+            post = dict(values)
+            post.update(updates)
+            current = values[ctl_loc]
+            for combo in itertools.product(*(
+                    ctl_enum(site, challenge, post, current)
+                    for site, challenge in out.pending)):
+                results.append(check_updates(
+                    updates + [(ctl_loc, value) for value, _ in combo]))
+        while taken and taken[-1] + 1 == widths[-1]:
+            taken.pop()
+            widths.pop()
+        if not taken:
+            return results
+        taken[-1] += 1
+        forced = taken
 
 
 _COMPILE_CACHE: "WeakKeyDictionary[Program, CompiledProgram]" = WeakKeyDictionary()
@@ -472,116 +530,3 @@ def run(program: Program, steps: int, oracle: MonitoredOracle,
                                         dict(entry.monitored),
                                         list(entry.fired), list(entry.events)))
     return trace
-
-
-# ---------------------------------------------------------------------------
-# Reference walker (enumerates every nondeterministic resolution)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Outcome:
-    updates: dict[Location, Value]
-    fired: tuple[str, ...]
-    events: tuple[str, ...]
-
-
-def enumerate_step_outcomes(program: Program, values: dict[Location, Value],
-                            monitored: dict[Location, Value],
-                            ctl_enum: Optional[CtlEnumerator] = None
-                            ) -> list[Outcome]:
-    """All possible results of one step, branching over every choose
-    draw and every hardware response the enumerator offers."""
-    state = State(values=values, monitored=monitored)
-    branches: list[tuple[list, list, list]] = []
-
-    def walk(items, updates, pending, site_counters):
-        if not items:
-            branches.append((list(updates), list(pending), dict(site_counters)))
-            return
-        (node, env, rname), rest = items[0], items[1:]
-        if isinstance(node, Update):
-            args = tuple(eval_term(a, state, env) for a in node.args)
-            updates.append(((node.fn, args), eval_term(node.rhs, state, env)))
-            walk(rest, updates, pending, site_counters)
-            updates.pop()
-        elif isinstance(node, Cond):
-            taken = node.then_rules if eval_term(node.guard, state, env) \
-                else node.else_rules
-            walk([(r, env, rname) for r in taken] + rest,
-                 updates, pending, site_counters)
-        elif isinstance(node, Par):
-            walk([(r, env, rname) for r in node.rules] + rest,
-                 updates, pending, site_counters)
-        elif isinstance(node, Choose):
-            options = node.candidates.resolve(program)
-            if not options:
-                raise EmptyChooseSet("empty candidate set in choose")
-            for v in options:
-                inner = dict(env)
-                inner[node.var] = v
-                walk([(r, inner, rname) for r in node.body] + rest,
-                     updates, pending, site_counters)
-        elif isinstance(node, Let):
-            inner = dict(env)
-            inner[node.var] = eval_term(node.binding, state, env)
-            walk([(r, inner, rname) for r in node.body] + rest,
-                 updates, pending, site_counters)
-        elif isinstance(node, Call):
-            target = program.named_rule(node.name)
-            inner = {p: eval_term(a, state, env)
-                     for (p, _), a in zip(target.params, node.args)}
-            walk([(r, inner, node.name) for r in target.body] + rest,
-                 updates, pending, site_counters)
-        elif isinstance(node, ChooseCtl):
-            ordinal = site_counters.get(rname, 0)
-            site_counters[rname] = ordinal + 1
-            pending.append((f"{rname}#{ordinal}", node.challenge))
-            walk(rest, updates, pending, site_counters)
-            pending.pop()
-            site_counters[rname] = ordinal
-        else:
-            raise CasmError(f"cannot execute {type(node).__name__}")
-
-    fired: list[str] = []
-    items = []
-    for nr in program.main_rules:
-        if len(nr.body) == 1 and isinstance(nr.body[0], Cond):
-            cond = nr.body[0]
-            if eval_term(cond.guard, state, {}):
-                fired.append(nr.name)
-                items.extend((r, {}, nr.name) for r in cond.then_rules)
-            else:
-                items.extend((r, {}, nr.name) for r in cond.else_rules)
-        else:
-            fired.append(nr.name)
-            items.extend((r, {}, nr.name) for r in nr.body)
-    walk(items, [], [], {})
-
-    outcomes: list[Outcome] = []
-    ctl_loc = program.ctl_loc
-    for updates, pending, _ in branches:
-        base_events: list[str] = []
-        if not fired:
-            base_events.append(STALL)
-        if not pending:
-            outcomes.append(Outcome(check_updates(updates), tuple(fired),
-                                    tuple(base_events)))
-            continue
-        if ctl_enum is None:
-            raise StepError("program has hardware-bound sites but no "
-                            "device is attached")
-        post = dict(values)
-        for loc, v in updates:
-            post[loc] = v
-        resolved: list[tuple[list, list]] = [(list(updates), base_events)]
-        for site, challenge in pending:
-            nxt = []
-            for ups, evs in resolved:
-                for value, tag in ctl_enum(site, challenge, post,
-                                           values[ctl_loc]):
-                    nxt.append((ups + [(ctl_loc, value)], evs + [tag]))
-            resolved = nxt
-        for ups, evs in resolved:
-            outcomes.append(Outcome(check_updates(ups), tuple(fired),
-                                    tuple(evs)))
-    return outcomes

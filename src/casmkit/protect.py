@@ -34,7 +34,7 @@ from .ast import (
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Not, Or, Par,
     Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
     eval_term, format_value, iter_rules, location_term, make_init, or_all,
-    validate_program, State,
+    reads_location, validate_program, State,
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, Trace, TraceEntry, compiled, rng_picker,
@@ -129,13 +129,6 @@ def _guard_source_split(program: Program, guard: Term,
     return frozenset(sat_true), frozenset(sat_false)
 
 
-def _reads_ctl(term: Term, ctl_name: str) -> bool:
-    if isinstance(term, App) and term.fn == ctl_name and not term.args:
-        return True
-    from .ast import children
-    return any(_reads_ctl(c, ctl_name) for c in children(term))
-
-
 def compute_transition_set(program: Program) -> TransitionSet:
     """Pairs (i, j) licensed by syntactic containment of a control-state
     update inside the rule(s) guarding state i.
@@ -176,7 +169,8 @@ def compute_transition_set(program: Program) -> TransitionSet:
         elif isinstance(rule, Cond):
             sat_true, sat_false = _guard_source_split(
                 program, rule.guard, possible, ranges, lets)
-            branched = constrained or _reads_ctl(rule.guard, program.ctl_name)
+            branched = constrained or reads_location(rule.guard,
+                                                     program.ctl_loc)
             for r in rule.then_rules:
                 walk(r, sat_true, branched, ranges, lets, rule_name,
                      counter, stack)
@@ -494,7 +488,8 @@ def rewrite_program(program: Program, tset: TransitionSet,
         if isinstance(rule, Cond):
             sat_true, sat_false = _guard_source_split(
                 program, rule.guard, possible, ranges, lets)
-            branched = constrained or _reads_ctl(rule.guard, ctl_name)
+            branched = constrained or reads_location(rule.guard,
+                                                     program.ctl_loc)
             return Cond(
                 rw_term(rule.guard),
                 tuple(rw_rule(r, sat_true, branched, ranges, lets)
@@ -813,11 +808,18 @@ def protect(program: Program, device, attempt_budget: int = 65536
     return protected, enrollment
 
 
+def _read_artifact(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CasmError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def load_protected(directory: str) -> ProtectedProgram:
     casm_path = os.path.join(directory, PROTECTED_FILE)
     enr_path = os.path.join(directory, ENROLLMENT_FILE)
-    with open(casm_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_artifact(casm_path)
     result = parse_program(text, filename=casm_path)
     if not result.ok:
         raise CasmError("protected program does not parse: "
@@ -825,8 +827,7 @@ def load_protected(directory: str) -> ProtectedProgram:
                                     for d in result.diagnostics))
     if result.extras is None or result.extras.condx is None:
         raise CasmError(f"{casm_path} is not a protected artifact")
-    with open(enr_path, "r", encoding="utf-8") as fh:
-        enrollment = Enrollment.from_json(fh.read())
+    enrollment = Enrollment.from_json(_read_artifact(enr_path))
     program = result.program
     plain_sort = program.sort(result.extras.plain_sort)
     enc = result.extras.enc_map()

@@ -14,11 +14,10 @@ from typing import Optional, Union
 
 from .ast import (
     CasmError, EvalError, Location, Program, State, Value, eval_term,
-    format_location, locations_of_interest,
+    format_location, locations_of_interest, reads_location,
 )
 from .interp import (
-    MonitoredOracle, Trace, enumerate_step_outcomes, iter_run, step,
-    ScriptedOracle,
+    MonitoredOracle, Trace, compiled, enumerate_step_outcomes, iter_run, step,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -145,6 +144,7 @@ def exhaustive_safety_check(
     def key_of(values: dict[Location, Value]) -> tuple:
         return tuple(values[l] for l in controlled)
 
+    cp = compiled(program)
     init_values = program.initial_state().values
     init_key = key_of(init_values)
     visited: dict[tuple, Optional[tuple]] = {init_key: None}
@@ -162,12 +162,11 @@ def exhaustive_safety_check(
         for state_key in frontier:
             values = snapshots[state_key]
             for mon in _monitored_combos(program, interest):
-                outcomes = enumerate_step_outcomes(program, values, mon,
-                                                   ctl_enum)
+                outcomes = enumerate_step_outcomes(cp, values, mon, ctl_enum)
                 transition_count += len(outcomes)
-                for outcome in outcomes:
+                for updates in outcomes:
                     succ = dict(values)
-                    succ.update(outcome.updates)
+                    succ.update(updates)
                     succ_key = key_of(succ)
                     if succ_key in visited:
                         continue
@@ -306,12 +305,9 @@ def clone_divergence_report(protected: ProtectedProgram,
         raise CasmError("original trace is shorter than the trial length")
 
     program = protected.program
-    unsafe_reads_ctl = _reads_location(program.unsafe, ctl_loc)
-    from .interp import compiled
-    cp = compiled(program)
     unsafe_fn = None
-    if not unsafe_reads_ctl:
-        unsafe_fn = cp._term(program.unsafe)
+    if not reads_location(program.unsafe, ctl_loc):
+        unsafe_fn = compiled(program)._term(program.unsafe)
 
     violations = 0
     diverged = 0
@@ -356,17 +352,6 @@ def clone_divergence_report(protected: ProtectedProgram,
         fallback_rate=fallback_events / total_steps if total_steps else 0.0,
         flagged_control_trials=flagged,
     )
-
-
-def _reads_location(term, loc: Location) -> bool:
-    from .ast import App, Const, children
-    if isinstance(term, App):
-        if term.fn == loc[0] and \
-                tuple(a.value for a in term.args
-                      if isinstance(a, Const)) == loc[1] \
-                and len(term.args) == len(loc[1]):
-            return True
-    return any(_reads_location(c, loc) for c in children(term))
 
 
 # ---------------------------------------------------------------------------

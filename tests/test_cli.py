@@ -191,6 +191,28 @@ class TestBadInputs:
                         "--steps", "3", "--seed", "1")
         assert_one_line_usage_error(result, names)
 
+    @pytest.mark.parametrize("missing", ["protected.casm", "enrollment.json"])
+    @pytest.mark.parametrize("command", [
+        ("run-protected", "p", "--device-seed", "42", "--steps", "3",
+         "--seed", "1"),
+        ("verify", "p"),
+        ("compare", "p", "--target-seed", "42", "--trials", "1",
+         "--steps", "3")])
+    def test_missing_artifact_file(self, workspace, missing, command):
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        (workspace / "p" / missing).unlink()
+        assert_one_line_usage_error(invoke(*command), missing)
+
+    def test_bad_clone_seeds(self, workspace):
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        result = invoke("compare", "p", "--target-seed", "42",
+                        "--clone-seeds", "a,b", "--steps", "3")
+        assert_one_line_usage_error(result, "--clone-seeds")
+
     @pytest.mark.parametrize("spec", ["random:abc", "file:/nonexistent"])
     def test_bad_monitored_spec(self, workspace, spec):
         result = invoke("run", "traffic.casm", "--steps", "3", "--seed", "1",
