@@ -198,6 +198,8 @@ class _Parser:
         self.constraints: list[Term] = []
         self.condx: Optional[Term] = None
         self.enc_sort: Optional[str] = None
+        # source position of each parsed identifier and application, by id()
+        self.spans: dict[int, SourceSpan] = {}
         self.enc_entries: list[tuple[Value, tuple[int, ...]]] = []
         self.rule_spans: dict[str, SourceSpan] = {}
 
@@ -610,7 +612,7 @@ class _Parser:
                 node = App(tok.value, tuple(args))
             else:
                 node = _RawIdent(tok.value)
-            _SPANS[id(node)] = tok.span
+            self.spans[id(node)] = tok.span
             return node
         self.error("E-SYNTAX", f"expected a term, found {tok.value or 'end of input'}",
                    tok.span)
@@ -623,9 +625,6 @@ class _RawIdent(Term):
     resolved after all declarations are known."""
 
     name: str
-
-
-_SPANS: dict[int, SourceSpan] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +645,14 @@ class _Resolver:
             decl = self.p.fn_names.get(node.name)
             if decl is not None:
                 return App(node.name, ())
-            span = _SPANS.get(id(node), SourceSpan(1, 1))
+            span = self.p.spans.get(id(node), SourceSpan(1, 1))
             self.diags.append(Diagnostic(
                 "error", "E-UNKNOWN-LITERAL",
                 f"unknown literal or identifier {node.name}", span))
             raise _SyntaxAbort()
         if isinstance(node, App):
             if node.fn not in self.p.fn_names:
-                span = _SPANS.get(id(node), SourceSpan(1, 1))
+                span = self.p.spans.get(id(node), SourceSpan(1, 1))
                 self.diags.append(Diagnostic(
                     "error", "E-UNKNOWN-IDENT",
                     f"unknown function {node.fn}", span))

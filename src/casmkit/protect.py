@@ -258,7 +258,10 @@ def derive_safe_condition(program: Program) -> SafeCondition:
     loc_terms = {loc: location_term(loc) for loc in init.sym_val}
     disjuncts: list[Term] = []
     for p in contributing:
-        mapping = {loc_terms[loc]: expr for loc, expr in p.loc_map.items()}
+        # ``unsafe`` reads only locations of interest, so a write to any
+        # other location cannot change it
+        mapping = {loc_terms[loc]: expr for loc, expr in p.loc_map.items()
+                   if loc in loc_terms}
         psi = subst_term(program.unsafe, mapping)
         disjuncts.append(symexec.s_and(p.path_cond, psi))
     formula = simplify_formula(or_all(disjuncts), program)

@@ -3,10 +3,12 @@
 Runs a program on a state whose locations hold symbols instead of values,
 enumerating every guard-branch combination across the parallel top-level
 rules.  Each feasible combination yields a path condition and a symbolic
-successor map; infeasible combinations are pruned by brute-force
-satisfiability over the finite sorts.  The same enumeration doubles as a
-complete equivalence oracle, which every simplification is checked
-against when ``ORACLE_CHECK`` is on (the test suite turns it on).
+successor map; infeasible combinations are pruned by ``satisfiable``, a
+backtracking search that assigns the finite-sorted leaves one at a time
+and cuts a branch off as soon as the partial assignment decides the
+formula.  Enumerating every valuation serves as a complete equivalence
+oracle: when ``ORACLE_CHECK`` is on (the test suite turns it on), every
+simplification and every feasibility answer is checked against it.
 
 Reads through a location whose argument is itself symbolic are grounded
 by expansion: ``f(x)`` with symbolic ``x`` becomes a conditional cascade
@@ -15,6 +17,7 @@ over all values of the argument sort, one ground location per value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -27,8 +30,9 @@ from .ast import (
 
 DOMAIN_CAP = 1 << 24
 
-# When on, every simplification result is re-verified against the
-# enumeration oracle (skipped above _ORACLE_SKIP combined domain size).
+# When on, every simplification result and every feasibility answer is
+# re-verified against the enumeration oracle (skipped above _ORACLE_SKIP
+# combined domain size).
 ORACLE_CHECK = False
 _ORACLE_SKIP = 1 << 16
 
@@ -251,8 +255,8 @@ def eval_fd(term: Term, valuation: dict[Term, Value]) -> Value:
     raise CasmError(f"cannot evaluate {type(term).__name__}")
 
 
-def _valuations(leaves: list[Term], program: Optional[Program],
-                cap: int = DOMAIN_CAP):
+def _domains(leaves: list[Term], program: Optional[Program],
+             cap: int) -> list[tuple[Value, ...]]:
     domains = []
     total = 1
     for leaf in leaves:
@@ -262,6 +266,12 @@ def _valuations(leaves: list[Term], program: Optional[Program],
         if total > cap:
             raise DomainTooLarge(
                 f"combined valuation space exceeds {cap}")
+    return domains
+
+
+def _valuations(leaves: list[Term], program: Optional[Program],
+                cap: int = DOMAIN_CAP):
+    domains = _domains(leaves, program, cap)
     for combo in itertools.product(*domains):
         yield dict(zip(leaves, combo))
 
@@ -282,13 +292,117 @@ def equivalent_on_finite_domains(
     return True, None
 
 
+# ---------------------------------------------------------------------------
+# Feasibility
+# ---------------------------------------------------------------------------
+
 def satisfiable(f: Term, program: Optional[Program] = None,
                 cap: int = DOMAIN_CAP) -> bool:
+    """Whether some valuation of the leaves makes ``f`` true.
+
+    Assigns the leaves one at a time in ``free_leaves`` order and
+    evaluates ``f`` three-valued after each assignment, so a branch ends
+    as soon as the partial assignment decides the formula."""
     leaves = free_leaves(f)
-    for valuation in _valuations(leaves, program, cap):
-        if eval_fd(f, valuation):
+    domains = _domains(leaves, program, cap)
+    slots: list = [None] * len(leaves)
+    root = _partial(f, {leaf: i for i, leaf in enumerate(leaves)}, slots)
+    answer = _search(root, slots, domains, 0)
+    if ORACLE_CHECK and math.prod(map(len, domains)) <= _ORACLE_SKIP:
+        brute = not equivalent_on_finite_domains(f, FALSE, program)[0]
+        if brute != answer:
+            raise CasmError(f"pruned search says satisfiable={answer} "
+                            "against the enumeration oracle")
+    return answer
+
+
+def _search(root, slots: list, domains: list, k: int) -> bool:
+    value = root()
+    if value is not None:
+        return bool(value)
+    for v in domains[k]:
+        slots[k] = v
+        if _search(root, slots, domains, k + 1):
             return True
+    slots[k] = None
     return False
+
+
+def _partial(term: Term, index: dict[Term, int], slots: list):
+    """Closure evaluating ``term`` like ``eval_fd`` over the leaf values
+    in ``slots``; it returns ``None`` while the unassigned leaves (slots
+    holding ``None``) can still change the result."""
+    if isinstance(term, Const):
+        value = term.value
+        return lambda: value
+    if isinstance(term, (SymRef, App)):
+        i = index[term]
+        return lambda: slots[i]
+    if isinstance(term, Not):
+        inner = _partial(term.operand, index, slots)
+
+        def not_():
+            v = inner()
+            return None if v is None else not v
+        return not_
+    if isinstance(term, And):
+        left = _partial(term.left, index, slots)
+        right = _partial(term.right, index, slots)
+
+        def and_():
+            a = left()
+            if a is not None and not a:
+                return False
+            b = right()
+            if b is not None and not b:
+                return False
+            return None if a is None or b is None else True
+        return and_
+    if isinstance(term, Or):
+        left = _partial(term.left, index, slots)
+        right = _partial(term.right, index, slots)
+
+        def or_():
+            a = left()
+            if a:
+                return True
+            b = right()
+            if b:
+                return True
+            return None if a is None or b is None else False
+        return or_
+    if isinstance(term, Eq):
+        left = _partial(term.left, index, slots)
+        right = _partial(term.right, index, slots)
+
+        def eq():
+            a = left()
+            if a is None:
+                return None
+            b = right()
+            return None if b is None else a == b
+        return eq
+    if isinstance(term, Member):
+        item = _partial(term.item, index, slots)
+        values = term.values
+
+        def member():
+            v = item()
+            return None if v is None else v in values
+        return member
+    if isinstance(term, Ite):
+        cond = _partial(term.cond, index, slots)
+        then = _partial(term.then, index, slots)
+        other = _partial(term.other, index, slots)
+
+        def ite():
+            c = cond()
+            if c is None:
+                t = then()
+                return t if t is not None and t == other() else None
+            return then() if c else other()
+        return ite
+    raise CasmError(f"cannot evaluate {type(term).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +784,7 @@ def _simp_or(parts: list[Term], program) -> Term:
                 continue
         kept.append(p)
     # factor out conjuncts common to every disjunct
-    if len(kept) > 1 and all(isinstance(p, And) or True for p in kept):
+    if len(kept) > 1:
         lists = [_flatten(p, And) for p in kept]
         common = [c for c in lists[0]
                   if all(c in other for other in lists[1:])]

@@ -46,6 +46,16 @@ FAULTY_TRAFFIC = traffic_light_source().replace(
   endif""")
 
 
+UNREAD_WRITE = traffic_light_source().replace(
+    "monitored Passed",
+    "controlled Served : Lane -> Bool init { _: false }\nmonitored Passed",
+).replace(
+    "    GoLight(1) := not GoLight(1)\n",
+    "    GoLight(1) := not GoLight(1)\n    Served(1) := true\n")
+"""Variant whose lane 1 also writes ``Served(1)``, a location that no
+guard and no ``unsafe`` reads."""
+
+
 @pytest.fixture(scope="session")
 def faulty_traffic():
     """Variant that jumps Go1Stop2 -> Go2Stop1 without toggling the

@@ -111,6 +111,17 @@ class TestProtectCommands:
         assert report["safetyViolations"] == 0
         assert report["trialsDiverged"] == 4
 
+    def test_protect_program_writing_an_unread_location(self, workspace):
+        from conftest import UNREAD_WRITE
+        (workspace / "served.casm").write_text(UNREAD_WRITE)
+        result = invoke("protect", "served.casm", "--device-seed", "42",
+                        "--challenge-bits", "16", "--response-bits", "16",
+                        "--out", "p")
+        assert result.exit_code == 0, result.output
+        verify_result = invoke("verify", "p")
+        assert verify_result.exit_code == 0
+        assert verify_result.output.endswith(": safe\n")
+
     def test_protect_outputs_are_idempotent(self, workspace):
         for out in ("p1", "p2"):
             invoke("protect", "traffic.casm", "--device-seed", "42",

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -121,6 +123,53 @@ rule spin:
         with pytest.raises(ParseFailure) as exc:
             parse_or_raise("asm x\n")
         assert exc.value.diagnostics
+
+
+def _position(text, needle):
+    """1-based line and column of the first occurrence of ``needle``."""
+    at = text.index(needle)
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+class TestSourceSpans:
+    @pytest.mark.parametrize("old, new, name, code", [
+        ("phase := Go1Stop2", "phase := Go1Go2", "Go1Go2",
+         "E-UNKNOWN-LITERAL"),
+        ("Passed(phase) then", "Pased(phase) then", "Pased",
+         "E-UNKNOWN-IDENT"),
+    ])
+    def test_unknown_identifier_keeps_its_position(self, old, new, name,
+                                                   code):
+        src = traffic_light_source().replace(old, new, 1)
+        hits = [d for d in parse_program(src).diagnostics if d.code == code]
+        assert len(hits) == 1
+        assert (hits[0].span.line, hits[0].span.column) == \
+            _position(src, name)
+
+    def test_repeated_parses_keep_memory_flat(self):
+        text = ("asm tiny\n"
+                "enum Mode = { A, B }\n"
+                "controlled mode : Mode init A\n"
+                "monitored go : Bool\n"
+                "ctlstate mode\n"
+                "unsafe mode = B and go and not go\n"
+                "rule r:\n"
+                "  if mode = A and go and (go or mode = B) then\n"
+                "    mode := B\n"
+                "  endif\n")
+        assert parse_program(text).ok
+        tracemalloc.start()
+        try:
+            parse_program(text)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(500):
+                parse_program(text)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 64 * 1024
 
 
 class TestFuzz:

@@ -373,6 +373,15 @@ class TestProtectPipeline:
         with pytest.raises(MissingEnrollment):
             rewrite_program(traffic, tset, enrollment, cond)
 
+    def test_write_no_guard_or_unsafe_reads(self):
+        from conftest import UNREAD_WRITE
+        from casmkit.verify import exhaustive_safety_check
+        program = parse_or_raise(UNREAD_WRITE)
+        protected, _ = protect(program, make_device(42, 16, 16, 0.0))
+        report = exhaustive_safety_check(protected, adversarial_puf=True)
+        assert not report.unsafe_reachable
+        assert report.explored_states == 9
+
     def test_runner_matches_reference_resolver(self, traffic,
                                                protected_traffic):
         protected, _, _ = protected_traffic
