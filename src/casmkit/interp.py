@@ -6,15 +6,19 @@ is resolved by a seeded draw split per (step, rule, site), so traces are
 reproducible and insensitive to unrelated rule edits.
 
 One engine carries the semantics: terms and rules are lowered to
-closures once per program.  Runs execute it with a seeded picker; the
-model checker enumerates every resolution of the nondeterminism by
-re-running the same closures under a backtracking picker.
+closures once per program.  Runs execute it with a seeded picker in one
+run loop (:func:`iter_run`), shared by plain runs and protected runs on
+any device; the model checker enumerates every resolution of the
+nondeterminism by re-running the same closures under a backtracking
+picker.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 from weakref import WeakKeyDictionary
 
@@ -22,7 +26,7 @@ from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
     Ite, Let, Location, Member, Not, Or, And, Par, Program, Rule,
     State, Term, Update, Value, Var, check_updates,
-    format_location, parse_location_key,
+    format_location, iter_rules, parse_location_key,
 )
 from .rng import derive_rng
 
@@ -43,6 +47,8 @@ STALL = "STALL"
 # Resolves a pending control-state site: (site, challenge, post-update
 # view of non-control locations, current control value) -> (value, tag).
 CtlResolver = Callable[[str, int, dict, Value], tuple[Value, str]]
+# A resolver for a whole run: the step index, then a CtlResolver's arguments.
+RunResolver = Callable[[int, str, int, dict, Value], tuple[Value, str]]
 CtlEnumerator = Callable[[str, int, dict, Value], list[tuple[Value, str]]]
 
 
@@ -143,13 +149,20 @@ def _check_total(program: Program, monitored: dict[Location, Value],
 # Compiled engine
 # ---------------------------------------------------------------------------
 
+def location_key(locs: tuple[Location, ...]) -> Callable[[dict], object]:
+    """A function giving a dict's values at ``locs``, in that order, as a
+    hashable key; a missing location raises ``KeyError``."""
+    if not locs:
+        return lambda d: ()
+    return itemgetter(*locs)
+
+
 class _Out:
-    __slots__ = ("updates", "pending", "events", "pick")
+    __slots__ = ("updates", "pending", "pick")
 
     def __init__(self, pick):
         self.updates: list[tuple[Location, Value]] = []
         self.pending: list[tuple[str, int]] = []
-        self.events: list[str] = []
         self.pick = pick
 
 
@@ -171,6 +184,24 @@ class CompiledProgram:
             else:
                 body = self._body(nr.body, nr.name, [0])
                 self.mains.append((nr.name, None, body, _noop))
+
+    # -- run keys -------------------------------------------------------------
+
+    @cached_property
+    def choose_free(self) -> bool:
+        # decided over the AST: named-rule bodies compile lazily
+        program = self.program
+        return not any(isinstance(rule, Choose)
+                       for nr in program.main_rules + program.named_rules
+                       for rule, _ in iter_rules(nr.body))
+
+    @cached_property
+    def state_key(self) -> Callable[[dict], object]:
+        return location_key(tuple(self.program.initial_state().values))
+
+    @cached_property
+    def inputs_key(self) -> Callable[[dict], object]:
+        return location_key(self.program.monitored_locations())
 
     # -- term compilation ---------------------------------------------------
 
@@ -339,32 +370,49 @@ class CompiledProgram:
         return out, fired
 
     def step_values(self, values: dict, monitored: dict, pick,
-                    ctl_resolver: Optional[CtlResolver] = None
+                    ctl_resolver: Optional[CtlResolver] = None,
+                    memo: Optional[dict] = None, key=None
                     ) -> tuple[dict, list[str], list[str]]:
-        out, fired = self.fire_rules(values, monitored, pick)
-        updates = out.updates
-        if out.pending:
+        """One step: the new values, the rules that fired and the events.
+
+        With ``memo`` (kept by one run of a choose-free program) the rule
+        pass is looked up under ``key``, the state and input values in a
+        fixed location order, and fired only on a miss.  Challenge sites
+        are resolved and the updates checked on every step."""
+        if memo is None:
+            out, fired = self.fire_rules(values, monitored, pick)
+            updates, pending = out.updates, out.pending
+        else:
+            hit = memo.get(key)
+            if hit is None:
+                out, fired = self.fire_rules(values, monitored, pick)
+                hit = memo[key] = (tuple(out.updates), tuple(out.pending),
+                                   tuple(fired))
+            updates, pending, fired = hit
+            fired = list(fired)
+        events: list[str] = []
+        if pending:
             if ctl_resolver is None:
                 raise StepError("program has hardware-bound sites but no "
                                 "device is attached")
             post = dict(values)
-            for loc, v in updates:
-                post[loc] = v
+            post.update(updates)
             ctl_loc = self.ctl_loc
-            for site, challenge in out.pending:
-                value, tag = ctl_resolver(site, challenge, post,
-                                          values[ctl_loc])
+            current = values[ctl_loc]
+            updates = list(updates)
+            for site, challenge in pending:
+                value, tag = ctl_resolver(site, challenge, post, current)
                 updates.append((ctl_loc, value))
-                out.events.append(tag)
+                events.append(tag)
         merged = check_updates(updates)
         if not fired:
-            out.events.append(STALL)
+            events.append(STALL)
         if merged:
             new_values = dict(values)
             new_values.update(merged)
         else:
             new_values = values
-        return new_values, fired, out.events
+        return new_values, fired, events
 
 
 def _noop(vals, mon, env, out):
@@ -498,9 +546,15 @@ class Trace:
 
 
 def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
-             ctl_resolver: Optional[CtlResolver] = None
+             ctl_resolver: Optional[RunResolver] = None
              ) -> Iterator[TraceEntry]:
     """Yield the initial snapshot and one entry per step.
+
+    The one run loop, for plain and protected programs alike:
+    ``ctl_resolver(k, ...)`` resolves the challenge sites of step ``k``.
+    Looking up a step's inputs in monitored-location order checks them
+    total.  A choose-free program's rule pass is a function of the state
+    and the inputs, so this run memoizes it.
 
     Yielded state dicts are fresh copies only when a step changed
     something; consumers that retain them must copy.
@@ -508,19 +562,32 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     cp = compiled(program)
     values = program.initial_state().values
     yield TraceEntry(0, values, {}, [], [])
+    step_values = cp.step_values
+    inputs_key, state_key = cp.inputs_key, cp.state_key
+    memo: Optional[dict] = {} if cp.choose_free else None
+    key = None
+    resolver = None
     for k in range(steps):
         monitored = oracle.valuation(program, k)
-        _check_total(program, monitored, k)
         try:
-            values, fired, events = cp.step_values(
-                values, monitored, rng_picker(seed, k), ctl_resolver)
+            inputs = inputs_key(monitored)
+        except KeyError:
+            _check_total(program, monitored, k)
+            raise
+        if memo is not None:
+            key = (state_key(values), inputs)
+        if ctl_resolver is not None:
+            resolver = partial(ctl_resolver, k)
+        try:
+            values, fired, events = step_values(
+                values, monitored, rng_picker(seed, k), resolver, memo, key)
         except InconsistentUpdate as exc:
             raise StepError(str(exc), k) from exc
         yield TraceEntry(k + 1, values, monitored, fired, events)
 
 
 def run(program: Program, steps: int, oracle: MonitoredOracle,
-        seed: int, ctl_resolver: Optional[CtlResolver] = None) -> Trace:
+        seed: int, ctl_resolver: Optional[RunResolver] = None) -> Trace:
     """Deterministic multi-step run: equal inputs give equal traces."""
     if steps < 0:
         raise CasmError("step count must be non-negative")

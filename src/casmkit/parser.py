@@ -415,7 +415,9 @@ class _Parser:
         sort_tok = self.expect("IDENT", "sort name")
         self.enc_sort = sort_tok.value
         self.expect("LBRACE", "'{'")
-        while True:
+        # empty when the program has no control-state transitions
+        more = not self.at("RBRACE")
+        while more:
             key = self.parse_const(None)
             self.expect("COLON", "':'")
             self.expect("LBRACKET", "'['")
@@ -426,8 +428,7 @@ class _Parser:
                     responses.append(int(self.expect("NUMBER", "response").value))
             self.expect("RBRACKET", "']'")
             self.enc_entries.append((key, tuple(responses)))
-            if not self.accept("COMMA"):
-                break
+            more = self.accept("COMMA") is not None
         self.expect("RBRACE", "'}'")
 
     # -- rules ---------------------------------------------------------------
@@ -964,11 +965,12 @@ def pretty_print(program: Program, extras: Optional[ProtectedExtras] = None,
     for c in program.init_constraints:
         out.append(f"constraint {format_term(c)}")
     if extras is not None:
-        if extras.enc:
+        if extras.plain_sort:
             entries = ", ".join(
                 f"{format_value(k)}: [{', '.join(str(r) for r in resp)}]"
                 for k, resp in extras.enc)
-            out.append(f"enc {extras.plain_sort} {{ {entries} }}")
+            out.append(f"enc {extras.plain_sort} {{ {entries} }}" if entries
+                       else f"enc {extras.plain_sort} {{ }}")
         if extras.condx is not None:
             out.append(f"condx {format_term(extras.condx)}")
     for nr in program.named_rules:

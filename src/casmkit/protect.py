@@ -32,13 +32,14 @@ from typing import Callable, Iterator, Optional
 from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Not, Or, Par,
-    Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
+    Program, ProgramError, Rule, Sort, Term, Update, Value, Var, children,
     eval_term, format_value, iter_rules, location_term, make_init, or_all,
     reads_location, validate_program, State,
 )
 from .interp import (
-    CtlEnumerator, MonitoredOracle, Trace, TraceEntry, compiled, rng_picker,
-    _check_total,
+    CtlEnumerator, MonitoredOracle, Trace, TraceEntry, compiled, iter_run,
+    location_key,
+    _check_total,  # noqa: F401 -- the traced benchmark run wraps it here
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
 from .puf import Enrollment, enroll
@@ -668,7 +669,9 @@ class SiteDecider:
     does not mark dangerous in the post-update values, else fall back to a
     uniformly drawn safe encodable state (as its first encoding), else
     stall on the current value.  ``condx`` is compiled once per plain
-    state; :func:`choose_ctl_state` is the reference a test pins."""
+    state, and the safe states are memoized on the values of the
+    locations it reads; :func:`choose_ctl_state` is the reference a test
+    pins."""
 
     def __init__(self, program: Program, enrollment: Enrollment,
                  safe_condition: SafeCondition):
@@ -679,6 +682,9 @@ class SiteDecider:
                            if enrollment.encodings(v)}
         self._cond_fns = {v: cp._term(safe_condition.cond_for(v))
                           for v in plain}
+        self._safe_key = location_key(
+            _locations_read(program, safe_condition.cond_x))
+        self._safe_memo: dict[object, tuple[Value, ...]] = {}
         # every unenrolled response decides like this representative
         rep = 0
         while rep in self._decode or rep == enrollment.init_token:
@@ -691,12 +697,17 @@ class SiteDecider:
         return decoded is not None and \
             not self._cond_fns[decoded](post, self._empty, self._empty)
 
-    def _safe(self, post: dict) -> list[Value]:
-        empty = self._empty
-        return [v for v in self._first_enc
-                if not self._cond_fns[v](post, empty, empty)]
+    def _safe(self, post: dict) -> tuple[Value, ...]:
+        key = self._safe_key(post)
+        safe = self._safe_memo.get(key)
+        if safe is None:
+            empty = self._empty
+            safe = self._safe_memo[key] = tuple(
+                v for v in self._first_enc
+                if not self._cond_fns[v](post, empty, empty))
+        return safe
 
-    def _fallback(self, safe: list[Value], current_ctl: Value,
+    def _fallback(self, safe: tuple[Value, ...], current_ctl: Value,
                   draw: Callable[[int], int]) -> tuple[Value, str]:
         if not safe:
             return current_ctl, SAFE_STALL
@@ -737,22 +748,38 @@ class SiteDecider:
         return enumerate_site
 
 
+def _locations_read(program: Program, term: Term) -> tuple[Location, ...]:
+    """Non-monitored locations ``term`` can read, in first-read order; a
+    read with a non-constant argument counts every location of its
+    function."""
+    found: dict[Location, None] = {}
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App) and program.function(t.fn).mode != "monitored":
+            if all(isinstance(a, Const) for a in t.args):
+                found[(t.fn, tuple(a.value for a in t.args))] = None
+            else:
+                found.update(dict.fromkeys(program.locations(t.fn)))
+        stack.extend(reversed(children(t)))
+    return tuple(found)
+
+
 class ProtectedRunner:
-    """Precompiled protected runtime shared across many steps: each site
-    hands the device's response at that point of the run to the program's
+    """Protected runtime on one device: the run loop of
+    :func:`~casmkit.interp.iter_run` hands each site the device's response
+    at that point of the run, decided by the program's
     :class:`SiteDecider`.  The device owns its response cache and noise."""
 
     def __init__(self, protected: ProtectedProgram, device, seed: int):
         self.protected = protected
         self.device = device
         self.seed = seed
-        self.cp = compiled(protected.program)
         self.decider = protected.decider
-        self._step = 0
 
-    def _resolver(self, site: str, challenge: int, post: dict,
+    def _resolver(self, step: int, site: str, challenge: int, post: dict,
                   current_ctl: Value) -> tuple[Value, str]:
-        seed, step = self.seed, self._step
+        seed = self.seed
         return self.decider.decide(
             self.device.query_at(challenge, seed, step, site), post,
             current_ctl,
@@ -760,19 +787,8 @@ class ProtectedRunner:
 
     def iter_entries(self, steps: int, oracle: MonitoredOracle
                      ) -> Iterator[TraceEntry]:
-        program = self.protected.program
-        values = program.initial_state().values
-        yield TraceEntry(0, values, {}, [], [])
-        resolver = self._resolver
-        step_values = self.cp.step_values
-        seed = self.seed
-        for k in range(steps):
-            monitored = oracle.valuation(program, k)
-            _check_total(program, monitored, k)
-            self._step = k
-            values, fired, events = step_values(
-                values, monitored, rng_picker(seed, k), resolver)
-            yield TraceEntry(k + 1, values, monitored, fired, events)
+        return iter_run(self.protected.program, steps, oracle, self.seed,
+                        self._resolver)
 
 
 def run_protected(protected: ProtectedProgram, device, steps: int,
@@ -828,7 +844,8 @@ def load_protected(directory: str) -> ProtectedProgram:
         raise CasmError("protected program does not parse: "
                         + "; ".join(d.render(casm_path)
                                     for d in result.diagnostics))
-    if result.extras is None or result.extras.condx is None:
+    if result.extras is None or result.extras.condx is None \
+            or not result.extras.plain_sort:
         raise CasmError(f"{casm_path} is not a protected artifact")
     enrollment = Enrollment.from_json(_read_artifact(enr_path))
     program = result.program

@@ -887,8 +887,10 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
     With ``ctl_abstraction`` on, every write to the control-state
     function stores one shared fresh symbol instead of its right-hand
     side, so the analysis is independent of how the next control state
-    is actually produced.  Combinations where no rule fires appear as
-    stutter paths whose successor map is the initial one.
+    is actually produced; two writes of different values on one path
+    still raise :class:`SymbolicInconsistency`.  Combinations where no
+    rule fires appear as stutter paths whose successor map is the
+    initial one.
     """
     if init is None:
         init = SymInit.for_program(program)
@@ -925,6 +927,8 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
                     raise SymbolicInconsistency(loc)
             else:
                 merged[loc] = expr
+        if ctl_abstraction and ctl_loc in merged:
+            merged[ctl_loc] = next_ctl_symbol()
         locmap = dict(locmap0)
         locmap.update(merged)
         paths.append(PathedSymState(cond, locmap, frozenset(merged)))
@@ -942,7 +946,10 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
                     f"update to {node.fn} with a symbolic argument")
             loc = (node.fn, tuple(e.value for e in argexprs))
             if loc == ctl_loc and ctl_abstraction:
-                rhs = next_ctl_symbol()
+                # the target stays concrete until finalize compares writes;
+                # the symbol is made here so fresh names keep their order
+                next_ctl_symbol()
+                rhs = sym_eval(node.rhs, program, locmap0, env)
             else:
                 rhs = simplify_formula(
                     sym_eval(node.rhs, program, locmap0, env), program)

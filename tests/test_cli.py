@@ -122,6 +122,42 @@ class TestProtectCommands:
         assert verify_result.exit_code == 0
         assert verify_result.output.endswith(": safe\n")
 
+    def test_program_without_transitions_loads_and_verifies(self,
+                                                            workspace):
+        (workspace / "still.casm").write_text(STILL)
+        result = invoke("protect", "still.casm", "--device-seed", "42",
+                        "--challenge-bits", "16", "--response-bits", "16",
+                        "--out", "p")
+        assert result.exit_code == 0, result.output
+        assert "no control-state transitions" in result.output
+        verify_result = invoke("verify", "p")
+        assert verify_result.exit_code == 0, verify_result.output
+        assert verify_result.output.endswith(": safe\n")
+        run_result = invoke("run-protected", "p", "--device-seed", "7",
+                            "--steps", "3", "--seed", "1")
+        assert run_result.exit_code == 0, run_result.output
+        last = json.loads(run_result.output.splitlines()[-1])
+        assert last["state"]["lit"] is True
+
+    @pytest.mark.parametrize("second_guard, exit_code", [
+        ("mode = St0", 2),
+        # exclusive with the first rule's guard, so never a conflict
+        ("mode = St0 and flag", 0)], ids=["overlapping", "exclusive"])
+    def test_conflicting_control_writes_are_rejected(self, workspace,
+                                                     second_guard,
+                                                     exit_code):
+        (workspace / "twice.casm").write_text(
+            TWICE.replace("SECOND_GUARD", second_guard))
+        result = invoke("protect", "twice.casm", "--device-seed", "42",
+                        "--challenge-bits", "16", "--response-bits", "16",
+                        "--out", "p")
+        assert result.exit_code == exit_code, result.output
+        if exit_code:
+            assert_one_line_usage_error(result, "writes to mode")
+            assert not (workspace / "p").exists()
+        else:
+            assert invoke("verify", "p").exit_code == 0
+
     def test_protect_outputs_are_idempotent(self, workspace):
         for out in ("p1", "p2"):
             invoke("protect", "traffic.casm", "--device-seed", "42",
@@ -149,6 +185,43 @@ class TestProtectCommands:
         for line in (workspace / "clone.jsonl").read_text().splitlines():
             state = json.loads(line)["state"]
             assert not (state["GoLight(1)"] and state["GoLight(2)"])
+
+
+STILL = """\
+asm still
+enum Mode = { Only }
+controlled mode : Mode init Only
+controlled lit : Bool init false
+ctlstate mode
+unsafe false
+
+rule r:
+  if mode = Only then
+    lit := not lit
+  endif
+"""
+"""No rule writes the control state: nothing is bound to the device."""
+
+TWICE = """\
+asm twice
+enum Mode = { St0, St1 }
+controlled mode : Mode init St0
+controlled flag : Bool init false
+ctlstate mode
+unsafe false
+
+rule r0:
+  if mode = St0 and not flag then
+    mode := St1
+  endif
+
+rule r1:
+  if SECOND_GUARD then
+    mode := St0
+  endif
+"""
+"""Both rules can fire in St0 and write different control states unless
+the second guard excludes the first."""
 
 
 def assert_one_line_usage_error(result, names):
