@@ -286,6 +286,22 @@ def reads_location(term: Term, loc: Location) -> bool:
     return any(reads_location(c, loc) for c in children(term))
 
 
+def locations_read(program: Program, term: Term) -> tuple[Location, ...]:
+    """Locations ``term`` can read, in first-read order; a read with a
+    non-constant argument counts every location of its function."""
+    found: dict[Location, None] = {}
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            if all(isinstance(a, Const) for a in t.args):
+                found[(t.fn, tuple(a.value for a in t.args))] = None
+            else:
+                found.update(dict.fromkeys(program.locations(t.fn)))
+        stack.extend(reversed(children(t)))
+    return tuple(found)
+
+
 # ---------------------------------------------------------------------------
 # Rules
 # ---------------------------------------------------------------------------

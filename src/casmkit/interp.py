@@ -10,7 +10,8 @@ closures once per program.  Runs execute it with a seeded picker in one
 run loop (:func:`iter_run`), shared by plain runs and protected runs on
 any device; the model checker enumerates every resolution of the
 nondeterminism by re-running the same closures under a backtracking
-picker.
+picker, and finds the monitored inputs a step reads by making each read
+one more choice point of that picker.
 """
 from __future__ import annotations
 
@@ -92,14 +93,21 @@ class ConstantOracle(MonitoredOracle):
 @dataclass
 class RandomOracle(MonitoredOracle):
     seed: int
+    # (program, [(location, its name, its sort's values)]) of the last program
+    _plan: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def valuation(self, program, step_index):
+        plan = self._plan
+        if plan is None or plan[0] is not program:
+            plan = self._plan = (program, [
+                (loc, format_location(loc),
+                 program.function(loc[0]).result.values())
+                for loc in program.monitored_locations()])
+        seed = self.seed
         out: dict[Location, Value] = {}
-        for loc in program.monitored_locations():
-            sort = program.function(loc[0]).result
-            rng = derive_rng("monitored", self.seed, step_index,
-                             format_location(loc))
-            values = sort.values()
+        for loc, name, values in plan[1]:
+            rng = derive_rng("monitored", seed, step_index, name)
             out[loc] = values[rng.randrange(len(values))]
         return out
 
@@ -419,6 +427,40 @@ def _noop(vals, mon, env, out):
     return None
 
 
+def _backtrack(run: Callable[[Callable[[int], int]], None]) -> None:
+    """Call ``run(choose)`` once per sequence of choices, depth-first;
+    ``choose(n)`` gives the index of one of ``n`` options.
+
+    Stateless search: each run replays a forced prefix of indices and takes
+    the first option after it; the next run advances the last choice with
+    options left."""
+    forced: list[int] = []
+    while True:
+        taken: list[int] = []
+        widths: list[int] = []
+
+        def choose(n):
+            k = forced[len(taken)] if len(taken) < len(forced) else 0
+            taken.append(k)
+            widths.append(n)
+            return k
+
+        run(choose)
+        while taken and taken[-1] + 1 == widths[-1]:
+            taken.pop()
+            widths.pop()
+        if not taken:
+            return
+        taken[-1] += 1
+        forced = taken
+
+
+def _picker(choose: Callable[[int], int]):
+    """A ``choose``-rule picker that takes its draws from a backtracking
+    search's ``choose``."""
+    return lambda site, options: options[choose(len(options))]
+
+
 def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
                             monitored: dict[Location, Value],
                             ctl_enum: Optional[CtlEnumerator] = None
@@ -426,24 +468,12 @@ def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
     """The merged updates of every possible result of one step: choose
     draws in depth-first order, then each run's challenge sites as a
     product over the enumerator's outcomes (the first site slowest).
-
-    Stateless search: the rule pass re-runs once per sequence of draws,
-    replaying a forced prefix of draw indices and taking the first option
-    after it; the next run advances the last draw with options left."""
+    The rule pass re-runs once per sequence of draws."""
     results: list[dict[Location, Value]] = []
     ctl_loc = cp.ctl_loc
-    forced: list[int] = []
-    while True:
-        taken: list[int] = []
-        widths: list[int] = []
 
-        def pick(site, options):
-            k = forced[len(taken)] if len(taken) < len(forced) else 0
-            taken.append(k)
-            widths.append(len(options))
-            return options[k]
-
-        out, _ = cp.fire_rules(values, monitored, pick)
+    def run(choose):
+        out, _ = cp.fire_rules(values, monitored, _picker(choose))
         updates = out.updates
         if not out.pending:
             results.append(check_updates(updates))
@@ -459,13 +489,47 @@ def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
                     for site, challenge in out.pending)):
                 results.append(check_updates(
                     updates + [(ctl_loc, value) for value, _ in combo]))
-        while taken and taken[-1] + 1 == widths[-1]:
-            taken.pop()
-            widths.pop()
-        if not taken:
-            return results
-        taken[-1] += 1
-        forced = taken
+
+    _backtrack(run)
+    return results
+
+
+class _LazyInputs(dict):
+    """Inputs of one discovery run: reading a location that has no value
+    yet is a choice point over its domain."""
+
+    __slots__ = ("domains", "choose", "read")
+
+    def __missing__(self, loc):
+        domain = self.domains[loc]
+        value = self[loc] = domain[self.choose(len(domain))]
+        self.read[loc] = None
+        return value
+
+
+def monitored_reads(cp: CompiledProgram, values: dict[Location, Value],
+                    fixed: dict[Location, Value],
+                    domains: dict[Location, tuple[Value, ...]]
+                    ) -> Optional[set[Location]]:
+    """The locations of ``domains`` that one step from ``values`` reads
+    under some valuation of them and some choose draw, the inputs of
+    ``fixed`` held at their values; ``None`` when a run raises.
+
+    The rule pass runs once per path: each read of an unset input and
+    each draw is a choice point of one backtracking search."""
+    read: dict[Location, None] = {}
+
+    def run(choose):
+        inputs = _LazyInputs(fixed)
+        inputs.domains, inputs.choose, inputs.read = domains, choose, read
+        cp.fire_rules(values, inputs, _picker(choose))
+
+    try:
+        _backtrack(run)
+    except (CasmError, KeyError):
+        # a valuation that fails here fails the full enumeration alike
+        return None
+    return set(read)
 
 
 _COMPILE_CACHE: "WeakKeyDictionary[Program, CompiledProgram]" = WeakKeyDictionary()

@@ -32,9 +32,9 @@ from typing import Callable, Iterator, Optional
 from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Not, Or, Par,
-    Program, ProgramError, Rule, Sort, Term, Update, Value, Var, children,
-    eval_term, format_value, iter_rules, location_term, make_init, or_all,
-    reads_location, validate_program, State,
+    Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
+    eval_term, format_value, iter_rules, location_term, locations_read,
+    make_init, or_all, reads_location, validate_program, State,
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, Trace, TraceEntry, compiled, iter_run,
@@ -669,9 +669,9 @@ class SiteDecider:
     does not mark dangerous in the post-update values, else fall back to a
     uniformly drawn safe encodable state (as its first encoding), else
     stall on the current value.  ``condx`` is compiled once per plain
-    state, and the safe states are memoized on the values of the
-    locations it reads; :func:`choose_ctl_state` is the reference a test
-    pins."""
+    state and evaluated once per valuation of the locations it reads: the
+    safe states are memoized on those, and a response is accepted by
+    membership.  :func:`choose_ctl_state` is the reference a test pins."""
 
     def __init__(self, program: Program, enrollment: Enrollment,
                  safe_condition: SafeCondition):
@@ -682,9 +682,10 @@ class SiteDecider:
                            if enrollment.encodings(v)}
         self._cond_fns = {v: cp._term(safe_condition.cond_for(v))
                           for v in plain}
-        self._safe_key = location_key(
-            _locations_read(program, safe_condition.cond_x))
-        self._safe_memo: dict[object, tuple[Value, ...]] = {}
+        self._safe_key = location_key(tuple(
+            l for l in locations_read(program, safe_condition.cond_x)
+            if program.function(l[0]).mode != "monitored"))
+        self._safe_memo: dict[object, tuple[tuple[Value, ...], frozenset]] = {}
         # every unenrolled response decides like this representative
         rep = 0
         while rep in self._decode or rep == enrollment.init_token:
@@ -692,19 +693,18 @@ class SiteDecider:
         self._responses = [*self._decode, rep]
         self._empty: dict = {}
 
-    def _accepts(self, response: int, post: dict) -> bool:
-        decoded = self._decode.get(response)
-        return decoded is not None and \
-            not self._cond_fns[decoded](post, self._empty, self._empty)
-
-    def _safe(self, post: dict) -> tuple[Value, ...]:
+    def _safe(self, post: dict) -> tuple[tuple[Value, ...], frozenset]:
+        """The encodable states ``condx`` does not mark dangerous in
+        ``post``, in fallback draw order and as a set.  A response is
+        accepted when it decodes into the set: every decoded target is
+        encodable."""
         key = self._safe_key(post)
         safe = self._safe_memo.get(key)
         if safe is None:
             empty = self._empty
-            safe = self._safe_memo[key] = tuple(
-                v for v in self._first_enc
-                if not self._cond_fns[v](post, empty, empty))
+            states = tuple(v for v in self._first_enc
+                           if not self._cond_fns[v](post, empty, empty))
+            safe = self._safe_memo[key] = (states, frozenset(states))
         return safe
 
     def _fallback(self, safe: tuple[Value, ...], current_ctl: Value,
@@ -717,20 +717,21 @@ class SiteDecider:
                draw: Callable[[int], int]) -> tuple[Value, str]:
         """Resolve one site; ``draw(n)`` picks one of ``n`` safe states
         and is called only when the site falls back."""
-        if self._accepts(response, post):
+        safe, accepted = self._safe(post)
+        if self._decode.get(response) in accepted:
             return response, BOUND_OK
-        return self._fallback(self._safe(post), current_ctl, draw)
+        return self._fallback(safe, current_ctl, draw)
 
     def outcomes(self, post: dict, current_ctl: Value
                  ) -> list[tuple[Value, str]]:
         """Every result :meth:`decide` can give at this site, over every
         device response and every draw, in first-seen order."""
-        safe = self._safe(post)
+        safe, accepted = self._safe(post)
         fallbacks = [self._fallback(safe, current_ctl, lambda n, i=i: i)
                      for i in range(max(len(safe), 1))]
         found: dict[tuple[Value, str], None] = {}
         for response in self._responses:
-            if self._accepts(response, post):
+            if self._decode.get(response) in accepted:
                 found.setdefault((response, BOUND_OK))
             else:
                 found.update(dict.fromkeys(fallbacks))
@@ -746,23 +747,6 @@ class SiteDecider:
                 device.query(challenge), post, current_ctl,
                 lambda n: derive_rng("bfs-fallback", site).randrange(n))]
         return enumerate_site
-
-
-def _locations_read(program: Program, term: Term) -> tuple[Location, ...]:
-    """Non-monitored locations ``term`` can read, in first-read order; a
-    read with a non-constant argument counts every location of its
-    function."""
-    found: dict[Location, None] = {}
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App) and program.function(t.fn).mode != "monitored":
-            if all(isinstance(a, Const) for a in t.args):
-                found[(t.fn, tuple(a.value for a in t.args))] = None
-            else:
-                found.update(dict.fromkeys(program.locations(t.fn)))
-        stack.extend(reversed(children(t)))
-    return tuple(found)
 
 
 class ProtectedRunner:

@@ -1,9 +1,10 @@
 """Independent oracles and experiments.
 
 Exhaustive breadth-first reachability over the full transition relation
-(monitored inputs branched universally per step, every nondeterministic
-resolution explored) backs the safety claims of the transformation; trace
-comparison and clone statistics realize the target/replica experiments.
+(every valuation of the monitored inputs a step can read, every
+nondeterministic resolution explored) backs the safety claims of the
+transformation; trace comparison and clone statistics realize the
+target/replica experiments.
 """
 from __future__ import annotations
 
@@ -14,10 +15,11 @@ from typing import Optional, Union
 
 from .ast import (
     CasmError, EvalError, Location, Program, State, Value, eval_term,
-    format_location, locations_of_interest, reads_location,
+    format_location, locations_of_interest, locations_read, reads_location,
 )
 from .interp import (
-    MonitoredOracle, Trace, compiled, enumerate_step_outcomes, iter_run, step,
+    MonitoredOracle, Trace, compiled, enumerate_step_outcomes, iter_run,
+    monitored_reads, step,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -60,18 +62,6 @@ class ReachabilityReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _monitored_combos(program: Program, interest: set[Location]):
-    locs = [l for l in program.monitored_locations()]
-    branched = [l for l in locs if l in interest]
-    fixed = {l: program.function(l[0]).result.values()[0]
-             for l in locs if l not in interest}
-    domains = [program.function(l[0]).result.values() for l in branched]
-    for combo in itertools.product(*domains):
-        valuation = dict(fixed)
-        valuation.update(zip(branched, combo))
-        yield valuation
-
-
 def _space_size(program: Program, controlled: list[Location],
                 ctl_restriction: Optional[int]) -> int:
     size = 1
@@ -80,10 +70,57 @@ def _space_size(program: Program, controlled: list[Location],
             size *= ctl_restriction
         else:
             size *= program.function(loc[0]).result.size
-    mon = 1
-    for loc in program.monitored_locations():
-        mon *= program.function(loc[0]).result.size
-    return size * mon
+    return size
+
+
+class _InputProduct:
+    """The eager product of the inputs of interest, cut down to those in
+    ``read`` (all when ``None``); the others stay at their first value.
+
+    Each combination of the read inputs stands for every eager valuation
+    that agrees with it on them.  Its first such valuation, the unread
+    inputs at their first value, comes in the combination's order, so
+    successors, parents and witnesses come out as from the whole
+    product."""
+
+    def __init__(self, branched: list[Location],
+                 domains: dict[Location, tuple[Value, ...]],
+                 fixed: dict[Location, Value], read: Optional[set]):
+        self.branched = branched
+        self.fixed = fixed
+        self.spots = [i for i, l in enumerate(branched)
+                      if read is None or l in read]
+        self.domains = [domains[branched[i]] for i in self.spots]
+        self.first = [domains[l][0] for l in branched]
+        # tail[i]: the number of valuations of the unread inputs from i on
+        self.tail = [1] * (len(branched) + 1)
+        for i in reversed(range(len(branched))):
+            self.tail[i] = self.tail[i + 1] * (
+                1 if i in self.spots else len(domains[branched[i]]))
+
+    def __iter__(self):
+        valuation = list(self.first)
+        for combo in itertools.product(*self.domains):
+            for i, v in zip(self.spots, combo):
+                valuation[i] = v
+            mon = dict(self.fixed)
+            mon.update(zip(self.branched, valuation))
+            yield combo, mon
+
+    def transitions(self, counts: list[tuple[tuple, int]],
+                    stopped: bool) -> int:
+        """The eager transition count of the combinations stepped, in
+        order, with their outcome counts.  When the search ``stopped`` at
+        the last one, the eager product stopped at its first valuation,
+        so of each earlier combination only the valuations before that
+        one count."""
+        if not stopped:
+            return self.tail[0] * sum(n for _, n in counts)
+        last, total = counts[-1]
+        for combo, n in counts[:-1]:
+            p = next(k for k, (a, b) in enumerate(zip(combo, last)) if a != b)
+            total += n * self.tail[self.spots[p] + 1]
+        return total
 
 
 def exhaustive_safety_check(
@@ -100,6 +137,15 @@ def exhaustive_safety_check(
     the device response at each challenge site ranges over every enrolled
     response plus one representative unenrolled value (all unenrolled
     values behave identically), and fallback draws branch universally.
+
+    A state is stepped under each valuation of the monitored inputs its
+    step can read, found by :func:`~casmkit.interp.monitored_reads`; the
+    other inputs stay at their first value, and each outcome counts once
+    per valuation of them.  Report, witness and transition count are those
+    of stepping under the whole input product.  ``max_states`` bounds the
+    number of states (the product of the controlled locations' domains),
+    not states times input valuations; a larger space is refused up
+    front.
     """
     protected: Optional[ProtectedProgram] = None
     if isinstance(subject, ProtectedProgram):
@@ -126,6 +172,15 @@ def exhaustive_safety_check(
         ctl_enum = protected.decider.enumerator(
             None if adversarial_puf else device)
 
+    mon_locs = program.monitored_locations()
+    branched = [l for l in mon_locs if l in interest]
+    domains = {l: program.function(l[0]).result.values() for l in branched}
+    fixed = {l: program.function(l[0]).result.values()[0]
+             for l in mon_locs if l not in interest}
+    unsafe_inputs = _InputProduct(
+        branched, domains, fixed,
+        set(locations_read(program, program.unsafe)))
+
     def unsafe_state(values: dict[Location, Value]) -> bool:
         check_values = values
         if protected is not None:
@@ -135,7 +190,7 @@ def exhaustive_safety_check(
                                   State(values=check_values, monitored={})))
         except EvalError:
             pass
-        for mon in _monitored_combos(program, interest):
+        for _, mon in unsafe_inputs:
             if eval_term(program.unsafe,
                          State(values=check_values, monitored=mon)):
                 return True
@@ -161,9 +216,13 @@ def exhaustive_safety_check(
         nxt: list[tuple] = []
         for state_key in frontier:
             values = snapshots[state_key]
-            for mon in _monitored_combos(program, interest):
+            inputs = _InputProduct(
+                branched, domains, fixed,
+                monitored_reads(cp, values, fixed, domains))
+            counts: list[tuple[tuple, int]] = []
+            for combo, mon in inputs:
                 outcomes = enumerate_step_outcomes(cp, values, mon, ctl_enum)
-                transition_count += len(outcomes)
+                counts.append((combo, len(outcomes)))
                 for updates in outcomes:
                     succ = dict(values)
                     succ.update(updates)
@@ -179,6 +238,8 @@ def exhaustive_safety_check(
                         break
                 if unsafe_key is not None:
                     break
+            transition_count += inputs.transitions(
+                counts, unsafe_key is not None)
             if unsafe_key is not None:
                 break
         frontier = nxt
