@@ -734,12 +734,15 @@ def parse_value(raw: str, sort: Sort) -> Value:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate_program(program: Program, protected: bool = False) -> list[tuple[str, str]]:
+def validate_program(program: Program, protected: bool = False,
+                     plain_sort: Optional[Sort] = None) -> list[tuple[str, str]]:
     """Structural validation; returns (code, message) problems.
 
     ``protected`` relaxes the plain-update shape rule: hardware-bound
     programs must have no plain control-state updates at all, and their
-    control-state guards test membership in encoded value sets.
+    control-state guards test membership in encoded value sets.  The
+    violation predicate is only evaluated on decoded states, so it is
+    checked with the control function at ``plain_sort`` when given.
     """
     problems: list[tuple[str, str]] = []
 
@@ -803,10 +806,11 @@ def validate_program(program: Program, protected: bool = False) -> list[tuple[st
             checker.check_rule(r, {}, protected)
         _check_main_shape(program, nr, problems, protected)
 
-    if _free_vars(program.unsafe):
+    if free_vars(program.unsafe):
         problems.append(("E-UNBOUND", "violation predicate must be variable-free"))
     else:
-        checker.check_formula(program.unsafe, {}, "violation predicate")
+        _SortChecker(program, problems, plain_sort).check_formula(
+            program.unsafe, {}, "violation predicate")
 
     for c in program.init_constraints:
         _check_constraint(program, c, checker, problems)
@@ -871,7 +875,7 @@ def _check_constraint(program: Program, c: Term, checker: "_SortChecker",
             ("E-CONSTRAINT",
              "initial constraint must equate a ground location with a term"))
         return
-    if _free_vars(c):
+    if free_vars(c):
         problems.append(("E-CONSTRAINT", "initial constraint must be variable-free"))
         return
     for node in _walk_terms(c):
@@ -895,13 +899,11 @@ def _check_constraint(program: Program, c: Term, checker: "_SortChecker",
         pass  # already reported by the sort checker
 
 
-def _free_vars(term: Term, bound: frozenset = frozenset()) -> set[str]:
+def free_vars(term: Term) -> set[str]:
+    """Names of the variables ``term`` reads; terms bind none."""
     if isinstance(term, Var):
-        return set() if term.name in bound else {term.name}
-    out: set[str] = set()
-    for c in children(term):
-        out |= _free_vars(c, bound)
-    return out
+        return {term.name}
+    return set().union(*(free_vars(c) for c in children(term)))
 
 
 def _walk_terms(term: Term):
@@ -929,9 +931,11 @@ def iter_rules(rules: Iterable[Rule], env: Optional[dict] = None):
 class _SortChecker:
     """Bidirectional sort checking of terms and rules."""
 
-    def __init__(self, program: Program, problems: list):
+    def __init__(self, program: Program, problems: list,
+                 ctl_sort: Optional[Sort] = None):
         self.program = program
         self.problems = problems
+        self.ctl_sort = ctl_sort  # read the control function at this sort
 
     def error(self, code: str, msg: str) -> None:
         self.problems.append((code, msg))
@@ -965,6 +969,8 @@ class _SortChecker:
                 return decl.result
             for a, s in zip(term.args, decl.arg_sorts):
                 self.check(a, s, env)
+            if self.ctl_sort is not None and term.fn == p.ctl_name:
+                return self.ctl_sort
             return decl.result
         if isinstance(term, Not):
             self.check(term.operand, BOOL, env)

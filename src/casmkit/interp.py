@@ -27,7 +27,7 @@ from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
     Ite, Let, Location, Member, Not, Or, And, Par, Program, Rule,
     State, Term, Update, Value, Var, check_updates,
-    format_location, iter_rules, parse_location_key,
+    format_location, iter_rules, locations_of_interest, parse_location_key,
 )
 from .rng import derive_rng
 
@@ -130,16 +130,30 @@ class ScriptedOracle(MonitoredOracle):
 
 
 def load_scripted_oracle(program: Program, path: str) -> ScriptedOracle:
-    """JSON array of per-step objects keyed by location strings."""
+    """JSON array of per-step objects keyed by location strings; every key
+    must name a monitored location and every value lie in its sort."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise CasmError("scripted oracle file must be a JSON array")
+    monitored = set(program.monitored_locations())
     script = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise CasmError(f"scripted oracle entry {i} is not an object")
         step: dict[Location, Value] = {}
         for key, value in entry.items():
-            step[parse_location_key(program, key)] = value
+            try:
+                loc = parse_location_key(program, key)
+                if loc not in monitored:
+                    raise CasmError(f"{key} is not a monitored location")
+                sort = program.function(loc[0]).result
+                if not sort.contains(value):
+                    raise CasmError(f"{key} = {json.dumps(value)} is "
+                                    f"outside {sort.name}")
+            except CasmError as exc:
+                raise CasmError(f"scripted oracle entry {i}: {exc}") from None
+            step[loc] = value
         script.append(step)
     return ScriptedOracle(script)
 
@@ -210,6 +224,10 @@ class CompiledProgram:
     @cached_property
     def inputs_key(self) -> Callable[[dict], object]:
         return location_key(self.program.monitored_locations())
+
+    @cached_property
+    def interest(self) -> tuple[Location, ...]:
+        return locations_of_interest(self.program)
 
     # -- term compilation ---------------------------------------------------
 

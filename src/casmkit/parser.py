@@ -234,9 +234,6 @@ class _Parser:
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diags.append(Diagnostic("error", code, message, span))
 
-    def warn(self, code: str, message: str, span: SourceSpan) -> None:
-        self.diags.append(Diagnostic("warning", code, message, span))
-
     # -- declarations ------------------------------------------------------
 
     def parse_program(self) -> Optional[tuple]:
@@ -783,7 +780,10 @@ def parse_program(text: str, filename: str = "<input>") -> ParseResult:
             condx=condx,
         )
 
-    for code, message in validate_program(program, protected=is_protected):
+    plain_sort = next((s for s in program.sorts if s.name == parser.enc_sort),
+                      None)
+    for code, message in validate_program(program, protected=is_protected,
+                                          plain_sort=plain_sort):
         diags.append(Diagnostic("error", code, message, SourceSpan(1, 1)))
     if condx is not None and parser.enc_sort:
         _check_condx(program, parser.enc_sort, condx, diags)

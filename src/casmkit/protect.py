@@ -6,7 +6,8 @@ the predicate that marks dangerous next control states, then rewrite the
 program so that
 
   * every plain control-state update becomes a challenge site that
-    queries the device at run time,
+    queries the device at run time, with the challenges of the sources
+    extraction recorded for that update (the rewrite decides none),
   * every guard on the control state tests membership in the enrolled
     response encodings (the stored control value IS a raw response), and
   * the control state's runtime sort is the response space, initialized
@@ -23,7 +24,7 @@ states nondeterministically.
 from __future__ import annotations
 
 import hashlib
-import json
+import itertools
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -33,8 +34,9 @@ from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Not, Or, Par,
     Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
-    eval_term, format_value, iter_rules, location_term, locations_read,
-    make_init, or_all, reads_location, validate_program, State,
+    eval_term, format_location, format_value, free_vars, iter_rules,
+    location_term, locations_read, make_init, or_all, reads_location,
+    validate_program, State,
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, Trace, TraceEntry, compiled, iter_run,
@@ -70,10 +72,6 @@ class MissingEnrollment(CasmError):
             f"{format_value(source)} -> {format_value(target)}")
 
 
-class UnEncodableState(CasmError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Transition set
 # ---------------------------------------------------------------------------
@@ -99,25 +97,17 @@ class TransitionSet:
         return out
 
 
-def _expand_bound_vars(term: Term, ranges: dict[str, tuple[Value, ...]],
-                       lets: dict[str, Term]) -> Term:
-    """Close a guard over its binder variables: let-bound variables are
-    substituted, choose-bound ones expanded existentially."""
-    if lets:
-        term = subst_term(term, {Var(v): t for v, t in lets.items()})
-    for var, values in ranges.items():
-        term = or_all([subst_term(term, {Var(var): Const(v)})
-                       for v in values])
-    return term
-
-
 def _guard_source_split(program: Program, guard: Term,
                         possible: frozenset,
-                        ranges: dict[str, tuple[Value, ...]],
-                        lets: dict[str, Term]) -> tuple[frozenset, frozenset]:
+                        ranges: dict[str, tuple[Value, ...]]
+                        ) -> tuple[frozenset, frozenset]:
     """Control values in ``possible`` under which the guard can be true
-    (respectively false), with every other location left free."""
-    closed = _expand_bound_vars(guard, ranges, lets)
+    (respectively false), with every other location left free.  The
+    guard's choose-bound variables are expanded existentially."""
+    closed = guard
+    for var, values in ranges.items():
+        closed = or_all([subst_term(closed, {Var(var): Const(v)})
+                         for v in values])
     ctl_term = App(program.ctl_name, ())
     sat_true = set()
     sat_false = set()
@@ -138,16 +128,24 @@ def compute_transition_set(program: Program) -> TransitionSet:
     conditional the set narrows to the control values under which that
     branch is reachable, other locations left free.  A guard testing a
     set of states therefore contributes one pair per member that still
-    dominates the update.
+    dominates the update.  A ``let`` body is walked with its variable
+    replaced by the binding, and a call as the called body with its
+    parameters replaced by the arguments, under the caller's binders.
+
+    This is the only place that decides an update's sources: the n-th
+    control update reached from main rule ``r`` is recorded as the site
+    ``(r, n)``, and :func:`rewrite_program` binds that update to it.
     """
     sort = program.ctl.result
     all_values = frozenset(sort.values())
     pairs: dict[tuple[Value, Value], None] = {}
     sites: list[SiteInfo] = []
 
+    # the main rule being walked and the ordinals of its control updates
+    rule_name, counter = "", itertools.count()
+
     def walk(rule: Rule, possible: frozenset, constrained: bool,
-             ranges: dict, lets: dict, rule_name: str,
-             counter: list[int], stack: frozenset) -> None:
+             ranges: dict, stack: frozenset) -> None:
         if isinstance(rule, Update):
             if rule.fn != program.ctl_name:
                 return
@@ -160,8 +158,7 @@ def compute_transition_set(program: Program) -> TransitionSet:
                     f"control-state update in {rule_name} is not dominated "
                     "by any guard on the control state")
             target = rule.rhs.value
-            ordinal = counter[0]
-            counter[0] += 1
+            ordinal = next(counter)
             sources = tuple(sorted(possible, key=sort.index))
             if sources:
                 sites.append(SiteInfo(rule_name, ordinal, sources, target))
@@ -169,46 +166,34 @@ def compute_transition_set(program: Program) -> TransitionSet:
                     pairs.setdefault((src, target))
         elif isinstance(rule, Cond):
             sat_true, sat_false = _guard_source_split(
-                program, rule.guard, possible, ranges, lets)
+                program, rule.guard, possible, ranges)
             branched = constrained or reads_location(rule.guard,
                                                      program.ctl_loc)
             for r in rule.then_rules:
-                walk(r, sat_true, branched, ranges, lets, rule_name,
-                     counter, stack)
+                walk(r, sat_true, branched, ranges, stack)
             for r in rule.else_rules:
-                walk(r, sat_false, branched, ranges, lets, rule_name,
-                     counter, stack)
+                walk(r, sat_false, branched, ranges, stack)
         elif isinstance(rule, Par):
             for r in rule.rules:
-                walk(r, possible, constrained, ranges, lets, rule_name,
-                     counter, stack)
+                walk(r, possible, constrained, ranges, stack)
         elif isinstance(rule, Choose):
-            inner = dict(ranges)
-            inner[rule.var] = rule.candidates.resolve(program)
+            inner = {**ranges, rule.var: rule.candidates.resolve(program)}
             for r in rule.body:
-                walk(r, possible, constrained, inner, lets, rule_name,
-                     counter, stack)
+                walk(r, possible, constrained, inner, stack)
         elif isinstance(rule, Let):
-            inner = dict(lets)
-            inner[rule.var] = _expand_bound_vars(rule.binding, {}, lets)
             for r in rule.body:
-                walk(r, possible, constrained, ranges, inner, rule_name,
-                     counter, stack)
+                walk(_subst_rule(r, {Var(rule.var): rule.binding}),
+                     possible, constrained, ranges, stack)
         elif isinstance(rule, Call):
             if rule.name in stack:
                 raise CasmError(f"recursive rule {rule.name} in analysis")
-            target = program.named_rule(rule.name)
-            inner_lets = dict(lets)
-            for (pname, _), arg in zip(target.params, rule.args):
-                inner_lets[pname] = _expand_bound_vars(arg, ranges, lets)
-            for r in target.body:
-                walk(r, possible, constrained, {}, inner_lets, rule_name,
-                     counter, stack | {rule.name})
+            for r in _inline_call(program, rule):
+                walk(r, possible, constrained, ranges, stack | {rule.name})
 
     for nr in program.main_rules:
-        counter = [0]
+        rule_name, counter = nr.name, itertools.count()
         for r in nr.body:
-            walk(r, all_values, False, {}, {}, nr.name, counter, frozenset())
+            walk(r, all_values, False, {}, frozenset())
 
     ordered = tuple(sorted(pairs, key=lambda ij: (sort.index(ij[0]),
                                                   sort.index(ij[1]))))
@@ -291,12 +276,12 @@ def derive_safe_condition(program: Program) -> SafeCondition:
 
     report = {
         "symbols": {
-            format_symexpr(expr): _loc_str(loc)
+            format_symexpr(expr): format_location(loc)
             for loc, expr in init.sym_val.items()
         },
         "paths": [
             {"cond": format_symexpr(p.path_cond),
-             "locMap": {_loc_str(loc): format_symexpr(e)
+             "locMap": {format_location(loc): format_symexpr(e)
                         for loc, e in p.loc_map.items()},
              "merged-from": list(p.merged_from),
              "stutter": p.stutter}
@@ -307,11 +292,6 @@ def derive_safe_condition(program: Program) -> SafeCondition:
     }
     return SafeCondition(cond_x=cond_x, ctl_name=program.ctl_name,
                          plain_values=program.ctl_values(), report=report)
-
-
-def _loc_str(loc: Location) -> str:
-    from .ast import format_location
-    return format_location(loc)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +368,13 @@ def _response_sort(program: Program, bits: int) -> Sort:
 def rewrite_program(program: Program, tset: TransitionSet,
                     enrollment: Enrollment,
                     safe_condition: SafeCondition) -> ProtectedProgram:
-    """Apply the binding transformation; see the module docstring."""
+    """Apply the binding transformation; see the module docstring.  Each
+    control update is bound to the site ``tset`` recorded for it."""
     ctl_name = program.ctl_name
     plain_sort = program.ctl.result
     init_plain = program.initial_ctl()
     resp_sort = _response_sort(program, enrollment.response_bits)
     ctl_term = App(ctl_name, ())
-    warnings: list[str] = []
 
     for src, dst in tset.pairs:
         try:
@@ -449,26 +429,18 @@ def rewrite_program(program: Program, tset: TransitionSet,
                        rw_term(term.other))
         return term
 
-    writes_ctl_cache: dict[str, bool] = {}
+    writes_ctl: dict[str, bool] = {}
 
-    def named_writes_ctl(name: str, stack: frozenset = frozenset()) -> bool:
-        if name in writes_ctl_cache:
-            return writes_ctl_cache[name]
-        if name in stack:
-            return False
-        result = False
-        for rule, _ in iter_rules(program.named_rule(name).body):
-            if isinstance(rule, Update) and rule.fn == ctl_name:
-                result = True
-            if isinstance(rule, Call) and \
-                    named_writes_ctl(rule.name, stack | {name}):
-                result = True
-        writes_ctl_cache[name] = result
-        return result
+    def named_writes_ctl(name: str) -> bool:
+        if name not in writes_ctl:
+            writes_ctl[name] = False  # a recursive call adds no write
+            writes_ctl[name] = any(
+                (isinstance(r, Update) and r.fn == ctl_name)
+                or (isinstance(r, Call) and named_writes_ctl(r.name))
+                for r, _ in iter_rules(program.named_rule(name).body))
+        return writes_ctl[name]
 
     def bind_site(sources: tuple[Value, ...], target: Value) -> Rule:
-        if len(sources) == 1:
-            return ChooseCtl(enrollment.challenge_for(sources[0], target))
         node: Rule = ChooseCtl(enrollment.challenge_for(sources[-1], target))
         for src in reversed(sources[:-1]):
             guard = Member(ctl_term, enc_plus_init(src))
@@ -477,95 +449,68 @@ def rewrite_program(program: Program, tset: TransitionSet,
                         (node,))
         return node
 
-    def rw_rule(rule: Rule, possible: frozenset, constrained: bool,
-                ranges: dict, lets: dict) -> Rule:
+    sites = {(site.rule, site.ordinal): site for site in tset.sites}
+    # the main rule being rewritten and the ordinals of its control updates
+    rule_name, ordinals = "", itertools.count()
+
+    def rw_rule(rule: Rule) -> Rule:
         if isinstance(rule, Update):
             if rule.fn == ctl_name:
-                sources = tuple(sorted(possible, key=plain_sort.index))
-                if not sources:
+                site = sites.get((rule_name, next(ordinals)))
+                if site is None:
                     # branch unreachable for every control value
                     return Par(())
-                assert isinstance(rule.rhs, Const)
-                return bind_site(sources, rule.rhs.value)
+                return bind_site(site.sources, site.target)
             return Update(rule.fn, tuple(rw_term(a) for a in rule.args),
                           rw_term(rule.rhs))
         if isinstance(rule, Cond):
-            sat_true, sat_false = _guard_source_split(
-                program, rule.guard, possible, ranges, lets)
-            branched = constrained or reads_location(rule.guard,
-                                                     program.ctl_loc)
-            return Cond(
-                rw_term(rule.guard),
-                tuple(rw_rule(r, sat_true, branched, ranges, lets)
-                      for r in rule.then_rules),
-                tuple(rw_rule(r, sat_false, branched, ranges, lets)
-                      for r in rule.else_rules))
+            return Cond(rw_term(rule.guard),
+                        tuple(rw_rule(r) for r in rule.then_rules),
+                        tuple(rw_rule(r) for r in rule.else_rules))
         if isinstance(rule, Par):
-            return Par(tuple(rw_rule(r, possible, constrained, ranges, lets)
-                             for r in rule.rules))
+            return Par(tuple(rw_rule(r) for r in rule.rules))
         if isinstance(rule, Choose):
-            inner = dict(ranges)
-            inner[rule.var] = rule.candidates.resolve(program)
             return Choose(rule.var, rule.candidates,
-                          tuple(rw_rule(r, possible, constrained, inner, lets)
-                                for r in rule.body))
+                          tuple(rw_rule(r) for r in rule.body))
         if isinstance(rule, Let):
-            inner = dict(lets)
-            inner[rule.var] = _expand_bound_vars(rule.binding, {}, lets)
             return Let(rule.var, rw_term(rule.binding),
-                       tuple(rw_rule(r, possible, constrained, ranges, inner)
-                             for r in rule.body))
+                       tuple(rw_rule(r) for r in rule.body))
         if isinstance(rule, Call):
             if named_writes_ctl(rule.name):
-                target = program.named_rule(rule.name)
-                mapping = {Var(p): a for (p, _), a in
-                           zip(target.params, rule.args)}
-                inlined = tuple(
-                    rw_rule(_subst_rule(r, mapping), possible, constrained,
-                            ranges, lets)
-                    for r in target.body)
-                return Par(inlined)
+                return Par(tuple(rw_rule(r)
+                                 for r in _inline_call(program, rule)))
             return Call(rule.name, tuple(rw_term(a) for a in rule.args))
         return rule
 
-    sort_values = frozenset(plain_sort.values())
-    new_mains = tuple(
-        NamedRule(nr.name, (),
-                  tuple(rw_rule(r, sort_values, False, {}, {})
-                        for r in nr.body))
-        for nr in program.main_rules)
+    new_mains = []
+    for nr in program.main_rules:
+        rule_name, ordinals = nr.name, itertools.count()
+        new_mains.append(NamedRule(nr.name, (),
+                                   tuple(rw_rule(r) for r in nr.body)))
+    # named rules that write the control state are inlined at their calls
     new_named = tuple(
-        nr for nr in (
-            NamedRule(n.name, n.params,
-                      tuple(rw_rule(r, sort_values, False, {}, {})
-                            for r in n.body))
-            for n in program.named_rules if not named_writes_ctl(n.name))
-    )
+        NamedRule(nr.name, nr.params, tuple(rw_rule(r) for r in nr.body))
+        for nr in program.named_rules if not named_writes_ctl(nr.name))
 
-    new_functions = []
-    for f in program.functions:
-        if f.name == ctl_name:
-            new_functions.append(FunctionDecl(
-                f.name, (), resp_sort, "controlled",
-                make_init({(): enrollment.init_token})))
-        else:
-            new_functions.append(f)
-
-    if not tset.pairs:
-        warnings.append("program has no control-state transitions; "
-                        "nothing was bound to the device")
+    ctl_decl = FunctionDecl(ctl_name, (), resp_sort, "controlled",
+                            make_init({(): enrollment.init_token}))
+    warnings = () if tset.pairs else (
+        "program has no control-state transitions; "
+        "nothing was bound to the device",)
 
     new_program = Program(
         name=program.name + "_protected",
         sorts=program.sorts + (resp_sort,),
-        functions=tuple(new_functions),
+        functions=tuple(ctl_decl if f.name == ctl_name else f
+                        for f in program.functions),
         named_rules=new_named,
-        main_rules=new_mains,
+        main_rules=tuple(new_mains),
         ctl_name=ctl_name,
         unsafe=program.unsafe,
         init_constraints=program.init_constraints,
     )
-    problems = validate_program(new_program, protected=True)
+    problems = validate_program(new_program, protected=True,
+                                plain_sort=plain_sort)
     if problems:
         raise ProgramError(
             "rewritten program failed validation: "
@@ -585,11 +530,40 @@ def rewrite_program(program: Program, tset: TransitionSet,
         safe_condition=safe_condition,
         plain_sort=plain_sort,
         provenance=provenance,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
+def _inline_call(program: Program, call: Call) -> tuple[Rule, ...]:
+    """The called rule's body with its parameters replaced by the call's
+    arguments."""
+    target = program.named_rule(call.name)
+    mapping = {Var(p): a for (p, _), a in zip(target.params, call.args)}
+    return tuple(_subst_rule(r, mapping) for r in target.body)
+
+
+def _var_names(rule: Rule) -> set[str]:
+    """Every variable name ``rule`` binds or reads."""
+    names: set[str] = set()
+    for r, env in iter_rules((rule,)):
+        names |= env.keys()  # the binders around ``r``
+        terms: tuple[Term, ...] = ()
+        if isinstance(r, Update):
+            terms = (*r.args, r.rhs)
+        elif isinstance(r, Cond):
+            terms = (r.guard,)
+        elif isinstance(r, Let):
+            terms = (r.binding,)
+        elif isinstance(r, Call):
+            terms = r.args
+        for t in terms:
+            names |= free_vars(t)
+    return names
+
+
 def _subst_rule(rule: Rule, mapping: dict[Term, Term]) -> Rule:
+    """Replace variables by terms, renaming a binder that would capture a
+    variable of a replacement."""
     if isinstance(rule, Update):
         return Update(rule.fn,
                       tuple(subst_term(a, mapping) for a in rule.args),
@@ -600,16 +574,19 @@ def _subst_rule(rule: Rule, mapping: dict[Term, Term]) -> Rule:
                     tuple(_subst_rule(r, mapping) for r in rule.else_rules))
     if isinstance(rule, Par):
         return Par(tuple(_subst_rule(r, mapping) for r in rule.rules))
-    if isinstance(rule, Choose):
-        inner = {k: v for k, v in mapping.items()
-                 if not (isinstance(k, Var) and k.name == rule.var)}
-        return Choose(rule.var, rule.candidates,
-                      tuple(_subst_rule(r, inner) for r in rule.body))
-    if isinstance(rule, Let):
-        inner = {k: v for k, v in mapping.items()
-                 if not (isinstance(k, Var) and k.name == rule.var)}
-        return Let(rule.var, subst_term(rule.binding, mapping),
-                   tuple(_subst_rule(r, inner) for r in rule.body))
+    if isinstance(rule, (Choose, Let)):
+        var = rule.var
+        inner = {k: v for k, v in mapping.items() if k != Var(var)}
+        taken = set().union(*(free_vars(v) for v in inner.values()))
+        if var in taken:
+            taken |= _var_names(rule)
+            var = next(f"{rule.var}_{i}" for i in itertools.count(1)
+                       if f"{rule.var}_{i}" not in taken)
+            inner[Var(rule.var)] = Var(var)
+        body = tuple(_subst_rule(r, inner) for r in rule.body)
+        if isinstance(rule, Choose):
+            return Choose(var, rule.candidates, body)
+        return Let(var, subst_term(rule.binding, mapping), body)
     if isinstance(rule, Call):
         return Call(rule.name, tuple(subst_term(a, mapping)
                                      for a in rule.args))
@@ -800,11 +777,8 @@ def protect(program: Program, device, attempt_budget: int = 65536
     if problems:
         raise ProgramError("; ".join(f"{c}: {m}" for c, m in problems))
     tset = compute_transition_set(program)
-    if tset.pairs:
-        enrollment = enroll(device, tset.pairs, program.initial_ctl(),
-                            attempt_budget)
-    else:
-        enrollment = enroll(device, (), program.initial_ctl(), attempt_budget)
+    enrollment = enroll(device, tset.pairs, program.initial_ctl(),
+                        attempt_budget)
     enrollment = replace(enrollment, ctl_name=program.ctl_name)
     safe_condition = derive_safe_condition(program)
     protected = rewrite_program(program, tset, enrollment, safe_condition)

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .ast import (
     CasmError, EvalError, Location, Program, State, Value, eval_term,
-    format_location, locations_of_interest, locations_read, reads_location,
+    format_location, locations_read, reads_location,
 )
 from .interp import (
     MonitoredOracle, Trace, compiled, enumerate_step_outcomes, iter_run,
@@ -154,7 +154,8 @@ def exhaustive_safety_check(
     else:
         program = subject
 
-    interest = set(locations_of_interest(program))
+    cp = compiled(program)
+    interest = set(cp.interest)
     controlled = [l for l in interest
                   if program.function(l[0]).mode != "monitored"]
     ctl_restriction = None
@@ -199,7 +200,6 @@ def exhaustive_safety_check(
     def key_of(values: dict[Location, Value]) -> tuple:
         return tuple(values[l] for l in controlled)
 
-    cp = compiled(program)
     init_values = program.initial_state().values
     init_key = key_of(init_values)
     visited: dict[tuple, Optional[tuple]] = {init_key: None}

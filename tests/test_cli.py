@@ -303,6 +303,19 @@ class TestBadInputs:
                         "--monitored", spec)
         assert_one_line_usage_error(result, spec)
 
+    @pytest.mark.parametrize("script, names", [
+        ([1], "entry 0 is not an object"),
+        ([{"Passed(Stop1Stop2)": True}, {"Passed(Go1Stop2)": "yes"}],
+         "entry 1: Passed(Go1Stop2) = \"yes\" is outside Bool"),
+        ([{"Passed(Stop1Stop2)": 7}], "= 7 is outside Bool"),
+        ([{"phase": "Go1Stop2"}], "phase is not a monitored location"),
+        ([{"Passed(Nowhere)": True}], "entry 0: 'Nowhere'")])
+    def test_bad_scripted_oracle(self, workspace, script, names):
+        (workspace / "env.json").write_text(json.dumps(script))
+        result = invoke("run", "traffic.casm", "--steps", "2", "--seed", "1",
+                        "--monitored", "file:env.json")
+        assert_one_line_usage_error(result, names)
+
 
 class TestVerifyCommand:
     def test_exhaustive_safe(self, workspace):
