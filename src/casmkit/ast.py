@@ -1,8 +1,9 @@
 """Core data model for control-state ASM programs.
 
 Defines sorts, function declarations, terms, rules, programs, states and
-update sets, together with term evaluation, update application and the
-locations-of-interest analysis that the symbolic engine builds on.
+update sets, together with term evaluation, the consistency check of an
+update set and the locations-of-interest analysis that the symbolic
+engine builds on.
 
 All values are plain Python scalars: enumeration literals are strings,
 booleans are bools, bounded integers are ints.  A location is a
@@ -493,15 +494,12 @@ class State:
             return self.monitored[loc]
         raise EvalError(f"unknown location {format_location(loc)}")
 
-    def with_monitored(self, monitored: dict[Location, Value]) -> "State":
-        return State(values=self.values, monitored=monitored)
-
 
 UpdateSet = Iterable[tuple[Location, Value]]
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and update application
+# Evaluation and update consistency
 # ---------------------------------------------------------------------------
 
 def eval_term(term: Term, state: State,
@@ -547,19 +545,6 @@ def check_updates(updates: UpdateSet) -> dict[Location, Value]:
             raise InconsistentUpdate(loc, merged[loc], value)
         merged[loc] = value
     return merged
-
-
-def apply_updates(state: State, updates: UpdateSet) -> State:
-    """New state agreeing with ``state`` except exactly at the updates."""
-    merged = check_updates(updates)
-    if not merged:
-        return State(values=state.values, monitored=state.monitored)
-    values = dict(state.values)
-    for loc, value in merged.items():
-        if loc not in values:
-            raise EvalError(f"update to unknown location {format_location(loc)}")
-        values[loc] = value
-    return State(values=values, monitored=state.monitored)
 
 
 # ---------------------------------------------------------------------------

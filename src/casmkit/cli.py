@@ -21,14 +21,13 @@ from .interp import (
 )
 from .parser import load_program, format_term
 from .protect import (
-    FALLBACK_TAKEN, ProtectedProgram, derive_safe_condition, load_protected,
-    protect, run_protected,
+    FALLBACK_TAKEN, derive_safe_condition, load_protected, protect,
+    run_protected,
 )
 from .puf import EnrollmentExhausted, NoisyReadout, make_device
 from .symexec import SymInit, format_symexpr, merge_successors, symbolic_step
 from .verify import (
-    clone_divergence_report, compare_target_traces, exhaustive_safety_check,
-    random_safety_search,
+    clone_divergence_report, exhaustive_safety_check, random_safety_search,
 )
 
 EXIT_OK = 0
@@ -50,6 +49,11 @@ def _load(path: str) -> Program:
         sys.exit(EXIT_USAGE)
     assert result.program is not None
     return result.program
+
+
+def _non_negative(option: str, value: int) -> None:
+    if value < 0:
+        _fail(f"{option} must be non-negative, got {value}", EXIT_USAGE)
 
 
 def _oracle(program: Program, spec: str) -> MonitoredOracle:
@@ -219,6 +223,8 @@ def cmd_verify(path: str, exhaustive: bool, adversarial_puf: bool,
                device_seed: int | None, runs: int, steps: int,
                out: str | None) -> None:
     """Check that no reachable state violates the safety declaration."""
+    _non_negative("--runs", runs)
+    _non_negative("--steps", steps)
     try:
         if os.path.isdir(path):
             protected = load_protected(path)
@@ -271,6 +277,7 @@ def cmd_compare(directory: str, target_seed: int, clone_seeds: str,
                 monitored: str, report_out: str | None) -> None:
     """Run the protected artifact on its target device and on clones,
     and report safety and divergence statistics."""
+    _non_negative("--trials", trials)
     if clone_seeds.strip():
         try:
             seeds = [int(s) for s in clone_seeds.split(",") if s.strip()]

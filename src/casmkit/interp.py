@@ -20,13 +20,13 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 from weakref import WeakKeyDictionary
 
 from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
     Ite, Let, Location, Member, Not, Or, And, Par, Program, Rule,
-    State, Term, Update, Value, Var, check_updates,
+    Term, Update, Value, Var, check_updates,
     format_location, iter_rules, locations_of_interest, parse_location_key,
 )
 from .rng import derive_rng
@@ -63,9 +63,6 @@ class MonitoredOracle:
     def valuation(self, program: Program, step_index: int) -> dict[Location, Value]:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass
 class ConstantOracle(MonitoredOracle):
@@ -73,9 +70,6 @@ class ConstantOracle(MonitoredOracle):
 
     def valuation(self, program, step_index):
         return self.values
-
-    def describe(self):
-        return "constant"
 
     @classmethod
     def always_true(cls, program: Program) -> "ConstantOracle":
@@ -111,9 +105,6 @@ class RandomOracle(MonitoredOracle):
             out[loc] = values[rng.randrange(len(values))]
         return out
 
-    def describe(self):
-        return f"random:{self.seed}"
-
 
 @dataclass
 class ScriptedOracle(MonitoredOracle):
@@ -124,9 +115,6 @@ class ScriptedOracle(MonitoredOracle):
             raise StepError(
                 f"scripted oracle has no entry for step {step_index}")
         return self.script[step_index]
-
-    def describe(self):
-        return f"scripted[{len(self.script)}]"
 
 
 def load_scripted_oracle(program: Program, path: str) -> ScriptedOracle:
@@ -404,7 +392,8 @@ class CompiledProgram:
         With ``memo`` (kept by one run of a choose-free program) the rule
         pass is looked up under ``key``, the state and input values in a
         fixed location order, and fired only on a miss.  Challenge sites
-        are resolved and the updates checked on every step."""
+        are resolved, once per challenge (:func:`_first_sites`), and the
+        updates checked on every step."""
         if memo is None:
             out, fired = self.fire_rules(values, monitored, pick)
             updates, pending = out.updates, out.pending
@@ -426,6 +415,8 @@ class CompiledProgram:
             ctl_loc = self.ctl_loc
             current = values[ctl_loc]
             updates = list(updates)
+            if len(pending) > 1:
+                pending = _first_sites(pending)
             for site, challenge in pending:
                 value, tag = ctl_resolver(site, challenge, post, current)
                 updates.append((ctl_loc, value))
@@ -443,6 +434,19 @@ class CompiledProgram:
 
 def _noop(vals, mon, env, out):
     return None
+
+
+def _first_sites(pending: Iterable[tuple[str, int]]
+                 ) -> list[tuple[str, int]]:
+    """The first pending site of each distinct challenge.
+
+    Sites that fire in one step share the source, so two with one
+    challenge write one target: the challenge is resolved once, under its
+    first site's name, which names the fallback and noise streams."""
+    firsts: dict[int, tuple[str, int]] = {}
+    for site, challenge in pending:
+        firsts.setdefault(challenge, (site, challenge))
+    return list(firsts.values())
 
 
 def _backtrack(run: Callable[[Callable[[int], int]], None]) -> None:
@@ -484,9 +488,10 @@ def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
                             ctl_enum: Optional[CtlEnumerator] = None
                             ) -> list[dict[Location, Value]]:
     """The merged updates of every possible result of one step: choose
-    draws in depth-first order, then each run's challenge sites as a
-    product over the enumerator's outcomes (the first site slowest).
-    The rule pass re-runs once per sequence of draws."""
+    draws in depth-first order, then each run's challenge sites, one per
+    challenge as in a run (:func:`_first_sites`), as a product over the
+    enumerator's outcomes (the first site slowest).  The rule pass re-runs
+    once per sequence of draws."""
     results: list[dict[Location, Value]] = []
     ctl_loc = cp.ctl_loc
 
@@ -502,9 +507,12 @@ def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
             post = dict(values)
             post.update(updates)
             current = values[ctl_loc]
+            pending = out.pending
+            if len(pending) > 1:
+                pending = _first_sites(pending)
             for combo in itertools.product(*(
                     ctl_enum(site, challenge, post, current)
-                    for site, challenge in out.pending)):
+                    for site, challenge in pending)):
                 results.append(check_updates(
                     updates + [(ctl_loc, value) for value, _ in combo]))
 
@@ -561,36 +569,11 @@ def compiled(program: Program) -> CompiledProgram:
     return cp
 
 
-# ---------------------------------------------------------------------------
-# Public stepping API
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StepResult:
-    state: State
-    fired: list[str]
-    events: list[str]
-
-
 def rng_picker(seed: int, step_index: int):
     def pick(site: str, options: tuple[Value, ...]) -> Value:
         rng = derive_rng("choose", seed, step_index, site)
         return options[rng.randrange(len(options))]
     return pick
-
-
-def step(program: Program, state: State, monitored: dict[Location, Value],
-         seed: int = 0, step_index: int = 0,
-         ctl_resolver: Optional[CtlResolver] = None) -> StepResult:
-    """One synchronous step; the state is never partially updated."""
-    _check_total(program, monitored, step_index)
-    cp = compiled(program)
-    try:
-        values, fired, events = cp.step_values(
-            state.values, monitored, rng_picker(seed, step_index), ctl_resolver)
-    except InconsistentUpdate as exc:
-        raise StepError(str(exc), step_index) from exc
-    return StepResult(State(values=values, monitored=monitored), fired, events)
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +605,6 @@ class Trace:
 
     def to_jsonl(self) -> str:
         return "\n".join(e.to_json() for e in self.entries) + "\n"
-
-    def states(self) -> list[dict[Location, Value]]:
-        return [e.state for e in self.entries]
 
 
 def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,

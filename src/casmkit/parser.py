@@ -21,7 +21,8 @@ Grammar (keywords lowercase, ``//`` comments, ASCII identifiers):
               | IDENT "(" term,* ")"
               | "challenge" NUMBER                                  // protected
     setExpr  := "{" const ("," const)* "}" | IDENT
-    formula  := or-precedence chain over and, not, (=, !=, in), atoms
+    formula  := or-precedence chain over and, not, (=, !=, in), atoms;
+                the set after "in" is a sort or "{" const,* "}"
 
 Rules without a parameter list are top-level machine rules and run on
 every step; rules with a (possibly empty) parameter list are helpers and
@@ -568,6 +569,8 @@ class _Parser:
         if not stop_at_in and self.at("in"):
             self.next()
             if self.accept("LBRACE"):
+                if self.accept("RBRACE"):
+                    return Member(left, ())
                 values = [self.parse_const(None)]
                 while self.accept("COMMA"):
                     values.append(self.parse_const(None))

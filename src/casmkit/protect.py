@@ -34,13 +34,13 @@ from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Not, Or, Par,
     Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
-    eval_term, format_location, format_value, free_vars, iter_rules,
+    eval_term, format_value, free_vars, iter_rules,
     location_term, locations_read, make_init, or_all, reads_location,
     validate_program, State,
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, Trace, TraceEntry, compiled, iter_run,
-    location_key,
+    location_key, run,
     _check_total,  # noqa: F401 -- the traced benchmark run wraps it here
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
@@ -48,9 +48,9 @@ from .puf import Enrollment, enroll
 from .rng import derive_rng
 from . import symexec
 from .symexec import (
-    SymInit, elim_symbol, free_symbols_in, merge_successors, satisfiable,
+    SymInit, elim_symbol, free_symbols_in, merge_successors,
     simplify_formula, subst_symbol, subst_term, substitute_initial_terms,
-    symbolic_step, format_symexpr,
+    symbolic_step,
 )
 
 BOUND_OK = "BOUND_OK"
@@ -89,13 +89,6 @@ class TransitionSet:
     pairs: tuple[tuple[Value, Value], ...]
     sites: tuple[SiteInfo, ...]
 
-    def call_sites(self) -> dict[tuple[Value, Value], SiteInfo]:
-        out: dict[tuple[Value, Value], SiteInfo] = {}
-        for site in self.sites:
-            for src in site.sources:
-                out.setdefault((src, site.target), site)
-        return out
-
 
 def _guard_source_split(program: Program, guard: Term,
                         possible: frozenset,
@@ -113,9 +106,9 @@ def _guard_source_split(program: Program, guard: Term,
     sat_false = set()
     for v in possible:
         fixed = subst_term(closed, {ctl_term: Const(v)})
-        if satisfiable(fixed, program):
+        if symexec.satisfiable(fixed, program):
             sat_true.add(v)
-        if satisfiable(symexec.s_not(fixed), program):
+        if symexec.satisfiable(symexec.s_not(fixed), program):
             sat_false.add(v)
     return frozenset(sat_true), frozenset(sat_false)
 
@@ -212,17 +205,9 @@ class SafeCondition:
     cond_x: Term
     ctl_name: str
     plain_values: tuple[Value, ...]
-    report: dict = field(default_factory=dict)
 
     def cond_for(self, value: Value) -> Term:
         return subst_term(self.cond_x, {Var("x"): Const(value)})
-
-    def safe_states(self, program_state_values: dict[Location, Value],
-                    monitored: Optional[dict] = None) -> list[Value]:
-        state = State(values=dict(program_state_values),
-                      monitored=monitored or {})
-        return [v for v in self.plain_values
-                if not eval_term(self.cond_for(v), state)]
 
 
 def derive_safe_condition(program: Program) -> SafeCondition:
@@ -253,14 +238,8 @@ def derive_safe_condition(program: Program) -> SafeCondition:
     formula = simplify_formula(or_all(disjuncts), program)
     formula = subst_symbol(formula, alpha, x)
 
-    monitored_housed = set()
-    controlled_locs = set()
-    for loc in init.sym_val:
-        mode = program.function(loc[0]).mode
-        if mode == "monitored":
-            monitored_housed |= free_symbols_in(init.sym_val[loc])
-        else:
-            controlled_locs.add(loc)
+    controlled_locs = {loc for loc in init.sym_val
+                       if program.function(loc[0]).mode != "monitored"}
     housed_controlled = set()
     for loc in controlled_locs:
         housed_controlled |= free_symbols_in(init.sym_val[loc])
@@ -273,25 +252,8 @@ def derive_safe_condition(program: Program) -> SafeCondition:
     formula = substitute_initial_terms(formula, init,
                                        include=controlled_locs)
     cond_x = simplify_formula(formula, program)
-
-    report = {
-        "symbols": {
-            format_symexpr(expr): format_location(loc)
-            for loc, expr in init.sym_val.items()
-        },
-        "paths": [
-            {"cond": format_symexpr(p.path_cond),
-             "locMap": {format_location(loc): format_symexpr(e)
-                        for loc, e in p.loc_map.items()},
-             "merged-from": list(p.merged_from),
-             "stutter": p.stutter}
-            for p in merged
-        ],
-        "eliminated": sorted(s.name for s in monitored_housed),
-        "condX": format_symexpr(cond_x),
-    }
     return SafeCondition(cond_x=cond_x, ctl_name=program.ctl_name,
-                         plain_values=program.ctl_values(), report=report)
+                         plain_values=program.ctl_values())
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +266,6 @@ class ProtectedProgram:
     enrollment: Enrollment
     safe_condition: SafeCondition
     plain_sort: Sort
-    fallback_policy: str = "uniform-safe-encodable"
     provenance: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
@@ -402,18 +363,11 @@ def rewrite_program(program: Program, tset: TransitionSet,
         if isinstance(term, Eq):
             for a, b in ((term.left, term.right), (term.right, term.left)):
                 if a == ctl_term and isinstance(b, Const):
-                    responses = enc_plus_init(b.value)
-                    if not responses:
-                        return Const(False)
-                    return Member(ctl_term, responses)
+                    return Member(ctl_term, enc_plus_init(b.value))
             return Eq(rw_term(term.left), rw_term(term.right))
         if isinstance(term, Member) and term.item == ctl_term:
-            responses: list[int] = []
-            for v in term.values:
-                responses.extend(enc_plus_init(v))
-            if not responses:
-                return Const(False)
-            return Member(ctl_term, tuple(responses))
+            return Member(ctl_term, tuple(
+                r for v in term.values for r in enc_plus_init(v)))
         if term == ctl_term:
             return decode_cascade()
         if isinstance(term, App):
@@ -597,49 +551,6 @@ def _subst_rule(rule: Rule, mapping: dict[Term, Term]) -> Rule:
 # Protected runtime
 # ---------------------------------------------------------------------------
 
-def choose_ctl_state(challenge: int, post_values: dict[Location, Value],
-                     current_ctl: Value, device, enrollment: Enrollment,
-                     safe_condition: SafeCondition, fallback_rng,
-                     query_rng) -> tuple[Value, str]:
-    """Resolve one challenge site; total by construction.
-
-    The safety predicate is evaluated against the values this step is
-    about to commit (the state the chosen control value will inhabit),
-    so an accepted value can never enable a violating successor step.
-    """
-    response = device.query(challenge, query_rng)
-    decoded = enrollment.decode(response)
-    state = State(values=post_values, monitored={})
-    if decoded is not None and \
-            not eval_term(safe_condition.cond_for(decoded), state):
-        return response, BOUND_OK
-    candidates = [v for v in safe_condition.plain_values
-                  if enrollment.encodings(v)
-                  and not eval_term(safe_condition.cond_for(v), state)]
-    if not candidates:
-        return current_ctl, SAFE_STALL
-    chosen = candidates[fallback_rng.randrange(len(candidates))]
-    return enrollment.encodings(chosen)[0], FALLBACK_TAKEN
-
-
-def make_ctl_resolver(protected: ProtectedProgram, device, seed: int,
-                      step_index: int):
-    enrollment = protected.enrollment
-    cond = protected.safe_condition
-    device_id = getattr(device, "device_seed", None)
-    if device_id is None:
-        device_id = device.fingerprint()
-
-    def resolver(site: str, challenge: int, post: dict,
-                 current_ctl: Value) -> tuple[Value, str]:
-        fallback_rng = derive_rng("fallback", seed, step_index, site)
-        query_rng = derive_rng("pufnoise", device_id, seed, step_index, site)
-        return choose_ctl_state(challenge, post, current_ctl, device,
-                                enrollment, cond, fallback_rng, query_rng)
-
-    return resolver
-
-
 class SiteDecider:
     """The challenge-site rule, shared by the runtime and both model
     checking modes: accept a response that decodes to a state ``condx``
@@ -648,7 +559,8 @@ class SiteDecider:
     stall on the current value.  ``condx`` is compiled once per plain
     state and evaluated once per valuation of the locations it reads: the
     safe states are memoized on those, and a response is accepted by
-    membership.  :func:`choose_ctl_state` is the reference a test pins."""
+    membership.  Its reference, the same rule evaluated term by term, is
+    in ``tests/reference_runtime.py``."""
 
     def __init__(self, program: Program, enrollment: Enrollment,
                  safe_condition: SafeCondition):
@@ -754,14 +666,8 @@ class ProtectedRunner:
 
 def run_protected(protected: ProtectedProgram, device, steps: int,
                   oracle: MonitoredOracle, seed: int) -> Trace:
-    trace = Trace()
-    runner = ProtectedRunner(protected, device, seed)
-    for entry in runner.iter_entries(steps, oracle):
-        trace.entries.append(TraceEntry(entry.step, dict(entry.state),
-                                        dict(entry.monitored),
-                                        list(entry.fired),
-                                        list(entry.events)))
-    return trace
+    return run(protected.program, steps, oracle, seed,
+               ProtectedRunner(protected, device, seed)._resolver)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .ast import CasmError, Value, format_value
@@ -109,51 +108,6 @@ class PufDevice:
 def make_device(device_seed: int, challenge_bits: int, response_bits: int,
                 noise_rate: float = 0.0) -> PufDevice:
     return PufDevice(device_seed, challenge_bits, response_bits, noise_rate)
-
-
-@dataclass(frozen=True)
-class TraceDevice:
-    """Scripted device: a fixed challenge-to-response table from a file,
-    for exactly reproducible clone and noise scenarios."""
-
-    table: tuple[tuple[int, int], ...]
-    challenge_bits: int = 32
-    response_bits: int = 32
-
-    @cached_property
-    def _map(self) -> dict[int, int]:
-        return dict(self.table)
-
-    @property
-    def challenge_count(self) -> int:
-        return 1 << self.challenge_bits
-
-    @property
-    def response_count(self) -> int:
-        return 1 << self.response_bits
-
-    def stable_response(self, challenge: int) -> int:
-        if challenge not in self._map:
-            raise PufParameterError(
-                f"trace device has no entry for challenge {challenge}")
-        return self._map[challenge]
-
-    def query(self, challenge: int, query_rng=None) -> int:
-        return self.stable_response(challenge)
-
-    def query_at(self, challenge: int, seed: int, step: int, site: str
-                 ) -> int:
-        return self.stable_response(challenge)
-
-    def fingerprint(self) -> str:
-        material = ";".join(f"{c}:{r}" for c, r in sorted(self.table))
-        return hashlib.sha256(material.encode()).hexdigest()[:16]
-
-    @classmethod
-    def load(cls, path: str) -> "TraceDevice":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(tuple(sorted((int(c), int(r)) for c, r in raw.items())))
 
 
 def _majority_readout(device, challenge: int, vote_rng) -> Optional[int]:

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, FALSE, Ite,
-    Let, Location, Member, Not, Or, Par, Program, Rule, Sort, TRUE, Term,
+    Let, Location, Member, Not, Or, Par, Program, Sort, TRUE, Term,
     Update, Value, Var, and_all, canonical_values, children, location_term,
     locations_of_interest, or_all, term_size,
 )
@@ -1028,15 +1028,6 @@ def merge_successors(paths: list[PathedSymState]) -> list[PathedSymState]:
 # ---------------------------------------------------------------------------
 # Symbol elimination and back-substitution
 # ---------------------------------------------------------------------------
-
-def elim_bool_symbol(f: Term, symbol: Symbol,
-                     program: Optional[Program] = None) -> Term:
-    """Existential elimination of a boolean symbol:
-    simplify(f[s:=true] or f[s:=false])."""
-    if symbol.sort.kind != "bool":
-        raise CasmError(f"{symbol.name} is not boolean")
-    return elim_symbol(f, symbol, program)
-
 
 def elim_symbol(f: Term, symbol: Symbol,
                 program: Optional[Program] = None) -> Term:

@@ -19,7 +19,7 @@ from .ast import (
 )
 from .interp import (
     MonitoredOracle, Trace, compiled, enumerate_step_outcomes, iter_run,
-    monitored_reads, step,
+    monitored_reads, rng_picker,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -267,12 +267,14 @@ def replay_witness(program: Program, witness: list[WitnessStep]) -> bool:
     """Re-execute a witness through the concrete runtime; valid iff every
     step reproduces the recorded state and the final state violates.
     Only deterministic (choose-free) programs replay exactly."""
+    cp = compiled(program)
     state = program.initial_state()
     for w in witness:
-        result = step(program, state, w.monitored)
-        if result.state.values != w.state:
+        values, _, _ = cp.step_values(state.values, w.monitored,
+                                      rng_picker(0, 0))
+        if values != w.state:
             return False
-        state = result.state
+        state = State(values=values, monitored=w.monitored)
     return bool(eval_term(program.unsafe, state))
 
 

@@ -282,7 +282,7 @@ def test_criterion_9_property_suites(traffic):
         monitored = [l for l in interest
                      if traffic.function(l[0]).mode == "monitored"]
         domains = [traffic.function(l[0]).result.values() for l in interest]
-        from casmkit.interp import step as concrete_step
+        from reference_runtime import step as concrete_step
         checked = 0
         for combo in itertools.product(*domains):
             concrete = dict(zip(interest, combo))

@@ -1,11 +1,9 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
 from casmkit.ast import (
     And, App, Const, Eq, InconsistentUpdate, Member, NamedRule, Not, Program,
-    Sort, State, Update, apply_updates, check_updates, eval_term,
+    Sort, State, Update, check_updates, eval_term,
     format_location, locations_of_interest, validate_program, Cond,
     FunctionDecl, make_init, BOOL,
 )
@@ -40,8 +38,8 @@ class TestEvalTerm:
                          state) is False
 
     def test_monitored_read(self, traffic):
-        state = traffic.initial_state().with_monitored(
-            {loc: True for loc in traffic.monitored_locations()})
+        state = State(values=traffic.initial_state().values, monitored={
+            loc: True for loc in traffic.monitored_locations()})
         assert eval_term(App("Passed", (Const("Stop1Stop2"),)), state) is True
 
     def test_repeated_evaluation_is_stable(self, traffic):
@@ -51,49 +49,14 @@ class TestEvalTerm:
         assert eval_term(term, state) == eval_term(term, state)
 
 
-class TestApplyUpdates:
-    def test_light_pair_flip(self, traffic):
-        state = traffic.initial_state()
-        updates = [(("GoLight", (1,)), True), (("StopLight", (1,)), False)]
-        nxt = apply_updates(state, updates)
-        assert nxt.values[("GoLight", (1,))] is True
-        assert nxt.values[("StopLight", (1,))] is False
-        unchanged = {loc: v for loc, v in state.values.items()
-                     if loc not in dict(updates)}
-        assert all(nxt.values[loc] == v for loc, v in unchanged.items())
-
-    def test_empty_update_set(self, traffic):
-        state = traffic.initial_state()
-        assert apply_updates(state, []).values == state.values
-
-    def test_conflicting_writes_rejected(self, traffic):
-        state = traffic.initial_state()
+class TestCheckUpdates:
+    def test_conflicting_writes_rejected(self):
         updates = [(("phase", ()), "Go1Stop2"), (("phase", ()), "Stop2Stop1")]
         with pytest.raises(InconsistentUpdate) as exc:
-            apply_updates(state, updates)
+            check_updates(updates)
         assert exc.value.location == ("phase", ())
         assert {exc.value.first, exc.value.second} == \
             {"Go1Stop2", "Stop2Stop1"}
-        # no partial application
-        assert state.values[("phase", ())] == "Stop1Stop2"
-
-    def test_frame_property(self, traffic):
-        rng = random.Random(5)
-        locs = list(traffic.initial_state().values)
-        for _ in range(50):
-            state = traffic.initial_state()
-            chosen = rng.sample(locs, rng.randint(0, len(locs)))
-            updates = []
-            for loc in chosen:
-                sort = traffic.function(loc[0]).result
-                updates.append((loc, rng.choice(sort.values())))
-            nxt = apply_updates(state, updates)
-            written = dict(updates)
-            for loc in locs:
-                if loc in written:
-                    assert nxt.values[loc] == written[loc]
-                else:
-                    assert nxt.values[loc] == state.values[loc]
 
     @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
                               st.booleans()), max_size=8),

@@ -224,6 +224,26 @@ rule r1:
 the second guard excludes the first."""
 
 
+TWOSITE = """\
+asm twosite
+enum Mode = { St0, St1 }
+controlled mode : Mode init St0
+controlled flag0 : Bool init true
+ctlstate mode
+unsafe not flag0
+rule r0:
+  if mode = St0 then
+    mode := St1
+    mode := St1
+  endif
+rule r1:
+  if mode = St1 then
+    mode := St0
+  endif
+"""
+"""Two challenge sites fire in one step from St0, with one challenge."""
+
+
 def assert_one_line_usage_error(result, names):
     assert result.exit_code == 2, result.output
     assert len(result.output.splitlines()) == 1, result.output
@@ -297,6 +317,23 @@ class TestBadInputs:
                         "--clone-seeds", "a,b", "--steps", "3")
         assert_one_line_usage_error(result, "--clone-seeds")
 
+    @pytest.mark.parametrize("command, names", [
+        (("run-protected", "p", "--device-seed", "42", "--steps", "-3",
+          "--seed", "1"), "step count must be non-negative"),
+        (("verify", "traffic.casm", "--runs", "-5"), "--runs"),
+        (("verify", "traffic.casm", "--steps", "-1"), "--steps"),
+        (("compare", "p", "--target-seed", "42", "--trials", "-3",
+          "--steps", "3"), "--trials"),
+        (("compare", "p", "--target-seed", "42", "--trials", "1",
+          "--steps", "-3"), "step count must be non-negative")],
+        ids=["run-protected-steps", "verify-runs", "verify-steps",
+             "compare-trials", "compare-steps"])
+    def test_negative_count(self, workspace, command, names):
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        assert_one_line_usage_error(invoke(*command), names)
+
     @pytest.mark.parametrize("spec", ["random:abc", "file:/nonexistent"])
     def test_bad_monitored_spec(self, workspace, spec):
         result = invoke("run", "traffic.casm", "--steps", "3", "--seed", "1",
@@ -334,6 +371,46 @@ class TestVerifyCommand:
         result = invoke("verify", "traffic.casm", "--runs", "5",
                         "--steps", "50")
         assert result.exit_code == 0
+
+
+class TestTwoSitesInOneStep:
+    """Sites that fire in one step share the challenge; it is resolved
+    once, so clones and noisy targets commit one control value."""
+
+    @pytest.fixture()
+    def protected_dir(self, workspace):
+        (workspace / "twosite.casm").write_text(TWOSITE)
+        result = invoke("protect", "twosite.casm", "--device-seed", "42",
+                        "--challenge-bits", "16", "--response-bits", "16",
+                        "--out", "p")
+        assert result.exit_code == 0, result.output
+        return "p"
+
+    @pytest.mark.parametrize("device_seed, noise", [
+        ("43", "0.0"), ("42", "0.3")])
+    def test_runs(self, protected_dir, workspace, device_seed, noise):
+        result = invoke("run-protected", protected_dir, "--device-seed",
+                        device_seed, "--noise", noise, "--steps", "40",
+                        "--seed", "1", "--trace", "t.jsonl")
+        assert result.exit_code == 0, result.output
+        entries = [json.loads(line) for line in
+                   (workspace / "t.jsonl").read_text().splitlines()]
+        assert len(entries) == 41
+        # one decision per step, for the two sites of r0 as for r1
+        assert all(len(e["events"]) == 1 for e in entries[1:])
+
+    def test_verify(self, protected_dir):
+        result = invoke("verify", protected_dir)
+        assert result.exit_code == 0, result.output
+        assert result.output == "explored 3 states, 12 transitions: safe\n"
+        result = invoke("verify", protected_dir, "--device-seed", "42")
+        assert result.exit_code == 0, result.output
+
+    def test_compare(self, protected_dir):
+        result = invoke("compare", protected_dir, "--target-seed", "42",
+                        "--trials", "5", "--steps", "200", "--noise", "0.1")
+        assert result.exit_code == 0, result.output
+        assert "0 safety violations" in result.output
 
 
 class TestVersion:

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-import casmkit.protect as cprotect
 import casmkit.symexec as csymexec
 from casmkit.ast import BOOL, FALSE, And, CasmError, Eq, Ite, Member, Or
 from casmkit.parser import parse_or_raise
@@ -104,7 +103,6 @@ def recorded_queries(monkeypatch):
 
     monkeypatch.setattr(csymexec, "ORACLE_CHECK", False)
     monkeypatch.setattr(csymexec, "satisfiable", checked)
-    monkeypatch.setattr(cprotect, "satisfiable", checked)
     return queries
 
 

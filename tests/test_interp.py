@@ -7,11 +7,12 @@ import pytest
 from casmkit.ast import Choose, SetExpr
 from casmkit.interp import (
     ConstantOracle, EmptyChooseSet, RandomOracle, ScriptedOracle, STALL,
-    iter_run, run, step,
+    iter_run, run,
 )
 from casmkit.parser import parse_or_raise
 
 from fuzzing import random_program
+from reference_runtime import step
 from reference_walker import enumerate_step_outcomes
 
 PHASE = ("phase", ())

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from casmkit.ast import validate_program
+from casmkit.ast import App, Member, validate_program
 from casmkit.parser import (
     ParseFailure, parse_or_raise, parse_program, pretty_print,
 )
@@ -102,6 +102,28 @@ rule spin:
         printed = pretty_print(program)
         assert parse_or_raise(printed) == program
         # indentation-normalized output is a fixpoint
+        assert pretty_print(parse_or_raise(printed)) == printed
+
+    def test_empty_membership(self):
+        # the rewrite tests the control state against the encodings of
+        # states that have none as membership in an empty set
+        src = """\
+asm empty
+enum Mode = { St0, St1 }
+controlled mode : Mode init St0
+ctlstate mode
+unsafe mode in { }
+
+rule r0:
+  if mode in { } then
+    mode := St1
+  endif
+"""
+        program = parse_or_raise(src)
+        assert program.unsafe == Member(App("mode", ()), ())
+        printed = pretty_print(program)
+        assert "mode in {}" in printed
+        assert parse_or_raise(printed) == program
         assert pretty_print(parse_or_raise(printed)) == printed
 
     def test_equal_programs_print_identically(self):

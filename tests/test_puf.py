@@ -6,7 +6,7 @@ import pytest
 from casmkit.ast import CasmError
 from casmkit.puf import (
     Enrollment, EnrollmentExhausted, NoisyReadout, PufParameterError,
-    TraceDevice, enroll, make_device,
+    enroll, make_device,
 )
 from casmkit.rng import derive_rng
 
@@ -133,13 +133,3 @@ class TestEnrollment:
         e = enroll(make_device(42, 16, 16, 0.0), TRAFFIC_A, "Stop1Stop2")
         assert [(t.source, t.target) for t in e.transitions] == TRAFFIC_A
 
-
-class TestTraceDevice:
-    def test_scripted_responses(self, tmp_path):
-        path = tmp_path / "device.json"
-        path.write_text(json.dumps({"0": 7, "1": 9}))
-        device = TraceDevice.load(str(path))
-        assert device.query(0) == 7
-        assert device.query(1) == 9
-        with pytest.raises(PufParameterError):
-            device.query(2)

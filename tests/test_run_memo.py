@@ -15,12 +15,13 @@ from casmkit.interp import (
 )
 from casmkit.parser import parse_or_raise
 from casmkit.protect import (
-    ProtectedRunner, SiteDecider, make_ctl_resolver, protect, run_protected,
+    ProtectedRunner, SiteDecider, protect, run_protected,
 )
 from casmkit.puf import make_device
 from casmkit.verify import compare_target_traces
 
 from fuzzing import random_program
+from reference_runtime import make_ctl_resolver
 from rings import ring_source
 
 FUZZ_SEED = 4242

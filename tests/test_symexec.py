@@ -7,14 +7,14 @@ from casmkit.ast import (
     BOOL, And, App, Const, Eq, Ite, Member, Not, Or, Sort, TRUE, FALSE,
     and_all, or_all, term_size,
 )
-from casmkit.interp import step
 from casmkit.symexec import (
-    DomainTooLarge, SymInit, SymRef, Symbol, UnhousedSymbol, elim_bool_symbol,
+    DomainTooLarge, SymInit, SymRef, Symbol, UnhousedSymbol, elim_symbol,
     equivalent_on_finite_domains, eval_fd, free_symbols_in, merge_successors,
     simplify_formula, substitute_initial_terms, symbolic_step,
 )
 
 from fuzzing import formula_symbols, random_formula
+from reference_runtime import step
 
 PHASE = ("phase", ())
 PHASES = ("Stop1Stop2", "Go1Stop2", "Stop2Stop1", "Go2Stop1")
@@ -269,7 +269,7 @@ class TestElimination:
         beta_sym = Symbol("beta", BOOL)
         f = And(Or(Eq(alpha, Const("Stop1Stop2")),
                    Eq(alpha, Const("Go1Stop2"))), SymRef(beta_sym))
-        g = elim_bool_symbol(f, beta_sym)
+        g = elim_symbol(f, beta_sym)
         expected = Member(alpha, ("Stop1Stop2", "Go1Stop2"))
         ok, witness = equivalent_on_finite_domains(g, expected)
         assert ok, witness
@@ -278,20 +278,14 @@ class TestElimination:
     def test_formula_without_symbol(self):
         b = Symbol("b", BOOL)
         other = SymRef(Symbol("c", BOOL))
-        assert elim_bool_symbol(And(other, TRUE), b) == other
+        assert elim_symbol(And(other, TRUE), b) == other
 
     def test_contradiction_eliminates_to_false(self):
         b = Symbol("b", BOOL)
-        assert elim_bool_symbol(And(SymRef(b), Not(SymRef(b))), b) == FALSE
-
-    def test_only_boolean_symbols(self):
-        enum = Sort("Phase", "enum", PHASES)
-        with pytest.raises(Exception):
-            elim_bool_symbol(TRUE, Symbol("a", enum))
+        assert elim_symbol(And(SymRef(b), Not(SymRef(b))), b) == FALSE
 
     def test_existential_semantics(self):
         rng = random.Random(7)
-        from casmkit.symexec import elim_symbol
         for _ in range(60):
             symbols = formula_symbols(rng)
             f = random_formula(rng, symbols, depth=4)

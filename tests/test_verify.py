@@ -49,7 +49,7 @@ class TestExhaustive:
         report = exhaustive_safety_check(faulty_traffic)
         from casmkit.ast import eval_term
         state = faulty_traffic.initial_state()
-        from casmkit.interp import step
+        from reference_runtime import step
         for w in report.witness[:-1]:
             state = step(faulty_traffic, state, w.monitored).state
             assert not eval_term(faulty_traffic.unsafe, state)
