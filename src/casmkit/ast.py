@@ -50,9 +50,45 @@ class InconsistentUpdate(CasmError):
 
 
 # ---------------------------------------------------------------------------
+# Hashing
+# ---------------------------------------------------------------------------
+
+def cached_hash(cls):
+    """Make the dataclass hash of ``cls`` a once-per-node cost.
+
+    Terms, rules and programs are nested frozen dataclasses, so the
+    generated ``__hash__`` re-hashes the whole subtree on every dict or
+    set lookup.  The wrapped hash stores the generated value on the
+    instance the first time it is asked for; the value, and with it the
+    iteration order of every set and dict of nodes, is unchanged.  The
+    stored value is left out of pickles: string hashes differ between
+    processes.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Sorts and function declarations
 # ---------------------------------------------------------------------------
 
+@cached_hash
 @dataclass(frozen=True)
 class Sort:
     """A finite base set: an enumeration, the booleans, or an int range."""
@@ -109,6 +145,7 @@ class Sort:
 BOOL = Sort("Bool", "bool")
 
 
+@cached_hash
 @dataclass(frozen=True)
 class FunctionDecl:
     """A dynamic or static function of the program signature.
@@ -158,45 +195,53 @@ class Term:
     __slots__ = ()
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Const(Term):
     value: Value
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Var(Term):
     name: str
 
 
+@cached_hash
 @dataclass(frozen=True)
 class App(Term):
     fn: str
     args: tuple[Term, ...] = ()
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Not(Term):
     operand: Term
 
 
+@cached_hash
 @dataclass(frozen=True)
 class And(Term):
     left: Term
     right: Term
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Or(Term):
     left: Term
     right: Term
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Eq(Term):
     left: Term
     right: Term
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Member(Term):
     """Membership of a term in a finite set of constants."""
@@ -208,6 +253,7 @@ class Member(Term):
         object.__setattr__(self, "values", canonical_values(self.values))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Ite(Term):
     cond: Term
@@ -311,6 +357,7 @@ class Rule:
     __slots__ = ()
 
 
+@cached_hash
 @dataclass(frozen=True)
 class SetExpr:
     """Candidate set of a choose rule: explicit constants or a whole sort."""
@@ -328,6 +375,7 @@ class SetExpr:
         return self.values
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Update(Rule):
     fn: str
@@ -335,6 +383,7 @@ class Update(Rule):
     rhs: Term
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Cond(Rule):
     guard: Term
@@ -342,11 +391,13 @@ class Cond(Rule):
     else_rules: tuple[Rule, ...] = ()
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Par(Rule):
     rules: tuple[Rule, ...]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Choose(Rule):
     var: str
@@ -354,6 +405,7 @@ class Choose(Rule):
     body: tuple[Rule, ...]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Let(Rule):
     var: str
@@ -361,12 +413,14 @@ class Let(Rule):
     body: tuple[Rule, ...]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Call(Rule):
     name: str
     args: tuple[Term, ...] = ()
 
 
+@cached_hash
 @dataclass(frozen=True)
 class ChooseCtl(Rule):
     """Hardware-bound control-state choice site carrying its challenge."""
@@ -374,6 +428,7 @@ class ChooseCtl(Rule):
     challenge: int
 
 
+@cached_hash
 @dataclass(frozen=True)
 class NamedRule:
     name: str
@@ -385,6 +440,7 @@ class NamedRule:
 # Program and state
 # ---------------------------------------------------------------------------
 
+@cached_hash
 @dataclass(frozen=True)
 class Program:
     name: str

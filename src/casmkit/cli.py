@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success (or: safe, traces equal); 1 an analysis found a
-violation or mismatch; 2 usage or parse error; 3 enrollment failure.
+violation or mismatch; 2 usage or parse error, or an output path that
+cannot be written; 3 enrollment failure.
 Diagnostics go to standard error, results to standard output or the
 requested output path.  Commands never modify their input files and
 never leave partial outputs behind.
@@ -74,9 +75,16 @@ def _oracle(program: Program, spec: str) -> MonitoredOracle:
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        _cannot_write(out, exc)
+
+
+def _cannot_write(path: str, exc: OSError) -> None:
+    _fail(f"cannot write {exc.filename or path}: {exc.strerror}", EXIT_USAGE)
 
 
 @click.group()
@@ -177,7 +185,10 @@ def cmd_protect(file: str, device_seed: int, challenge_bits: int,
         _fail(str(exc), EXIT_ENROLLMENT)
     except CasmError as exc:
         _fail(str(exc), EXIT_USAGE)
-    protected.save(out_dir)
+    try:
+        protected.save(out_dir)
+    except OSError as exc:
+        _cannot_write(out_dir, exc)
     for w in protected.warnings:
         click.echo(f"warning: {w}", err=True)
     click.echo(f"{out_dir}: protected {program.name} with "

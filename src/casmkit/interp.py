@@ -87,20 +87,21 @@ class ConstantOracle(MonitoredOracle):
 @dataclass
 class RandomOracle(MonitoredOracle):
     seed: int
-    # (program, [(location, its name, its sort's values)]) of the last program
-    _plan: Optional[tuple] = field(default=None, init=False, repr=False,
-                                   compare=False)
+    # program -> [(location, its name, its sort's values)], one entry for
+    # each program the oracle has served (a comparison steps two in turn)
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def valuation(self, program, step_index):
-        plan = self._plan
-        if plan is None or plan[0] is not program:
-            plan = self._plan = (program, [
+        plan = self._plans.get(program)
+        if plan is None:
+            plan = self._plans[program] = [
                 (loc, format_location(loc),
                  program.function(loc[0]).result.values())
-                for loc in program.monitored_locations()])
+                for loc in program.monitored_locations()]
         seed = self.seed
         out: dict[Location, Value] = {}
-        for loc, name, values in plan[1]:
+        for loc, name, values in plan:
             rng = derive_rng("monitored", seed, step_index, name)
             out[loc] = values[rng.randrange(len(values))]
         return out

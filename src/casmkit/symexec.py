@@ -24,8 +24,8 @@ from typing import Iterable, Optional
 from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, FALSE, Ite,
     Let, Location, Member, Not, Or, Par, Program, Sort, TRUE, Term,
-    Update, Value, Var, and_all, canonical_values, children, location_term,
-    locations_of_interest, or_all, term_size,
+    Update, Value, Var, and_all, cached_hash, canonical_values, children,
+    location_term, locations_of_interest, or_all, term_size,
 )
 
 DOMAIN_CAP = 1 << 24
@@ -62,12 +62,14 @@ class UnhousedSymbol(CasmError):
 # Symbols
 # ---------------------------------------------------------------------------
 
+@cached_hash
 @dataclass(frozen=True)
 class Symbol:
     name: str
     sort: Sort
 
 
+@cached_hash
 @dataclass(frozen=True)
 class SymRef(Term):
     symbol: Symbol
@@ -510,10 +512,16 @@ def simplify_formula(f: Term, program: Optional[Program] = None) -> Term:
     fusion of equality literals into membership sets, pruning of
     sort-exhaustive memberships, and propagation of equalities decided by
     a conjunction into its other conjuncts.
+
+    One call simplifies each distinct subterm once: ``_simp`` is a pure
+    function of the term and the program, so its results are kept for
+    the call and a pass reuses them for every subterm an earlier pass
+    left unchanged.
     """
+    memo: dict[Term, Term] = {}
     out = f
     for _ in range(8):
-        nxt = _simp(out, program)
+        nxt = _simp(out, program, memo)
         if nxt == out:
             break
         out = nxt
@@ -553,13 +561,22 @@ def _is_leaf(t: Term) -> bool:
         isinstance(t, App) and all(isinstance(a, Const) for a in t.args))
 
 
-def _simp(term: Term, program: Optional[Program]) -> Term:
+def _simp(term: Term, program: Optional[Program],
+          memo: dict[Term, Term]) -> Term:
     if isinstance(term, (Const, Var, SymRef)):
         return term
+    out = memo.get(term)
+    if out is None:
+        out = memo[term] = _simp_node(term, program, memo)
+    return out
+
+
+def _simp_node(term: Term, program: Optional[Program],
+               memo: dict[Term, Term]) -> Term:
     if isinstance(term, App):
-        return App(term.fn, tuple(_simp(a, program) for a in term.args))
+        return App(term.fn, tuple(_simp(a, program, memo) for a in term.args))
     if isinstance(term, Not):
-        inner = _simp(term.operand, program)
+        inner = _simp(term.operand, program, memo)
         if isinstance(inner, Const):
             return Const(not inner.value)
         if isinstance(inner, Not):
@@ -577,31 +594,31 @@ def _simp(term: Term, program: Optional[Program]) -> Term:
                 return s_member(inner.left, rest)
         return Not(inner)
     if isinstance(term, And):
-        return _simp_and([_simp(t, program) for t in _flatten(term, And)],
-                         program)
+        return _simp_and([_simp(t, program, memo)
+                          for t in _flatten(term, And)], program, memo)
     if isinstance(term, Or):
-        return _simp_or([_simp(t, program) for t in _flatten(term, Or)],
-                        program)
+        return _simp_or([_simp(t, program, memo)
+                         for t in _flatten(term, Or)], program, memo)
     if isinstance(term, Eq):
-        left = _simp(term.left, program)
-        right = _simp(term.right, program)
+        left = _simp(term.left, program, memo)
+        right = _simp(term.right, program, memo)
         if isinstance(left, Const) and not isinstance(right, Const):
             left, right = right, left
         if isinstance(right, Const) and isinstance(right.value, bool) \
                 and not isinstance(left, Const):
-            return left if right.value else _simp(Not(left), program)
+            return left if right.value else _simp(Not(left), program, memo)
         if isinstance(left, Ite) and isinstance(right, Const):
             return _simp(Ite(left.cond, Eq(left.then, right),
-                             Eq(left.other, right)), program)
+                             Eq(left.other, right)), program, memo)
         if isinstance(right, Ite) and isinstance(left, Const):
             return _simp(Ite(right.cond, Eq(right.then, left),
-                             Eq(right.other, left)), program)
+                             Eq(right.other, left)), program, memo)
         return s_eq(left, right)
     if isinstance(term, Member):
-        item = _simp(term.item, program)
+        item = _simp(term.item, program, memo)
         if isinstance(item, Ite):
             return _simp(Ite(item.cond, Member(item.then, term.values),
-                             Member(item.other, term.values)), program)
+                             Member(item.other, term.values)), program, memo)
         if _is_leaf(item):
             sort = _sort_of(item, program)
             if sort is not None:
@@ -611,21 +628,23 @@ def _simp(term: Term, program: Optional[Program]) -> Term:
                 return s_member(item, values)
         return s_member(item, term.values)
     if isinstance(term, Ite):
-        cond = _simp(term.cond, program)
-        then = _simp(term.then, program)
-        other = _simp(term.other, program)
+        cond = _simp(term.cond, program, memo)
+        then = _simp(term.then, program, memo)
+        other = _simp(term.other, program, memo)
         if isinstance(cond, Const):
             return then if cond.value else other
         if then == other:
             return then
         if then == TRUE:
-            return _simp_or([cond, other], program)
+            return _simp_or([cond, other], program, memo)
         if other == FALSE:
-            return _simp_and([cond, then], program)
+            return _simp_and([cond, then], program, memo)
         if then == FALSE:
-            return _simp_and([_simp(Not(cond), program), other], program)
+            return _simp_and([_simp(Not(cond), program, memo), other],
+                             program, memo)
         if other == TRUE:
-            return _simp_or([_simp(Not(cond), program), then], program)
+            return _simp_or([_simp(Not(cond), program, memo), then],
+                            program, memo)
         return Ite(cond, then, other)
     raise CasmError(f"cannot simplify {type(term).__name__}")
 
@@ -664,7 +683,7 @@ def _domain_literal(leaf: Term, allowed: frozenset, program) -> Term:
     return Member(leaf, tuple(allowed))
 
 
-def _simp_and(parts: list[Term], program) -> Term:
+def _simp_and(parts: list[Term], program, memo: dict[Term, Term]) -> Term:
     items: list[Term] = []
     for p in parts:
         if p == TRUE:
@@ -704,7 +723,7 @@ def _simp_and(parts: list[Term], program) -> Term:
         for p in rest:
             q = subst_term(p, decided)
             if q != p:
-                q = _simp(q, program)
+                q = _simp(q, program, memo)
             if q == FALSE:
                 return FALSE
             if q != TRUE:
@@ -730,7 +749,7 @@ def _simp_and(parts: list[Term], program) -> Term:
     return and_all(kept)
 
 
-def _simp_or(parts: list[Term], program) -> Term:
+def _simp_or(parts: list[Term], program, memo: dict[Term, Term]) -> Term:
     items: list[Term] = []
     for p in parts:
         if p == FALSE:
@@ -791,8 +810,8 @@ def _simp_or(parts: list[Term], program) -> Term:
         if common and any(len(l) > 1 for l in lists):
             remainders = [and_all([c for c in l if c not in common])
                           for l in lists]
-            inner = _simp_or(remainders, program)
-            return _simp_and(common + [inner], program)
+            inner = _simp_or(remainders, program, memo)
+            return _simp_and(common + [inner], program, memo)
     return or_all(kept)
 
 
@@ -1031,7 +1050,7 @@ def merge_successors(paths: list[PathedSymState]) -> list[PathedSymState]:
 
 def elim_symbol(f: Term, symbol: Symbol,
                 program: Optional[Program] = None) -> Term:
-    out = simplify_formula(_elim(f, symbol), program)
+    out = simplify_formula(_elim(f, symbol, {}), program)
     if ORACLE_CHECK:
         witnessed = or_all([subst_symbol(f, symbol, Const(v))
                             for v in symbol.sort.values()])
@@ -1039,22 +1058,34 @@ def elim_symbol(f: Term, symbol: Symbol,
     return out
 
 
-def _elim(f: Term, symbol: Symbol) -> Term:
+def _elim(f: Term, symbol: Symbol, mentions: dict[Term, bool]) -> Term:
     """Existential elimination, distributed over the formula structure:
     disjuncts are eliminated independently and conjuncts not mentioning
-    the symbol are kept outside the expansion."""
-    if symbol not in free_symbols_in(f):
+    the symbol are kept outside the expansion.  ``mentions`` keeps, for
+    one elimination, whether a subterm mentions the symbol."""
+    if not _mentions(f, symbol, mentions):
         return f
     if isinstance(f, Or):
-        return or_all([_elim(d, symbol) for d in _flatten(f, Or)])
+        return or_all([_elim(d, symbol, mentions) for d in _flatten(f, Or)])
     if isinstance(f, And):
         parts = _flatten(f, And)
-        inside = [p for p in parts if symbol in free_symbols_in(p)]
-        outside = [p for p in parts if symbol not in free_symbols_in(p)]
+        inside = [p for p in parts if _mentions(p, symbol, mentions)]
+        outside = [p for p in parts if not _mentions(p, symbol, mentions)]
         if outside:
-            return and_all(outside + [_elim(and_all(inside), symbol)])
+            return and_all(outside + [_elim(and_all(inside), symbol,
+                                            mentions)])
     return or_all([subst_symbol(f, symbol, Const(v))
                    for v in symbol.sort.values()])
+
+
+def _mentions(term: Term, symbol: Symbol, memo: dict[Term, bool]) -> bool:
+    if isinstance(term, SymRef):
+        return term.symbol == symbol
+    hit = memo.get(term)
+    if hit is None:
+        hit = memo[term] = any(_mentions(c, symbol, memo)
+                               for c in children(term))
+    return hit
 
 
 def substitute_initial_terms(f: Term, init: SymInit,

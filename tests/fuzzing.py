@@ -50,6 +50,23 @@ def formula_symbols(rng: random.Random) -> list[Symbol]:
     return rng.sample(pool, rng.randint(1, 4))
 
 
+def mixed_formula(rng: random.Random) -> Term:
+    """A fuzz formula, or one comparing two unknown operands: equality of
+    two formulas, or membership of an enum-valued conditional."""
+    symbols = formula_symbols(rng)
+    roll = rng.random()
+    if roll < 0.2:
+        return Eq(random_formula(rng, symbols, 3),
+                  random_formula(rng, symbols, 3))
+    enums = [SymRef(s) for s in symbols if s.sort.kind == "enum"]
+    if roll < 0.4 and enums:
+        values = enums[0].symbol.sort.values()
+        return Member(Ite(random_formula(rng, symbols, 3),
+                          rng.choice(enums), rng.choice(enums)),
+                      tuple(rng.sample(values, 2)))
+    return random_formula(rng, symbols)
+
+
 # ---------------------------------------------------------------------------
 # Random programs (valid by construction)
 # ---------------------------------------------------------------------------

@@ -334,6 +334,27 @@ class TestBadInputs:
                "--out", "p")
         assert_one_line_usage_error(invoke(*command), names)
 
+    @pytest.mark.parametrize("command", [
+        ("run", "traffic.casm", "--steps", "3", "--seed", "1",
+         "--trace", "missing/t.jsonl"),
+        ("run-protected", "p", "--device-seed", "42", "--steps", "3",
+         "--seed", "1", "--trace", "missing/t.jsonl"),
+        ("symexec", "traffic.casm", "--out", "missing/s.json"),
+        ("verify", "p", "--out", "missing/r.json"),
+        ("compare", "p", "--target-seed", "42", "--trials", "1",
+         "--steps", "3", "--report", "missing/r.json"),
+        ("protect", "traffic.casm", "--device-seed", "42",
+         "--challenge-bits", "16", "--response-bits", "16",
+         "--out", "traffic.casm/sub")],
+        ids=["run", "run-protected", "symexec", "verify", "compare",
+             "protect"])
+    def test_unwritable_output(self, workspace, command):
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        assert_one_line_usage_error(invoke(*command),
+                                    f"cannot write {command[-1]}")
+
     @pytest.mark.parametrize("spec", ["random:abc", "file:/nonexistent"])
     def test_bad_monitored_spec(self, workspace, spec):
         result = invoke("run", "traffic.casm", "--steps", "3", "--seed", "1",

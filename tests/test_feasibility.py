@@ -7,7 +7,7 @@ import random
 import pytest
 
 import casmkit.symexec as csymexec
-from casmkit.ast import BOOL, FALSE, And, CasmError, Eq, Ite, Member, Or
+from casmkit.ast import BOOL, FALSE, And, CasmError, Or
 from casmkit.parser import parse_or_raise
 from casmkit.protect import compute_transition_set, derive_safe_condition
 from casmkit.symexec import (
@@ -15,30 +15,13 @@ from casmkit.symexec import (
     free_leaves, satisfiable,
 )
 
-from fuzzing import formula_symbols, random_formula, random_program
+from fuzzing import mixed_formula, random_program
 from rings import ring_source
 
 
 def enumerated(f, program=None):
     """Satisfiability by trying every valuation."""
     return not equivalent_on_finite_domains(f, FALSE, program)[0]
-
-
-def mixed_formula(rng):
-    """A fuzz formula, or one comparing two unknown operands: equality of
-    two formulas, or membership of an enum-valued conditional."""
-    symbols = formula_symbols(rng)
-    roll = rng.random()
-    if roll < 0.2:
-        return Eq(random_formula(rng, symbols, 3),
-                  random_formula(rng, symbols, 3))
-    enums = [SymRef(s) for s in symbols if s.sort.kind == "enum"]
-    if roll < 0.4 and enums:
-        values = enums[0].symbol.sort.values()
-        return Member(Ite(random_formula(rng, symbols, 3),
-                          rng.choice(enums), rng.choice(enums)),
-                      tuple(rng.sample(values, 2)))
-    return random_formula(rng, symbols)
 
 
 def test_known_partial_result_holds_under_every_completion():

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from casmkit.ast import (
-    App, ChooseCtl, Cond, Const, Member, State, Update, eval_term,
+    App, ChooseCtl, Cond, Const, Member, Program, State, Update, eval_term,
     iter_rules, validate_program,
 )
 from casmkit.interp import ConstantOracle, RandomOracle
@@ -386,6 +387,25 @@ class TestProtectPipeline:
         assert len(enrollment.transitions) == 4
         assert enrollment.ctl_name == "phase"
         assert protected.provenance["challenge-bits"] == 16
+
+    def test_comparison_lists_each_programs_inputs_once(
+            self, traffic, protected_traffic, monkeypatch):
+        """The plain and the protected run step in turn under one random
+        oracle, which lists each program's monitored locations once."""
+        protected = protected_traffic[0]
+        compare_target_traces(traffic, protected, 42, 1, RandomOracle(3), 1)
+        listed = Counter()
+        monitored_locations = Program.monitored_locations
+
+        def counted(program):
+            listed[program] += 1
+            return monitored_locations(program)
+
+        monkeypatch.setattr(Program, "monitored_locations", counted)
+        comparison = compare_target_traces(traffic, protected, 42, 200,
+                                           RandomOracle(3), 1)
+        assert comparison.equal
+        assert listed[traffic] <= 1 and listed[protected.program] <= 1
 
     def test_narrow_device_fails_with_enrollment_error(self, traffic):
         with pytest.raises(EnrollmentExhausted):
