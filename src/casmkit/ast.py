@@ -198,7 +198,17 @@ class Term:
 @cached_hash
 @dataclass(frozen=True)
 class Const(Term):
+    """A literal.  Equal only to a literal of the same value type, so
+    ``Const(1) != Const(True)``; the hash stays the dataclass one (and
+    ``hash(1) == hash(True)``), so sets and dicts iterate as before."""
+
     value: Value
+
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        return (type(self.value) is type(other.value)
+                and self.value == other.value)
 
 
 @cached_hash

@@ -26,7 +26,9 @@ from .protect import (
     run_protected,
 )
 from .puf import EnrollmentExhausted, NoisyReadout, make_device
-from .symexec import SymInit, format_symexpr, merge_successors, symbolic_step
+from .symexec import (
+    SymInit, analysis, format_symexpr, merge_successors, symbolic_step,
+)
 from .verify import (
     clone_divergence_report, exhaustive_safety_check, random_safety_search,
 )
@@ -136,13 +138,14 @@ def cmd_symexec(file: str, out: str | None, no_ctl_abstraction: bool) -> None:
     safety condition."""
     program = _load(file)
     try:
-        init = SymInit.for_program(program)
-        paths = merge_successors(
-            symbolic_step(program, init,
-                          ctl_abstraction=not no_ctl_abstraction))
-        cond_x = None
-        if not no_ctl_abstraction:
-            cond_x = derive_safe_condition(program).cond_x
+        with analysis():
+            init = SymInit.for_program(program)
+            paths = merge_successors(
+                symbolic_step(program, init,
+                              ctl_abstraction=not no_ctl_abstraction))
+            cond_x = None
+            if not no_ctl_abstraction:
+                cond_x = derive_safe_condition(program).cond_x
     except CasmError as exc:
         _fail(str(exc), EXIT_USAGE)
     report = {

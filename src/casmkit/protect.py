@@ -23,9 +23,11 @@ states nondeterministically.
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import itertools
 import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterator, Optional
@@ -283,15 +285,26 @@ class ProtectedProgram:
         return pretty_print(self.program, self.extras(), header=header)
 
     def save(self, directory: str) -> None:
+        """Write both artifact files into ``directory``.  They are written
+        into a temporary directory inside it first and then moved into
+        place, so a failure leaves no half of an artifact behind."""
         os.makedirs(directory, exist_ok=True)
-        casm = self.source_text()
-        enr = self.enrollment.to_json()
-        with open(os.path.join(directory, PROTECTED_FILE), "w",
-                  encoding="utf-8") as fh:
-            fh.write(casm)
-        with open(os.path.join(directory, ENROLLMENT_FILE), "w",
-                  encoding="utf-8") as fh:
-            fh.write(enr)
+        texts = {PROTECTED_FILE: self.source_text(),
+                 ENROLLMENT_FILE: self.enrollment.to_json()}
+        with tempfile.TemporaryDirectory(prefix=".protect-",
+                                         dir=directory) as staging:
+            for name, text in texts.items():
+                with open(os.path.join(staging, name), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(text)
+            for name in texts:
+                target = os.path.join(directory, name)
+                if os.path.isdir(target):
+                    raise IsADirectoryError(errno.EISDIR,
+                                            os.strerror(errno.EISDIR), target)
+            for name in texts:
+                os.replace(os.path.join(staging, name),
+                           os.path.join(directory, name))
 
     def decoded_values(self, values: dict[Location, Value]
                        ) -> dict[Location, Value]:
@@ -678,15 +691,18 @@ def protect(program: Program, device, attempt_budget: int = 65536
             ) -> tuple[ProtectedProgram, Enrollment]:
     """Full pipeline: transitions, enrollment, safety derivation,
     rewrite.  Deterministic given the program and device parameters;
-    nothing is emitted on partial failure."""
+    nothing is emitted on partial failure.  Extraction and the safety
+    derivation share one :class:`~casmkit.symexec.FormulaCache`, dropped
+    when they return."""
     problems = validate_program(program)
     if problems:
         raise ProgramError("; ".join(f"{c}: {m}" for c, m in problems))
-    tset = compute_transition_set(program)
-    enrollment = enroll(device, tset.pairs, program.initial_ctl(),
-                        attempt_budget)
-    enrollment = replace(enrollment, ctl_name=program.ctl_name)
-    safe_condition = derive_safe_condition(program)
+    with symexec.analysis():
+        tset = compute_transition_set(program)
+        enrollment = enroll(device, tset.pairs, program.initial_ctl(),
+                            attempt_budget)
+        enrollment = replace(enrollment, ctl_name=program.ctl_name)
+        safe_condition = derive_safe_condition(program)
     protected = rewrite_program(program, tset, enrollment, safe_condition)
     return protected, enrollment
 

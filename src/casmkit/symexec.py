@@ -10,6 +10,11 @@ formula.  Enumerating every valuation serves as a complete equivalence
 oracle: when ``ORACLE_CHECK`` is on (the test suite turns it on), every
 simplification and every feasibility answer is checked against it.
 
+Simplification and feasibility keep their work in a
+:class:`FormulaCache`; inside an :func:`analysis` block (``protect``
+opens one) every call shares the block's cache, so each distinct
+subterm is simplified, sized and compiled once per analysis.
+
 Reads through a location whose argument is itself symbolic are grounded
 by expansion: ``f(x)`` with symbolic ``x`` becomes a conditional cascade
 over all values of the argument sort, one ground location per value.
@@ -18,15 +23,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, FALSE, Ite,
     Let, Location, Member, Not, Or, Par, Program, Sort, TRUE, Term,
     Update, Value, Var, and_all, cached_hash, canonical_values, children,
-    location_term, locations_of_interest, or_all, term_size,
+    location_term, locations_of_interest, or_all,
 )
+from .ast import term_size  # noqa: F401 -- tests import it from here
 
 DOMAIN_CAP = 1 << 24
 
@@ -196,6 +204,125 @@ class SymInit:
 
 
 # ---------------------------------------------------------------------------
+# One formula cache per analysis
+# ---------------------------------------------------------------------------
+
+class FormulaCache:
+    """Memos shared by the simplifications and feasibility queries of one
+    analysis.
+
+    Each memo is a pure function of its key:
+      * the one-pass simplification of a term, one memo per ``program``
+        argument;
+      * the node count of a term (``term_size``), for the simplifier's
+        size guard;
+      * the leaves of a term in first-occurrence order (``free_leaves``);
+      * the three-valued closure of a term (``_partial``).  Closures read
+        one slot per leaf, numbered in the order the cache first met the
+        leaves rather than per query, so a query compiles only the
+        subterms no earlier query has seen.
+
+    A cache keeps every formula its analysis met, so it lives exactly as
+    long as the analysis: :func:`analysis` installs one for a block, and
+    outside any block each call builds and drops a cache of its own.
+    """
+
+    def __init__(self):
+        self._simplified: dict[Optional[Program], dict[Term, Term]] = {}
+        self._sizes: dict[Term, int] = {}
+        self._leaves: dict[Term, tuple[Term, ...]] = {}
+        self._slot_of: dict[Term, int] = {}
+        self._slots: list = []
+        self._closures: dict[Term, Callable] = {}
+
+    def size(self, term: Term) -> int:
+        n = self._sizes.get(term)
+        if n is None:
+            n = self._sizes[term] = 1 + sum(map(self.size, children(term)))
+        return n
+
+    def leaves(self, term: Term) -> tuple[Term, ...]:
+        out = self._leaves.get(term)
+        if out is not None:
+            return out
+        if isinstance(term, SymRef):
+            out = (term,)
+        elif isinstance(term, App):
+            if not all(isinstance(a, Const) for a in term.args):
+                raise CasmError("formula reads a non-ground location")
+            out = (term,)
+        elif isinstance(term, Var):
+            raise CasmError(f"free variable {term.name}; substitute it first")
+        else:
+            parts = [p for p in map(self.leaves, children(term)) if p]
+            if len(parts) == 1:
+                out = parts[0]
+            else:
+                out = tuple(dict.fromkeys(itertools.chain(*parts)))
+        self._leaves[term] = out
+        return out
+
+    def simplify(self, f: Term, program: Optional[Program] = None) -> Term:
+        """``simplify_formula`` with this cache's memos."""
+        memo = self._simplified.get(program)
+        if memo is None:
+            memo = self._simplified[program] = {}
+        out = f
+        for _ in range(8):
+            nxt = _simp(out, program, memo)
+            if nxt == out:
+                break
+            out = nxt
+        if self.size(out) > self.size(f):
+            out = f
+        if ORACLE_CHECK:
+            _oracle_check(f, out, program)
+        return out
+
+    def satisfiable(self, f: Term, program: Optional[Program] = None,
+                    cap: int = DOMAIN_CAP) -> bool:
+        """``satisfiable`` with this cache's memos."""
+        leaves = self.leaves(f)
+        domains = _domains(leaves, program, cap)
+        slot_of, slots = self._slot_of, self._slots
+        for leaf in leaves:
+            if leaf not in slot_of:
+                slot_of[leaf] = len(slots)
+                slots.append(None)
+        order = [slot_of[leaf] for leaf in leaves]
+        for i in order:
+            slots[i] = None
+        root = _partial(f, slot_of, slots, self._closures)
+        answer = _search(root, slots, order, domains, 0)
+        if ORACLE_CHECK and math.prod(map(len, domains)) <= _ORACLE_SKIP:
+            brute = not equivalent_on_finite_domains(f, FALSE, program)[0]
+            if brute != answer:
+                raise CasmError(f"pruned search says satisfiable={answer} "
+                                "against the enumeration oracle")
+        return answer
+
+
+_ACTIVE: ContextVar[Optional[FormulaCache]] = ContextVar(
+    "casmkit_formula_cache", default=None)
+
+
+def _cache() -> FormulaCache:
+    cache = _ACTIVE.get()
+    return cache if cache is not None else FormulaCache()
+
+
+@contextmanager
+def analysis() -> Iterator[None]:
+    """Share one fresh :class:`FormulaCache` among every simplification
+    and feasibility query made inside the block, and drop it on exit."""
+    token = _ACTIVE.set(FormulaCache())
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)
+
+
+# ---------------------------------------------------------------------------
 # Enumeration oracle
 # ---------------------------------------------------------------------------
 
@@ -212,25 +339,9 @@ def _leaf_sort(leaf: Term, program: Optional[Program]) -> Sort:
 
 def free_leaves(*terms: Term) -> list[Term]:
     """Symbols and ground locations, in first-occurrence order."""
-    seen: dict[Term, None] = {}
-
-    def walk(t: Term) -> None:
-        if isinstance(t, SymRef):
-            seen.setdefault(t)
-            return
-        if isinstance(t, App):
-            if not all(isinstance(a, Const) for a in t.args):
-                raise CasmError("formula reads a non-ground location")
-            seen.setdefault(t)
-            return
-        if isinstance(t, Var):
-            raise CasmError(f"free variable {t.name}; substitute it first")
-        for c in children(t):
-            walk(c)
-
-    for t in terms:
-        walk(t)
-    return list(seen)
+    cache = _cache()
+    return list(dict.fromkeys(leaf for t in terms
+                              for leaf in cache.leaves(t)))
 
 
 def eval_fd(term: Term, valuation: dict[Term, Value]) -> Value:
@@ -304,36 +415,45 @@ def satisfiable(f: Term, program: Optional[Program] = None,
 
     Assigns the leaves one at a time in ``free_leaves`` order and
     evaluates ``f`` three-valued after each assignment, so a branch ends
-    as soon as the partial assignment decides the formula."""
-    leaves = free_leaves(f)
-    domains = _domains(leaves, program, cap)
-    slots: list = [None] * len(leaves)
-    root = _partial(f, {leaf: i for i, leaf in enumerate(leaves)}, slots)
-    answer = _search(root, slots, domains, 0)
-    if ORACLE_CHECK and math.prod(map(len, domains)) <= _ORACLE_SKIP:
-        brute = not equivalent_on_finite_domains(f, FALSE, program)[0]
-        if brute != answer:
-            raise CasmError(f"pruned search says satisfiable={answer} "
-                            "against the enumeration oracle")
-    return answer
+    as soon as the partial assignment decides the formula.  The
+    evaluation is compiled once per distinct subterm and analysis (see
+    :class:`FormulaCache`)."""
+    return _cache().satisfiable(f, program, cap)
 
 
-def _search(root, slots: list, domains: list, k: int) -> bool:
+def _search(root, slots: list, order: list[int], domains: list,
+            k: int) -> bool:
+    """Assign ``slots[order[k]]``, ``slots[order[k + 1]]``, ... in turn
+    until ``root`` reads true (``True``) or every branch reads false."""
     value = root()
     if value is not None:
         return bool(value)
+    i = order[k]
     for v in domains[k]:
-        slots[k] = v
-        if _search(root, slots, domains, k + 1):
+        slots[i] = v
+        if _search(root, slots, order, domains, k + 1):
             return True
-    slots[k] = None
+    slots[i] = None
     return False
 
 
-def _partial(term: Term, index: dict[Term, int], slots: list):
+def _partial(term: Term, index: dict[Term, int], slots: list,
+             memo: Optional[dict[Term, Callable]] = None):
     """Closure evaluating ``term`` like ``eval_fd`` over the leaf values
-    in ``slots``; it returns ``None`` while the unassigned leaves (slots
-    holding ``None``) can still change the result."""
+    in ``slots`` (leaf ``l`` in ``slots[index[l]]``); it returns ``None``
+    while the unassigned leaves (slots holding ``None``) can still change
+    the result.  ``memo`` keeps the closure of each subterm built over
+    the same ``index`` and ``slots``."""
+    if memo is None:
+        memo = {}
+    fn = memo.get(term)
+    if fn is None:
+        fn = memo[term] = _partial_node(term, index, slots, memo)
+    return fn
+
+
+def _partial_node(term: Term, index: dict[Term, int], slots: list,
+                  memo: dict[Term, Callable]):
     if isinstance(term, Const):
         value = term.value
         return lambda: value
@@ -341,15 +461,15 @@ def _partial(term: Term, index: dict[Term, int], slots: list):
         i = index[term]
         return lambda: slots[i]
     if isinstance(term, Not):
-        inner = _partial(term.operand, index, slots)
+        inner = _partial(term.operand, index, slots, memo)
 
         def not_():
             v = inner()
             return None if v is None else not v
         return not_
     if isinstance(term, And):
-        left = _partial(term.left, index, slots)
-        right = _partial(term.right, index, slots)
+        left = _partial(term.left, index, slots, memo)
+        right = _partial(term.right, index, slots, memo)
 
         def and_():
             a = left()
@@ -361,8 +481,8 @@ def _partial(term: Term, index: dict[Term, int], slots: list):
             return None if a is None or b is None else True
         return and_
     if isinstance(term, Or):
-        left = _partial(term.left, index, slots)
-        right = _partial(term.right, index, slots)
+        left = _partial(term.left, index, slots, memo)
+        right = _partial(term.right, index, slots, memo)
 
         def or_():
             a = left()
@@ -374,8 +494,8 @@ def _partial(term: Term, index: dict[Term, int], slots: list):
             return None if a is None or b is None else False
         return or_
     if isinstance(term, Eq):
-        left = _partial(term.left, index, slots)
-        right = _partial(term.right, index, slots)
+        left = _partial(term.left, index, slots, memo)
+        right = _partial(term.right, index, slots, memo)
 
         def eq():
             a = left()
@@ -385,7 +505,7 @@ def _partial(term: Term, index: dict[Term, int], slots: list):
             return None if b is None else a == b
         return eq
     if isinstance(term, Member):
-        item = _partial(term.item, index, slots)
+        item = _partial(term.item, index, slots, memo)
         values = term.values
 
         def member():
@@ -393,9 +513,9 @@ def _partial(term: Term, index: dict[Term, int], slots: list):
             return None if v is None else v in values
         return member
     if isinstance(term, Ite):
-        cond = _partial(term.cond, index, slots)
-        then = _partial(term.then, index, slots)
-        other = _partial(term.other, index, slots)
+        cond = _partial(term.cond, index, slots, memo)
+        then = _partial(term.then, index, slots, memo)
+        other = _partial(term.other, index, slots, memo)
 
         def ite():
             c = cond()
@@ -513,23 +633,13 @@ def simplify_formula(f: Term, program: Optional[Program] = None) -> Term:
     sort-exhaustive memberships, and propagation of equalities decided by
     a conjunction into its other conjuncts.
 
-    One call simplifies each distinct subterm once: ``_simp`` is a pure
-    function of the term and the program, so its results are kept for
-    the call and a pass reuses them for every subterm an earlier pass
-    left unchanged.
+    One analysis simplifies each distinct subterm once per ``program``
+    argument: ``_simp`` is a pure function of the term and the program,
+    so its results are kept in the analysis's :class:`FormulaCache`, and
+    a pass, a later call or a later stage reuses them for every subterm
+    already seen.  Outside an analysis the cache is the call's own.
     """
-    memo: dict[Term, Term] = {}
-    out = f
-    for _ in range(8):
-        nxt = _simp(out, program, memo)
-        if nxt == out:
-            break
-        out = nxt
-    if term_size(out) > term_size(f):
-        out = f
-    if ORACLE_CHECK:
-        _oracle_check(f, out, program)
-    return out
+    return _cache().simplify(f, program)
 
 
 def _oracle_check(f: Term, g: Term, program: Optional[Program]) -> None:

@@ -355,6 +355,15 @@ class TestBadInputs:
         assert_one_line_usage_error(invoke(*command),
                                     f"cannot write {command[-1]}")
 
+    def test_protect_leaves_no_half_artifact(self, workspace):
+        (workspace / "p" / "enrollment.json").mkdir(parents=True)
+        result = invoke("protect", "traffic.casm", "--device-seed", "42",
+                        "--challenge-bits", "16", "--response-bits", "16",
+                        "--out", "p")
+        assert_one_line_usage_error(
+            result, os.path.join("p", "enrollment.json"))
+        assert sorted(os.listdir(workspace / "p")) == ["enrollment.json"]
+
     @pytest.mark.parametrize("spec", ["random:abc", "file:/nonexistent"])
     def test_bad_monitored_spec(self, workspace, spec):
         result = invoke("run", "traffic.casm", "--steps", "3", "--seed", "1",
