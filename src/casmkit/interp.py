@@ -29,7 +29,7 @@ from .ast import (
     Term, Update, Value, Var, check_updates,
     format_location, iter_rules, locations_of_interest, parse_location_key,
 )
-from .rng import derive_rng
+from .rng import derive_rng, first_words
 
 
 class StepError(CasmError):
@@ -99,11 +99,11 @@ class RandomOracle(MonitoredOracle):
                 (loc, format_location(loc),
                  program.function(loc[0]).result.values())
                 for loc in program.monitored_locations()]
-        seed = self.seed
+        # each input draws once, from ("monitored", seed, step, its name)
+        word = first_words("monitored", self.seed, step_index)
         out: dict[Location, Value] = {}
         for loc, name, values in plan:
-            rng = derive_rng("monitored", seed, step_index, name)
-            out[loc] = values[rng.randrange(len(values))]
+            out[loc] = values[word(name) % len(values)]
         return out
 
 
@@ -390,47 +390,78 @@ class CompiledProgram:
                     ) -> tuple[dict, list[str], list[str]]:
         """One step: the new values, the rules that fired and the events.
 
-        With ``memo`` (kept by one run of a choose-free program) the rule
-        pass is looked up under ``key``, the state and input values in a
-        fixed location order, and fired only on a miss.  Challenge sites
-        are resolved, once per challenge (:func:`_first_sites`), and the
-        updates checked on every step."""
+        With ``memo`` (kept by one run of a choose-free program) the whole
+        step is looked up under ``key``, the state and input values in a
+        fixed location order, and its rule pass fired only on a miss.
+        Challenge sites are resolved on every step, memo or not
+        (:meth:`_Step.finish`).  The returned dict and lists may be shared
+        with other steps of the run and must not be mutated."""
         if memo is None:
-            out, fired = self.fire_rules(values, monitored, pick)
-            updates, pending = out.updates, out.pending
+            step = _Step(self.ctl_loc, values,
+                         *self.fire_rules(values, monitored, pick))
         else:
-            hit = memo.get(key)
-            if hit is None:
-                out, fired = self.fire_rules(values, monitored, pick)
-                hit = memo[key] = (tuple(out.updates), tuple(out.pending),
-                                   tuple(fired))
-            updates, pending, fired = hit
-            fired = list(fired)
-        events: list[str] = []
+            step = memo.get(key)
+            if step is None:
+                step = memo[key] = _Step(
+                    self.ctl_loc, values,
+                    *self.fire_rules(values, monitored, pick))
+        return step.finish(self.ctl_loc, ctl_resolver)
+
+
+class _Step:
+    """What a rule pass from one state under one input valuation fixes:
+    its updates, the first site of each challenge (:func:`_first_sites`),
+    the fired rules and the post-update view the sites are resolved on;
+    and, for each tuple of resolved site values, the next state, merged
+    and checked once."""
+
+    __slots__ = ("values", "updates", "sites", "fired", "post", "current",
+                 "after")
+
+    def __init__(self, ctl_loc: Location, values: dict, out: _Out,
+                 fired: list[str]):
+        self.values = values
+        self.updates = out.updates
+        self.sites = pending = out.pending
+        self.fired = fired
+        self.post = self.current = None
         if pending:
+            if len(pending) > 1:
+                self.sites = _first_sites(pending)
+            self.post = post = dict(values)
+            post.update(out.updates)
+            self.current = values[ctl_loc]
+        self.after: dict[tuple[Value, ...], dict] = {}
+
+    def finish(self, ctl_loc: Location, ctl_resolver: Optional[CtlResolver]
+               ) -> tuple[dict, list[str], list[str]]:
+        """Resolve the sites and give the step's result."""
+        events: list[str] = []
+        resolved: tuple[Value, ...] = ()
+        if self.sites:
             if ctl_resolver is None:
                 raise StepError("program has hardware-bound sites but no "
                                 "device is attached")
-            post = dict(values)
-            post.update(updates)
-            ctl_loc = self.ctl_loc
-            current = values[ctl_loc]
-            updates = list(updates)
-            if len(pending) > 1:
-                pending = _first_sites(pending)
-            for site, challenge in pending:
+            post, current = self.post, self.current
+            chosen = []
+            for site, challenge in self.sites:
                 value, tag = ctl_resolver(site, challenge, post, current)
-                updates.append((ctl_loc, value))
+                chosen.append(value)
                 events.append(tag)
-        merged = check_updates(updates)
-        if not fired:
+            resolved = tuple(chosen)
+        new_values = self.after.get(resolved)
+        if new_values is None:
+            merged = check_updates(
+                self.updates + [(ctl_loc, value) for value in resolved])
+            if merged:
+                new_values = dict(self.values)
+                new_values.update(merged)
+            else:
+                new_values = self.values
+            self.after[resolved] = new_values
+        if not self.fired:
             events.append(STALL)
-        if merged:
-            new_values = dict(values)
-            new_values.update(merged)
-        else:
-            new_values = values
-        return new_values, fired, events
+        return new_values, self.fired, events
 
 
 def _noop(vals, mon, env, out):
@@ -616,11 +647,15 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     The one run loop, for plain and protected programs alike:
     ``ctl_resolver(k, ...)`` resolves the challenge sites of step ``k``.
     Looking up a step's inputs in monitored-location order checks them
-    total.  A choose-free program's rule pass is a function of the state
-    and the inputs, so this run memoizes it.
+    total.  A choose-free program's step is a function of the state, the
+    inputs and what its sites resolve to, so this run memoizes the whole
+    step (:meth:`CompiledProgram.step_values`) and resolves only the
+    sites again.
 
-    Yielded state dicts are fresh copies only when a step changed
-    something; consumers that retain them must copy.
+    Yielded state dicts and ``fired`` lists are shared between steps,
+    and with the memo: consumers must not mutate them, and need not copy
+    one to retain it, since the run never changes a dict it has yielded.
+    :func:`run` gives every entry its own copies.
     """
     cp = compiled(program)
     values = program.initial_state().values

@@ -47,7 +47,7 @@ from .interp import (
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
 from .puf import Enrollment, enroll
-from .rng import derive_rng
+from .rng import derive_rng, first_words
 from . import symexec
 from .symexec import (
     SymInit, elim_symbol, free_symbols_in, merge_successors,
@@ -662,14 +662,15 @@ class ProtectedRunner:
         self.device = device
         self.seed = seed
         self.decider = protected.decider
+        # a fallback draws once from ("fallback", seed, step, site)
+        self._fallback_word = first_words("fallback", seed)
 
     def _resolver(self, step: int, site: str, challenge: int, post: dict,
                   current_ctl: Value) -> tuple[Value, str]:
-        seed = self.seed
+        word = self._fallback_word
         return self.decider.decide(
-            self.device.query_at(challenge, seed, step, site), post,
-            current_ctl,
-            lambda n: derive_rng("fallback", seed, step, site).randrange(n))
+            self.device.query_at(challenge, self.seed, step, site), post,
+            current_ctl, lambda n: word(step, site) % n)
 
     def iter_entries(self, steps: int, oracle: MonitoredOracle
                      ) -> Iterator[TraceEntry]:
@@ -715,6 +716,22 @@ def _read_artifact(path: str) -> str:
         raise CasmError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _check_response_width(program: Program, enrollment: Enrollment,
+                          enr_path: str) -> None:
+    """The control function of a protected program stores responses: its
+    sort must be the ``responseBits``-wide range the rewrite gave it."""
+    sort = program.ctl.result
+    bits = enrollment.response_bits
+    if sort.kind == "int" and sort.lo == 0 and (sort.size & sort.hi) == 0:
+        width = f"{sort.hi.bit_length()}-bit"
+    else:
+        width = "non-response"
+    if width != f"{bits}-bit":
+        raise CasmError(
+            f"{enr_path} has responseBits {bits}, but {program.ctl_name} "
+            f"holds {width} responses ({sort.name})")
+
+
 def load_protected(directory: str) -> ProtectedProgram:
     casm_path = os.path.join(directory, PROTECTED_FILE)
     enr_path = os.path.join(directory, ENROLLMENT_FILE)
@@ -729,6 +746,7 @@ def load_protected(directory: str) -> ProtectedProgram:
         raise CasmError(f"{casm_path} is not a protected artifact")
     enrollment = Enrollment.from_json(_read_artifact(enr_path))
     program = result.program
+    _check_response_width(program, enrollment, enr_path)
     plain_sort = program.sort(result.extras.plain_sort)
     enc = result.extras.enc_map()
     for state, responses in enc.items():

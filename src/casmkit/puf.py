@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .ast import CasmError, Value, format_value
-from .rng import derive_rng
+from .rng import derive_rng, first_words
 
 ENROLLMENT_VERSION = 1
 _MAJORITY_ROUNDS = 9
@@ -47,6 +47,9 @@ class PufDevice:
     noise_rate: float = 0.0
     _stable: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    # run seed -> first words of its noise streams
+    _coins: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if not 1 <= self.challenge_bits <= 32:
@@ -89,12 +92,23 @@ class PufDevice:
 
     def query_at(self, challenge: int, seed: int, step: int, site: str
                  ) -> int:
-        """Response at a site of a run; the noise stream, named after this
-        device and (seed, step, site), is derived only if it is noisy."""
+        """Response at a site of a run, as :meth:`query` gives it with the
+        noise stream named after this device and (seed, step, site).  The
+        stream's first draw, the noise coin, is taken on its own; the
+        stream is derived only when the coin says the response flips."""
         if self.noise_rate <= 0.0:
             return self.query(challenge)
-        return self.query(challenge, derive_rng(
-            "pufnoise", self.device_seed, seed, step, site))
+        coin = self._coins.get(seed)
+        if coin is None:
+            coin = self._coins[seed] = first_words(
+                "pufnoise", self.device_seed, seed)
+        if coin(step, site) / 2.0 ** 64 < self.noise_rate:
+            return self.query(challenge, derive_rng(
+                "pufnoise", self.device_seed, seed, step, site))
+        stable = self._stable.get(challenge)
+        if stable is None:
+            stable = self._stable[challenge] = self.stable_response(challenge)
+        return stable
 
     def _check_challenge(self, challenge: int) -> None:
         if not 0 <= challenge < self.challenge_count:

@@ -3,11 +3,24 @@
 Every random draw in the toolchain comes from a stream named by a label
 path, so runs are reproducible bit-for-bit across platforms and adding
 one draw site never perturbs another site's stream.  Streams are
-counter-mode SHA-256: cheap to create, cheap to draw from.
+counter-mode SHA-256: cheap to create, cheap to draw from.  A draw site
+that takes one word from each of many streams whose labels share a
+prefix uses :func:`first_words`, which encodes that prefix once.
 """
 from __future__ import annotations
 
 import hashlib
+import struct
+from typing import Callable
+
+_sha256 = hashlib.sha256
+_unpack_word = struct.Struct(">Q").unpack_from
+
+
+def _word(block: bytes) -> int:
+    """The stream word hashed from one ``label#counter`` block: the first
+    eight digest bytes, big-endian."""
+    return _unpack_word(_sha256(block).digest())[0]
 
 
 class HashStream:
@@ -16,14 +29,13 @@ class HashStream:
     __slots__ = ("_label", "_counter")
 
     def __init__(self, *parts):
-        self._label = "|".join(str(p) for p in parts).encode()
+        self._label = "|".join(map(str, parts)).encode()
         self._counter = 0
 
     def _next(self) -> int:
-        digest = hashlib.sha256(
-            self._label + b"#" + str(self._counter).encode()).digest()
+        word = _word(self._label + b"#" + str(self._counter).encode())
         self._counter += 1
-        return int.from_bytes(digest[:8], "big")
+        return word
 
     def random(self) -> float:
         return self._next() / 2.0 ** 64
@@ -35,3 +47,19 @@ class HashStream:
 
 def derive_rng(*parts) -> HashStream:
     return HashStream(*parts)
+
+
+def first_words(*prefix) -> Callable[..., int]:
+    """A function ``first_word(*rest)`` that gives the first 64-bit word
+    of the stream ``derive_rng(*prefix, *rest)``, for one or more parts
+    ``rest``, without building the stream.  That word ``w`` is what the
+    stream's first draw reads: ``w / 2 ** 64`` is its ``random()`` and
+    ``w % n`` its ``randrange(n)``."""
+    head = "".join(f"{p!s}|" for p in prefix)
+
+    def first_word(part, *rest) -> int:
+        if rest:
+            return _word(
+                f"{head}{part!s}|{'|'.join(map(str, rest))}#0".encode())
+        return _word(f"{head}{part!s}#0".encode())
+    return first_word

@@ -295,6 +295,25 @@ class TestBadInputs:
                         "--steps", "3", "--seed", "1")
         assert_one_line_usage_error(result, names)
 
+    @pytest.mark.parametrize("bits", [8, 20])
+    def test_response_width_disagrees_with_the_control_sort(self, workspace,
+                                                            bits):
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        path = workspace / "p" / "enrollment.json"
+        raw = json.loads(path.read_text())
+        raw["responseBits"] = bits
+        path.write_text(json.dumps(raw))
+        names = (f"{os.path.join('p', 'enrollment.json')} has responseBits "
+                 f"{bits}, but phase holds 16-bit responses")
+        for command in [
+                ("run-protected", "p", "--device-seed", "42", "--steps", "3",
+                 "--seed", "1"),
+                ("verify", "p"),
+                ("compare", "p", "--target-seed", "42", "--steps", "50")]:
+            assert_one_line_usage_error(invoke(*command), names)
+
     @pytest.mark.parametrize("missing", ["protected.casm", "enrollment.json"])
     @pytest.mark.parametrize("command", [
         ("run-protected", "p", "--device-seed", "42", "--steps", "3",
