@@ -320,6 +320,16 @@ class ProtectedProgram:
         return out
 
     @cached_property
+    def challenges(self) -> tuple[int, ...]:
+        """The challenges of the program's sites, main and named rules
+        alike, sorted and each once."""
+        program = self.program
+        return tuple(sorted({
+            r.challenge
+            for nr in (*program.main_rules, *program.named_rules)
+            for r, _ in iter_rules(nr.body) if isinstance(r, ChooseCtl)}))
+
+    @cached_property
     def decider(self) -> "SiteDecider":
         return SiteDecider(self.program, self.enrollment,
                            self.safe_condition)
@@ -639,6 +649,17 @@ class SiteDecider:
                 found.update(dict.fromkeys(fallbacks))
         return list(found)
 
+    def device_key(self, device, challenges: tuple[int, ...]
+                   ) -> Optional[tuple]:
+        """What ``device`` can make a run observe at sites of
+        ``challenges``: each stable response that decodes, as itself, and
+        ``None`` for one that does not.  Noise-free devices with equal
+        keys decide every site alike; a noisy device has no key."""
+        if device.noise_rate > 0.0:
+            return None
+        return tuple(r if r in self._decode else None
+                     for r in map(device.query, challenges))
+
     def enumerator(self, device) -> CtlEnumerator:
         """Site enumerator for the model checker: every outcome, or with a
         device the outcome of its noiseless response."""
@@ -732,6 +753,23 @@ def _check_response_width(program: Program, enrollment: Enrollment,
             f"holds {width} responses ({sort.name})")
 
 
+def _check_challenges(protected: ProtectedProgram, casm_path: str,
+                      enr_path: str) -> None:
+    """Every site must query a challenge of the enrollment table, inside
+    the device's challenge space."""
+    enrollment = protected.enrollment
+    enrolled = {t.challenge for t in enrollment.transitions}
+    bits = enrollment.challenge_bits
+    for challenge in protected.challenges:
+        if challenge not in enrolled:
+            reason = f"is not enrolled in {enr_path}"
+        elif not 0 <= challenge < 1 << bits:
+            reason = f"is outside the {bits}-bit challenge space"
+        else:
+            continue
+        raise CasmError(f"{casm_path}: challenge {challenge} {reason}")
+
+
 def load_protected(directory: str) -> ProtectedProgram:
     casm_path = os.path.join(directory, PROTECTED_FILE)
     enr_path = os.path.join(directory, ENROLLMENT_FILE)
@@ -759,9 +797,11 @@ def load_protected(directory: str) -> ProtectedProgram:
         ctl_name=program.ctl_name,
         plain_values=plain_sort.values(),
     )
-    return ProtectedProgram(
+    protected = ProtectedProgram(
         program=program,
         enrollment=enrollment,
         safe_condition=safe_condition,
         plain_sort=plain_sort,
     )
+    _check_challenges(protected, casm_path, enr_path)
+    return protected

@@ -360,6 +360,16 @@ def clone_divergence_report(protected: ProtectedProgram,
 
     A clone whose fingerprint matches the enrollment device is flagged
     as a control trial rather than treated as divergence evidence.
+
+    Trials share a run when their devices are noise-free and have equal
+    :meth:`~casmkit.protect.SiteDecider.device_key` keys: the same
+    responses to the program's challenges where a response decodes, and
+    a response that decodes to nothing at the same challenges.  Such a
+    device reaches the run only through those responses, and every
+    trial draws the same fallbacks and inputs, so these trials step
+    alike.  The shared run's counts and first divergence are added once
+    per trial, in seed order, as if each trial had run; a trial on a
+    noisy device always runs.
     """
     enrollment = protected.enrollment
     ctl_loc = (enrollment.ctl_name, ())
@@ -371,27 +381,19 @@ def clone_divergence_report(protected: ProtectedProgram,
     unsafe_fn = None
     if not reads_location(program.unsafe, ctl_loc):
         unsafe_fn = compiled(program)._term(program.unsafe)
-
-    violations = 0
-    diverged = 0
-    hist: dict[int, int] = {}
-    fallback_events = 0
-    total_steps = 0
-    flagged: list[int] = []
     empty: dict = {}
 
-    for trial, seed in enumerate(clone_seeds):
-        device = make_device(seed, enrollment.challenge_bits,
-                             enrollment.response_bits, noise)
-        if device.fingerprint() == enrollment.fingerprint:
-            flagged.append(trial)
+    def run_trial(device) -> tuple[int, int, int, Optional[int]]:
+        """Steps, fallbacks, violating states and first divergence step
+        of one trial."""
         runner = ProtectedRunner(protected, device, run_seed)
+        total = fallbacks = violations = 0
         first_div: Optional[int] = None
         for entry in runner.iter_entries(steps, oracle):
             if entry.step == 0:
                 continue
-            total_steps += 1
-            fallback_events += entry.events.count(FALLBACK_TAKEN)
+            total += 1
+            fallbacks += entry.events.count(FALLBACK_TAKEN)
             if unsafe_fn is not None:
                 if unsafe_fn(entry.state, entry.monitored, empty):
                     violations += 1
@@ -401,6 +403,33 @@ def clone_divergence_report(protected: ProtectedProgram,
                 decoded = enrollment.decode_stored(entry.state[ctl_loc])
                 if decoded != original_ctl[entry.step]:
                     first_div = entry.step
+        return total, fallbacks, violations, first_div
+
+    decider = protected.decider
+    challenges = protected.challenges
+    shared: dict[tuple, tuple[int, int, int, Optional[int]]] = {}
+    violations = 0
+    diverged = 0
+    hist: dict[int, int] = {}
+    fallback_events = 0
+    total_steps = 0
+    flagged: list[int] = []
+
+    for trial, seed in enumerate(clone_seeds):
+        device = make_device(seed, enrollment.challenge_bits,
+                             enrollment.response_bits, noise)
+        if device.fingerprint() == enrollment.fingerprint:
+            flagged.append(trial)
+        key = decider.device_key(device, challenges)
+        outcome = shared.get(key)
+        if outcome is None:
+            outcome = run_trial(device)
+            if key is not None:
+                shared[key] = outcome
+        trial_steps, fallbacks, trial_violations, first_div = outcome
+        total_steps += trial_steps
+        fallback_events += fallbacks
+        violations += trial_violations
         if first_div is not None:
             diverged += 1
             hist[first_div] = hist.get(first_div, 0) + 1

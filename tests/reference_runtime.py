@@ -1,12 +1,13 @@
-"""Reference runtime: one checked step, and the challenge-site rule
-evaluated term by term.
+"""Reference runtime: one checked step, the challenge-site rule
+evaluated term by term, and the clone experiment run trial by trial.
 
 ``choose_ctl_state`` decides a site by evaluating ``condx`` with
 ``eval_term`` for each plain state, independently of the compiled,
 memoized :class:`casmkit.protect.SiteDecider`, so tests can hold the
 decider and protected runs against it.  ``step`` runs one step of the
 compiled engine from a :class:`~casmkit.ast.State` and checks the inputs
-total first.
+total first.  ``clone_divergence_report`` runs every clone trial in
+full, with no trial sharing another's run.
 """
 from __future__ import annotations
 
@@ -14,16 +15,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from casmkit.ast import (
-    InconsistentUpdate, Location, Program, State, Value, eval_term,
+    CasmError, InconsistentUpdate, Location, Program, State, Value,
+    eval_term, reads_location,
 )
 from casmkit.interp import (
-    CtlResolver, StepError, _check_total, compiled, rng_picker,
+    CtlResolver, MonitoredOracle, StepError, Trace, _check_total, compiled,
+    rng_picker,
 )
 from casmkit.protect import (
-    BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedProgram, SafeCondition,
+    BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedProgram, ProtectedRunner,
+    SafeCondition,
 )
-from casmkit.puf import Enrollment
+from casmkit.puf import Enrollment, make_device
 from casmkit.rng import derive_rng
+from casmkit.verify import DivergenceReport
 
 
 @dataclass
@@ -96,3 +101,66 @@ def make_ctl_resolver(protected: ProtectedProgram, device, seed: int,
                                 enrollment, cond, fallback_rng, query_rng)
 
     return resolver
+
+
+def clone_divergence_report(protected: ProtectedProgram,
+                            original_trace: Trace,
+                            clone_seeds: list[int], steps: int,
+                            noise: float, oracle: MonitoredOracle,
+                            run_seed: int) -> DivergenceReport:
+    """:func:`casmkit.verify.clone_divergence_report` with every trial
+    stepped in full."""
+    enrollment = protected.enrollment
+    ctl_loc = (enrollment.ctl_name, ())
+    original_ctl = [e.state[ctl_loc] for e in original_trace.entries]
+    if len(original_ctl) < steps + 1:
+        raise CasmError("original trace is shorter than the trial length")
+
+    program = protected.program
+    unsafe_fn = None
+    if not reads_location(program.unsafe, ctl_loc):
+        unsafe_fn = compiled(program)._term(program.unsafe)
+
+    violations = 0
+    diverged = 0
+    hist: dict[int, int] = {}
+    fallback_events = 0
+    total_steps = 0
+    flagged: list[int] = []
+    empty: dict = {}
+
+    for trial, seed in enumerate(clone_seeds):
+        device = make_device(seed, enrollment.challenge_bits,
+                             enrollment.response_bits, noise)
+        if device.fingerprint() == enrollment.fingerprint:
+            flagged.append(trial)
+        runner = ProtectedRunner(protected, device, run_seed)
+        first_div: Optional[int] = None
+        for entry in runner.iter_entries(steps, oracle):
+            if entry.step == 0:
+                continue
+            total_steps += 1
+            fallback_events += entry.events.count(FALLBACK_TAKEN)
+            if unsafe_fn is not None:
+                if unsafe_fn(entry.state, entry.monitored, empty):
+                    violations += 1
+            elif protected.is_unsafe(entry.state, entry.monitored):
+                violations += 1
+            if first_div is None:
+                decoded = enrollment.decode_stored(entry.state[ctl_loc])
+                if decoded != original_ctl[entry.step]:
+                    first_div = entry.step
+        if first_div is not None:
+            diverged += 1
+            hist[first_div] = hist.get(first_div, 0) + 1
+
+    return DivergenceReport(
+        trials=len(clone_seeds),
+        steps_per_trial=steps,
+        noise=noise,
+        safety_violations=violations,
+        trials_diverged=diverged,
+        first_divergence_hist=hist,
+        fallback_rate=fallback_events / total_steps if total_steps else 0.0,
+        flagged_control_trials=flagged,
+    )

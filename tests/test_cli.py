@@ -314,6 +314,35 @@ class TestBadInputs:
                 ("compare", "p", "--target-seed", "42", "--steps", "50")]:
             assert_one_line_usage_error(invoke(*command), names)
 
+    @pytest.mark.parametrize("challenge, in_table, reason", [
+        (9, False, "is not enrolled in"),
+        (70000, False, "is not enrolled in"),
+        (70000, True, "is outside the 16-bit challenge space")])
+    @pytest.mark.parametrize("command", [
+        ("run-protected", "p", "--device-seed", "42", "--steps", "50",
+         "--seed", "1"),
+        ("verify", "p"),
+        ("compare", "p", "--target-seed", "42", "--steps", "50")])
+    def test_site_challenge_not_in_the_enrollment(self, workspace, challenge,
+                                                  in_table, reason, command):
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        casm = workspace / "p" / "protected.casm"
+        text = casm.read_text()
+        assert text.count("challenge 3\n") == 1
+        casm.write_text(text.replace("challenge 3\n",
+                                     f"challenge {challenge}\n"))
+        if in_table:
+            path = workspace / "p" / "enrollment.json"
+            raw = json.loads(path.read_text())
+            assert raw["transitions"][3]["challenge"] == 3
+            raw["transitions"][3]["challenge"] = challenge
+            path.write_text(json.dumps(raw))
+        names = (f"{os.path.join('p', 'protected.casm')}: challenge "
+                 f"{challenge} {reason}")
+        assert_one_line_usage_error(invoke(*command), names)
+
     @pytest.mark.parametrize("missing", ["protected.casm", "enrollment.json"])
     @pytest.mark.parametrize("command", [
         ("run-protected", "p", "--device-seed", "42", "--steps", "3",
