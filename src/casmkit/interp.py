@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 from weakref import WeakKeyDictionary
@@ -45,11 +45,12 @@ class EmptyChooseSet(StepError):
 
 STALL = "STALL"
 
-# Resolves a pending control-state site: (site, challenge, post-update
-# view of non-control locations, current control value) -> (value, tag).
-CtlResolver = Callable[[str, int, dict, Value], tuple[Value, str]]
-# A resolver for a whole run: the step index, then a CtlResolver's arguments.
-RunResolver = Callable[[int, str, int, dict, Value], tuple[Value, str]]
+# A staged challenge site: the step index -> (value, tag).
+StagedSite = Callable[[int], tuple[Value, str]]
+# Stages a pending control-state site of a run: (site, challenge,
+# post-update view of non-control locations, current control value) ->
+# its StagedSite.
+CtlResolver = Callable[[str, int, dict, Value], StagedSite]
 CtlEnumerator = Callable[[str, int, dict, Value], list[tuple[Value, str]]]
 
 
@@ -386,14 +387,16 @@ class CompiledProgram:
 
     def step_values(self, values: dict, monitored: dict, pick,
                     ctl_resolver: Optional[CtlResolver] = None,
-                    memo: Optional[dict] = None, key=None
-                    ) -> tuple[dict, list[str], list[str]]:
-        """One step: the new values, the rules that fired and the events.
+                    step_index: int = 0, memo: Optional[dict] = None,
+                    key=None) -> tuple[dict, list[str], list[str]]:
+        """Step ``step_index`` of a run: the new values, the rules that
+        fired and the events.
 
         With ``memo`` (kept by one run of a choose-free program) the whole
         step is looked up under ``key``, the state and input values in a
         fixed location order, and its rule pass fired only on a miss.
-        Challenge sites are resolved on every step, memo or not
+        ``ctl_resolver`` stages each challenge site of a step once, and
+        each staged site resolves at ``step_index``
         (:meth:`_Step.finish`).  The returned dict and lists may be shared
         with other steps of the run and must not be mutated."""
         if memo is None:
@@ -405,18 +408,19 @@ class CompiledProgram:
                 step = memo[key] = _Step(
                     self.ctl_loc, values,
                     *self.fire_rules(values, monitored, pick))
-        return step.finish(self.ctl_loc, ctl_resolver)
+        return step.finish(self.ctl_loc, ctl_resolver, step_index)
 
 
 class _Step:
     """What a rule pass from one state under one input valuation fixes:
     its updates, the first site of each challenge (:func:`_first_sites`),
     the fired rules and the post-update view the sites are resolved on;
+    each site staged, once, by the first resolver to finish the step;
     and, for each tuple of resolved site values, the next state, merged
-    and checked once."""
+    and checked once.  A memo serves one run, so one resolver."""
 
     __slots__ = ("values", "updates", "sites", "fired", "post", "current",
-                 "after")
+                 "staged", "after")
 
     def __init__(self, ctl_loc: Location, values: dict, out: _Out,
                  fired: list[str]):
@@ -424,7 +428,7 @@ class _Step:
         self.updates = out.updates
         self.sites = pending = out.pending
         self.fired = fired
-        self.post = self.current = None
+        self.post = self.current = self.staged = None
         if pending:
             if len(pending) > 1:
                 self.sites = _first_sites(pending)
@@ -433,19 +437,24 @@ class _Step:
             self.current = values[ctl_loc]
         self.after: dict[tuple[Value, ...], dict] = {}
 
-    def finish(self, ctl_loc: Location, ctl_resolver: Optional[CtlResolver]
-               ) -> tuple[dict, list[str], list[str]]:
-        """Resolve the sites and give the step's result."""
+    def finish(self, ctl_loc: Location, ctl_resolver: Optional[CtlResolver],
+               step_index: int) -> tuple[dict, list[str], list[str]]:
+        """Resolve the sites at ``step_index`` and give the step's result."""
         events: list[str] = []
         resolved: tuple[Value, ...] = ()
         if self.sites:
-            if ctl_resolver is None:
-                raise StepError("program has hardware-bound sites but no "
-                                "device is attached")
-            post, current = self.post, self.current
+            staged = self.staged
+            if staged is None:
+                if ctl_resolver is None:
+                    raise StepError("program has hardware-bound sites but "
+                                    "no device is attached")
+                post, current = self.post, self.current
+                staged = self.staged = [
+                    ctl_resolver(site, challenge, post, current)
+                    for site, challenge in self.sites]
             chosen = []
-            for site, challenge in self.sites:
-                value, tag = ctl_resolver(site, challenge, post, current)
+            for site in staged:
+                value, tag = site(step_index)
                 chosen.append(value)
                 events.append(tag)
             resolved = tuple(chosen)
@@ -640,17 +649,19 @@ class Trace:
 
 
 def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
-             ctl_resolver: Optional[RunResolver] = None
+             ctl_resolver: Optional[CtlResolver] = None
              ) -> Iterator[TraceEntry]:
     """Yield the initial snapshot and one entry per step.
 
     The one run loop, for plain and protected programs alike:
-    ``ctl_resolver(k, ...)`` resolves the challenge sites of step ``k``.
-    Looking up a step's inputs in monitored-location order checks them
-    total.  A choose-free program's step is a function of the state, the
-    inputs and what its sites resolve to, so this run memoizes the whole
-    step (:meth:`CompiledProgram.step_values`) and resolves only the
-    sites again.
+    ``ctl_resolver`` stages the challenge sites of a step, and step ``k``
+    calls each staged site with ``k``.  Looking up a step's inputs in
+    monitored-location order checks them total.  A choose-free program's
+    step is a function of the state, the inputs and what its sites
+    resolve to, so this run memoizes the whole step, staged sites
+    included (:meth:`CompiledProgram.step_values`), and calls only the
+    staged sites again; such a program draws nothing, so its steps take
+    no picker.
 
     Yielded state dicts and ``fired`` lists are shared between steps,
     and with the memo: consumers must not mutate them, and need not copy
@@ -663,8 +674,7 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     step_values = cp.step_values
     inputs_key, state_key = cp.inputs_key, cp.state_key
     memo: Optional[dict] = {} if cp.choose_free else None
-    key = None
-    resolver = None
+    key = pick = None
     for k in range(steps):
         monitored = oracle.valuation(program, k)
         try:
@@ -672,26 +682,32 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
         except KeyError:
             _check_total(program, monitored, k)
             raise
-        if memo is not None:
+        if memo is None:
+            pick = rng_picker(seed, k)
+        else:
             key = (state_key(values), inputs)
-        if ctl_resolver is not None:
-            resolver = partial(ctl_resolver, k)
         try:
             values, fired, events = step_values(
-                values, monitored, rng_picker(seed, k), resolver, memo, key)
+                values, monitored, pick, ctl_resolver, k, memo, key)
         except InconsistentUpdate as exc:
             raise StepError(str(exc), k) from exc
         yield TraceEntry(k + 1, values, monitored, fired, events)
 
 
-def run(program: Program, steps: int, oracle: MonitoredOracle,
-        seed: int, ctl_resolver: Optional[RunResolver] = None) -> Trace:
-    """Deterministic multi-step run: equal inputs give equal traces."""
+def collect(steps: int, entries: Iterable[TraceEntry]) -> Trace:
+    """The trace of a run of ``steps`` steps, from its entries, each
+    given its own copies; a negative count is refused."""
     if steps < 0:
         raise CasmError("step count must be non-negative")
     trace = Trace()
-    for entry in iter_run(program, steps, oracle, seed, ctl_resolver):
+    for entry in entries:
         trace.entries.append(TraceEntry(entry.step, dict(entry.state),
                                         dict(entry.monitored),
                                         list(entry.fired), list(entry.events)))
     return trace
+
+
+def run(program: Program, steps: int, oracle: MonitoredOracle,
+        seed: int) -> Trace:
+    """Deterministic multi-step run: equal inputs give equal traces."""
+    return collect(steps, iter_run(program, steps, oracle, seed))

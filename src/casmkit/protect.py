@@ -41,8 +41,8 @@ from .ast import (
     validate_program, State,
 )
 from .interp import (
-    CtlEnumerator, MonitoredOracle, Trace, TraceEntry, compiled, iter_run,
-    location_key, run,
+    CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry, collect,
+    compiled, iter_run, location_key,
     _check_total,  # noqa: F401 -- the traced benchmark run wraps it here
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
@@ -607,46 +607,91 @@ class SiteDecider:
 
     def _safe(self, post: dict) -> tuple[tuple[Value, ...], frozenset]:
         """The encodable states ``condx`` does not mark dangerous in
-        ``post``, in fallback draw order and as a set.  A response is
-        accepted when it decodes into the set: every decoded target is
-        encodable."""
+        ``post``: their first encodings in fallback draw order, and the
+        states as a set.  A response is accepted when it decodes into the
+        set: every decoded target is encodable."""
         key = self._safe_key(post)
         safe = self._safe_memo.get(key)
         if safe is None:
             empty = self._empty
             states = tuple(v for v in self._first_enc
                            if not self._cond_fns[v](post, empty, empty))
-            safe = self._safe_memo[key] = (states, frozenset(states))
+            safe = self._safe_memo[key] = (
+                tuple(self._first_enc[v] for v in states), frozenset(states))
         return safe
 
-    def _fallback(self, safe: tuple[Value, ...], current_ctl: Value,
-                  draw: Callable[[int], int]) -> tuple[Value, str]:
-        if not safe:
-            return current_ctl, SAFE_STALL
-        return self._first_enc[safe[draw(len(safe))]], FALLBACK_TAKEN
+    def _rule(self, response: int, safe: tuple[tuple[Value, ...], frozenset],
+              current_ctl: Value) -> tuple[tuple[Value, ...], str]:
+        """The rule for one response, given :meth:`_safe` of the site's
+        post-update values: the values the site can take and its tag.
+        The response itself when it binds; else the safe encodings, of
+        which a fallback draws one; else the current value, when the
+        site stalls."""
+        fallbacks, accepted = safe
+        if self._decode.get(response) in accepted:
+            return (response,), BOUND_OK
+        if fallbacks:
+            return fallbacks, FALLBACK_TAKEN
+        return (current_ctl,), SAFE_STALL
 
     def decide(self, response: int, post: dict, current_ctl: Value,
                draw: Callable[[int], int]) -> tuple[Value, str]:
         """Resolve one site; ``draw(n)`` picks one of ``n`` safe states
         and is called only when the site falls back."""
-        safe, accepted = self._safe(post)
-        if self._decode.get(response) in accepted:
-            return response, BOUND_OK
-        return self._fallback(safe, current_ctl, draw)
+        values, tag = self._rule(response, self._safe(post), current_ctl)
+        if tag is FALLBACK_TAKEN:
+            return values[draw(len(values))], tag
+        return values[0], tag
+
+    def stage(self, response: int, post: dict, current_ctl: Value,
+              word: Callable[[int], int],
+              flip: Optional[Callable[[int], Optional[int]]] = None
+              ) -> StagedSite:
+        """:meth:`decide` at one site of a step, as a function of the
+        step index, for a device whose stable response is ``response``.
+        That response is decided here, once; ``word(step) % n`` draws a
+        fallback.  On a noisy device ``flip(step)`` gives the response
+        where noise flips it (else ``None``), and :meth:`decide` decides
+        it at that step."""
+        values, tag = self._rule(response, self._safe(post), current_ctl)
+        if tag is FALLBACK_TAKEN:
+            n = len(values)
+
+            def stable(step):
+                return values[word(step) % n], tag
+        else:
+            result = values[0], tag
+
+            def stable(step):
+                return result
+        if flip is None:
+            return stable
+        decide = self.decide
+
+        def noisy(step):
+            flipped = flip(step)
+            if flipped is None:
+                return stable(step)
+            return decide(flipped, post, current_ctl,
+                          lambda n: word(step) % n)
+        return noisy
 
     def outcomes(self, post: dict, current_ctl: Value
                  ) -> list[tuple[Value, str]]:
         """Every result :meth:`decide` can give at this site, over every
         device response and every draw, in first-seen order."""
-        safe, accepted = self._safe(post)
-        fallbacks = [self._fallback(safe, current_ctl, lambda n, i=i: i)
-                     for i in range(max(len(safe), 1))]
+        safe = self._safe(post)
         found: dict[tuple[Value, str], None] = {}
+        others = None
         for response in self._responses:
-            if self._decode.get(response) in accepted:
-                found.setdefault((response, BOUND_OK))
+            values, tag = self._rule(response, safe, current_ctl)
+            if tag is BOUND_OK:
+                found.setdefault((response, tag))
             else:
-                found.update(dict.fromkeys(fallbacks))
+                # every response that does not bind decides alike
+                if others is None:
+                    others = dict.fromkeys([(v, tag) for v in values])
+                found.update(others)
         return list(found)
 
     def device_key(self, device, challenges: tuple[int, ...]
@@ -658,7 +703,7 @@ class SiteDecider:
         if device.noise_rate > 0.0:
             return None
         return tuple(r if r in self._decode else None
-                     for r in map(device.query, challenges))
+                     for r in map(device.stable, challenges))
 
     def enumerator(self, device) -> CtlEnumerator:
         """Site enumerator for the model checker: every outcome, or with a
@@ -674,9 +719,12 @@ class SiteDecider:
 
 class ProtectedRunner:
     """Protected runtime on one device: the run loop of
-    :func:`~casmkit.interp.iter_run` hands each site the device's response
-    at that point of the run, decided by the program's
-    :class:`SiteDecider`.  The device owns its response cache and noise."""
+    :func:`~casmkit.interp.iter_run` stages each site of a step once,
+    and the staged site gives the device's response at each step it runs,
+    decided by the program's :class:`SiteDecider`.  The device stages its
+    stable response and noise coin, and so owns its noise model; the
+    decider stages the rule's answer for the stable response, so a step
+    repeats only its draws."""
 
     def __init__(self, protected: ProtectedProgram, device, seed: int):
         self.protected = protected
@@ -686,23 +734,34 @@ class ProtectedRunner:
         # a fallback draws once from ("fallback", seed, step, site)
         self._fallback_word = first_words("fallback", seed)
 
+    def _stage(self, site: str, challenge: int, post: dict,
+               current_ctl: Value) -> StagedSite:
+        """Stage one site of a step (:data:`~casmkit.interp.CtlResolver`):
+        the device's stable response and noise, decided by the program's
+        :class:`SiteDecider`."""
+        word = self._fallback_word
+        device = self.device
+        return self.decider.stage(
+            device.stable(challenge), post, current_ctl,
+            lambda step: word(step, site),
+            device.flips_at(challenge, self.seed, site))
+
     def _resolver(self, step: int, site: str, challenge: int, post: dict,
                   current_ctl: Value) -> tuple[Value, str]:
-        word = self._fallback_word
-        return self.decider.decide(
-            self.device.query_at(challenge, self.seed, step, site), post,
-            current_ctl, lambda n: word(step, site) % n)
+        """One site at one step of the run: its staged site, called
+        once."""
+        return self._stage(site, challenge, post, current_ctl)(step)
 
     def iter_entries(self, steps: int, oracle: MonitoredOracle
                      ) -> Iterator[TraceEntry]:
         return iter_run(self.protected.program, steps, oracle, self.seed,
-                        self._resolver)
+                        self._stage)
 
 
 def run_protected(protected: ProtectedProgram, device, steps: int,
                   oracle: MonitoredOracle, seed: int) -> Trace:
-    return run(protected.program, steps, oracle, seed,
-               ProtectedRunner(protected, device, seed)._resolver)
+    return collect(steps, ProtectedRunner(protected, device, seed)
+                   .iter_entries(steps, oracle))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .ast import CasmError, Value, format_value
 from .rng import derive_rng, first_words
@@ -74,11 +74,16 @@ class PufDevice:
             + challenge.to_bytes(4, "big")).digest()
         return int.from_bytes(digest[:8], "big") & (self.response_count - 1)
 
-    def query(self, challenge: int, query_rng=None) -> int:
-        """Device response; noisy with probability ``noise_rate``."""
+    def stable(self, challenge: int) -> int:
+        """:meth:`stable_response`, computed once per challenge."""
         stable = self._stable.get(challenge)
         if stable is None:
             stable = self._stable[challenge] = self.stable_response(challenge)
+        return stable
+
+    def query(self, challenge: int, query_rng=None) -> int:
+        """Device response; noisy with probability ``noise_rate``."""
+        stable = self.stable(challenge)
         if self.noise_rate <= 0.0:
             return stable
         if query_rng is None:
@@ -90,25 +95,37 @@ class PufDevice:
             flipped += 1
         return flipped
 
-    def query_at(self, challenge: int, seed: int, step: int, site: str
-                 ) -> int:
-        """Response at a site of a run, as :meth:`query` gives it with the
-        noise stream named after this device and (seed, step, site).  The
+    def flips_at(self, challenge: int, seed: int, site: str
+                 ) -> Optional[Callable[[int], Optional[int]]]:
+        """The noise at a site of a run, staged once per site: ``None``
+        on a noise-free device, else ``flip(step)``.  That gives the
+        response at ``step`` where :meth:`query` with the noise stream
+        named after this device and (seed, step, site) flips it, and
+        ``None`` where that query gives the stable response.  The
         stream's first draw, the noise coin, is taken on its own; the
         stream is derived only when the coin says the response flips."""
         if self.noise_rate <= 0.0:
-            return self.query(challenge)
+            return None
         coin = self._coins.get(seed)
         if coin is None:
             coin = self._coins[seed] = first_words(
                 "pufnoise", self.device_seed, seed)
-        if coin(step, site) / 2.0 ** 64 < self.noise_rate:
-            return self.query(challenge, derive_rng(
-                "pufnoise", self.device_seed, seed, step, site))
-        stable = self._stable.get(challenge)
-        if stable is None:
-            stable = self._stable[challenge] = self.stable_response(challenge)
-        return stable
+        rate = self.noise_rate
+
+        def flip(step: int) -> Optional[int]:
+            if coin(step, site) / 2.0 ** 64 < rate:
+                return self.query(challenge, derive_rng(
+                    "pufnoise", self.device_seed, seed, step, site))
+            return None
+        return flip
+
+    def query_at(self, challenge: int, seed: int, step: int, site: str
+                 ) -> int:
+        """Response at a site of a run: the stable response unless
+        :meth:`flips_at` flips it at ``step``."""
+        flip = self.flips_at(challenge, seed, site)
+        flipped = None if flip is None else flip(step)
+        return self.stable(challenge) if flipped is None else flipped
 
     def _check_challenge(self, challenge: int) -> None:
         if not 0 <= challenge < self.challenge_count:

@@ -58,8 +58,11 @@ def first_words(*prefix) -> Callable[..., int]:
     head = "".join(f"{p!s}|" for p in prefix)
 
     def first_word(part, *rest) -> int:
-        if rest:
-            return _word(
-                f"{head}{part!s}|{'|'.join(map(str, rest))}#0".encode())
-        return _word(f"{head}{part!s}#0".encode())
+        # one and two parts, the draws of a run, skip the join
+        if not rest:
+            return _word(f"{head}{part!s}#0".encode())
+        if len(rest) == 1:
+            return _word(f"{head}{part!s}|{rest[0]!s}#0".encode())
+        return _word(
+            f"{head}{part!s}|{'|'.join(map(str, rest))}#0".encode())
     return first_word

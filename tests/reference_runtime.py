@@ -6,21 +6,22 @@ evaluated term by term, and the clone experiment run trial by trial.
 memoized :class:`casmkit.protect.SiteDecider`, so tests can hold the
 decider and protected runs against it.  ``step`` runs one step of the
 compiled engine from a :class:`~casmkit.ast.State` and checks the inputs
-total first.  ``clone_divergence_report`` runs every clone trial in
-full, with no trial sharing another's run.
+total first.  ``protected_run`` chains such steps, with no memo, and
+decides every site term by term at its step.  ``clone_divergence_report``
+runs every clone trial in full, with no trial sharing another's run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from casmkit.ast import (
     CasmError, InconsistentUpdate, Location, Program, State, Value,
     eval_term, reads_location,
 )
 from casmkit.interp import (
-    CtlResolver, MonitoredOracle, StepError, Trace, _check_total, compiled,
-    rng_picker,
+    CtlResolver, MonitoredOracle, StepError, Trace, TraceEntry, _check_total,
+    compiled, rng_picker,
 )
 from casmkit.protect import (
     BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedProgram, ProtectedRunner,
@@ -46,7 +47,8 @@ def step(program: Program, state: State, monitored: dict[Location, Value],
     cp = compiled(program)
     try:
         values, fired, events = cp.step_values(
-            state.values, monitored, rng_picker(seed, step_index), ctl_resolver)
+            state.values, monitored, rng_picker(seed, step_index),
+            ctl_resolver, step_index)
     except InconsistentUpdate as exc:
         raise StepError(str(exc), step_index) from exc
     return StepResult(State(values=values, monitored=monitored), fired, events)
@@ -87,20 +89,43 @@ def choose_ctl_state(challenge: int, post_values: dict[Location, Value],
     return enrollment.encodings(chosen)[0], FALLBACK_TAKEN
 
 
-def make_ctl_resolver(protected: ProtectedProgram, device, seed: int,
-                      step_index: int):
+def make_ctl_resolver(protected: ProtectedProgram, device, seed: int
+                      ) -> CtlResolver:
+    """A resolver that stages nothing: its staged site decides the site
+    afresh, with :func:`choose_ctl_state` and full named streams, at
+    every step it is called with."""
     enrollment = protected.enrollment
     cond = protected.safe_condition
 
     def resolver(site: str, challenge: int, post: dict,
-                 current_ctl: Value) -> tuple[Value, str]:
-        fallback_rng = derive_rng("fallback", seed, step_index, site)
-        query_rng = derive_rng("pufnoise", device.device_seed, seed,
-                               step_index, site)
-        return choose_ctl_state(challenge, post, current_ctl, device,
-                                enrollment, cond, fallback_rng, query_rng)
+                 current_ctl: Value):
+        def at(step_index: int) -> tuple[Value, str]:
+            fallback_rng = derive_rng("fallback", seed, step_index, site)
+            query_rng = derive_rng("pufnoise", device.device_seed, seed,
+                                   step_index, site)
+            return choose_ctl_state(challenge, post, current_ctl, device,
+                                    enrollment, cond, fallback_rng,
+                                    query_rng)
+        return at
 
     return resolver
+
+
+def protected_run(protected: ProtectedProgram, device, steps: int,
+                  oracle: MonitoredOracle, seed: int
+                  ) -> Iterator[TraceEntry]:
+    """The entries of a protected run, as a chain of unmemoized
+    :func:`step` calls whose sites :func:`make_ctl_resolver` decides."""
+    program = protected.program
+    resolver = make_ctl_resolver(protected, device, seed)
+    state = program.initial_state()
+    yield TraceEntry(0, dict(state.values), {}, [], [])
+    for k in range(steps):
+        monitored = oracle.valuation(program, k)
+        result = step(program, state, monitored, seed, k, resolver)
+        state = result.state
+        yield TraceEntry(k + 1, dict(state.values), dict(monitored),
+                         list(result.fired), list(result.events))
 
 
 def clone_divergence_report(protected: ProtectedProgram,

@@ -444,9 +444,9 @@ class TestProtectPipeline:
             values = protected.program.initial_state().values
             for k in range(120):
                 monitored = oracle.valuation(protected.program, k)
-                resolver = make_ctl_resolver(protected, device, 5, k)
+                resolver = make_ctl_resolver(protected, device, 5)
                 values, _, _ = cp.step_values(values, monitored,
-                                              rng_picker(5, k), resolver)
+                                              rng_picker(5, k), resolver, k)
                 assert values == fast.entries[k + 1].state, (device_seed,
                                                              noise, k)
 

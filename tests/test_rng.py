@@ -1,6 +1,7 @@
 """One-shot draws: ``first_words`` gives the first word of the stream
 ``derive_rng`` names, and the noise coin of ``PufDevice.query_at``
 draws as the full noise stream does."""
+import itertools
 import random
 
 import pytest
@@ -35,6 +36,16 @@ class TestFirstWords:
             assert word / 2 ** 64 == derive_rng(*parts).random(), parts
             n = rnd.choice([1, 2, 3, 7, 1000, rnd.randrange(1, 1 << 32)])
             assert word % n == derive_rng(*parts).randrange(n), (parts, n)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_each_rest_width_hashes_the_stream_label(self, width):
+        # one- and two-part rests take their own formatting path
+        parts = ["main#0", "", "a|b", 7, 0, -12, True, False]
+        for prefix in ((), ("fallback", 5), ("pufnoise", -3, 1 << 40)):
+            word = first_words(*prefix)
+            for rest in itertools.product(parts, repeat=width):
+                assert word(*rest) == \
+                    derive_rng(*prefix, *rest).randrange(1 << 64), rest
 
     def test_a_prefix_serves_many_streams(self):
         word = first_words("fallback", -7)

@@ -70,7 +70,8 @@ def collected(entries):
 
 def stepwise(program, steps, oracle, seed, resolver_at=None):
     """The run as a chain of unmemoized ``step_values`` calls, with the
-    error the run loop would report."""
+    error the run loop would report; step ``k`` stages its sites with
+    ``resolver_at(k)``."""
     cp = compiled(program)
     values = program.initial_state().values
     out = [(0, dict(values), {}, [], [])]
@@ -79,7 +80,7 @@ def stepwise(program, steps, oracle, seed, resolver_at=None):
         resolver = None if resolver_at is None else resolver_at(k)
         try:
             values, fired, events = cp.step_values(
-                values, monitored, rng_picker(seed, k), resolver)
+                values, monitored, rng_picker(seed, k), resolver, k)
         except InconsistentUpdate as exc:
             return out, f"StepError: {StepError(str(exc), k)}"
         except CasmError as exc:
@@ -187,7 +188,7 @@ class Unmemoized:
 def checked_resolver(protected, device, seed, k, fresh, sites):
     """The reference resolver of step ``k``; at each site the program's
     decider, warm, must decide and enumerate as an unmemoized one."""
-    reference = make_ctl_resolver(protected, device, seed, k)
+    reference = make_ctl_resolver(protected, device, seed)
     decider = protected.decider
 
     def resolve(site, challenge, post, current):
