@@ -26,10 +26,10 @@ from weakref import WeakKeyDictionary
 from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
     Ite, Let, Location, Member, Not, Or, And, Par, Program, Rule,
-    Term, Update, Value, Var, check_updates,
+    Sort, Term, Update, Value, Var, check_updates,
     format_location, iter_rules, locations_of_interest, parse_location_key,
 )
-from .rng import derive_rng, first_words
+from .rng import derive_rng, first_picks
 
 
 class StepError(CasmError):
@@ -87,25 +87,23 @@ class ConstantOracle(MonitoredOracle):
 
 @dataclass
 class RandomOracle(MonitoredOracle):
+    """Each input of step ``k`` is one pick over its sort's values, from
+    the stream ``("monitored", seed, k, <its location>)``."""
+
     seed: int
-    # program -> [(location, its name, its sort's values)], one entry for
-    # each program the oracle has served (a comparison steps two in turn)
+    # program -> its inputs' picks (rng.first_picks), one entry for each
+    # program the oracle has served
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def valuation(self, program, step_index):
-        plan = self._plans.get(program)
-        if plan is None:
-            plan = self._plans[program] = [
-                (loc, format_location(loc),
-                 program.function(loc[0]).result.values())
-                for loc in program.monitored_locations()]
-        # each input draws once, from ("monitored", seed, step, its name)
-        word = first_words("monitored", self.seed, step_index)
-        out: dict[Location, Value] = {}
-        for loc, name, values in plan:
-            out[loc] = values[word(name) % len(values)]
-        return out
+        picks = self._plans.get(program)
+        if picks is None:
+            picks = self._plans[program] = first_picks(
+                [(loc, format_location(loc), sort.values())
+                 for loc, sort in compiled(program).input_sorts],
+                "monitored", self.seed)
+        return picks(step_index)
 
 
 @dataclass
@@ -214,6 +212,14 @@ class CompiledProgram:
     @cached_property
     def inputs_key(self) -> Callable[[dict], object]:
         return location_key(self.program.monitored_locations())
+
+    @cached_property
+    def input_sorts(self) -> tuple[tuple[Location, Sort], ...]:
+        """Each monitored location with its sort, in program order: all
+        that an oracle's valuation reads of a program."""
+        program = self.program
+        return tuple((loc, program.function(loc[0]).result)
+                     for loc in program.monitored_locations())
 
     @cached_property
     def interest(self) -> tuple[Location, ...]:
@@ -694,11 +700,16 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
         yield TraceEntry(k + 1, values, monitored, fired, events)
 
 
+def check_step_count(steps: int) -> None:
+    """Refuse a negative step count."""
+    if steps < 0:
+        raise CasmError("step count must be non-negative")
+
+
 def collect(steps: int, entries: Iterable[TraceEntry]) -> Trace:
     """The trace of a run of ``steps`` steps, from its entries, each
     given its own copies; a negative count is refused."""
-    if steps < 0:
-        raise CasmError("step count must be non-negative")
+    check_step_count(steps)
     trace = Trace()
     for entry in entries:
         trace.entries.append(TraceEntry(entry.step, dict(entry.state),

@@ -18,8 +18,8 @@ from .ast import (
     format_location, locations_read, reads_location,
 )
 from .interp import (
-    MonitoredOracle, Trace, compiled, enumerate_step_outcomes, iter_run,
-    monitored_reads, rng_picker,
+    MonitoredOracle, Trace, check_step_count, compiled,
+    enumerate_step_outcomes, iter_run, monitored_reads, rng_picker,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -294,16 +294,45 @@ class TraceComparison:
         return self.verdict == "EQUAL"
 
 
+class _StepInputs(MonitoredOracle):
+    """One valuation per step for runs stepped in lockstep: the first
+    run to ask for step ``k`` draws its inputs for ``program``, and every
+    run gets that dict.  It serves only programs whose
+    :attr:`~casmkit.interp.CompiledProgram.input_sorts` equal
+    ``program``'s, for which the oracle would draw the same inputs."""
+
+    def __init__(self, oracle: MonitoredOracle, program: Program):
+        self._oracle = oracle
+        self._program = program
+        self._step: Optional[int] = None
+        self._inputs: dict[Location, Value] = {}
+
+    def valuation(self, program, step_index):
+        if step_index != self._step:
+            self._inputs = self._oracle.valuation(self._program, step_index)
+            self._step = step_index
+        return self._inputs
+
+
 def compare_target_traces(original: Program, protected: ProtectedProgram,
                           device_seed: int, steps: int,
                           oracle: MonitoredOracle, run_seed: int,
                           noise: float = 0.0) -> TraceComparison:
     """Run both programs under the same environment and compare the
-    original state with the protected state decoded, step by step."""
+    original state with the protected state decoded, step by step.
+
+    When both programs have the same monitored locations and sorts, as
+    every artifact :func:`~casmkit.protect.protect` writes does, each
+    step's inputs are drawn once and given to both runs; otherwise each
+    run draws its own.  A negative step count is refused."""
+    check_step_count(steps)
     enrollment = protected.enrollment
     device = make_device(device_seed, enrollment.challenge_bits,
                          enrollment.response_bits, noise)
     runner = ProtectedRunner(protected, device, run_seed)
+    if compiled(original).input_sorts == \
+            compiled(protected.program).input_sorts:
+        oracle = _StepInputs(oracle, original)
     fallbacks = 0
     orig_iter = iter_run(original, steps, oracle, run_seed)
     prot_iter = runner.iter_entries(steps, oracle)
@@ -369,8 +398,9 @@ def clone_divergence_report(protected: ProtectedProgram,
     trial draws the same fallbacks and inputs, so these trials step
     alike.  The shared run's counts and first divergence are added once
     per trial, in seed order, as if each trial had run; a trial on a
-    noisy device always runs.
+    noisy device always runs.  A negative step count is refused.
     """
+    check_step_count(steps)
     enrollment = protected.enrollment
     ctl_loc = (enrollment.ctl_name, ())
     original_ctl = [e.state[ctl_loc] for e in original_trace.entries]

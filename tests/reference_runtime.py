@@ -9,19 +9,22 @@ compiled engine from a :class:`~casmkit.ast.State` and checks the inputs
 total first.  ``protected_run`` chains such steps, with no memo, and
 decides every site term by term at its step.  ``clone_divergence_report``
 runs every clone trial in full, with no trial sharing another's run.
+``random_valuation`` draws a random oracle's inputs from full named
+streams, and ``compare_target_traces`` gives each of its two runs an
+oracle of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from casmkit.ast import (
     CasmError, InconsistentUpdate, Location, Program, State, Value,
-    eval_term, reads_location,
+    eval_term, format_location, reads_location,
 )
 from casmkit.interp import (
     CtlResolver, MonitoredOracle, StepError, Trace, TraceEntry, _check_total,
-    compiled, rng_picker,
+    compiled, iter_run, rng_picker,
 )
 from casmkit.protect import (
     BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedProgram, ProtectedRunner,
@@ -29,7 +32,7 @@ from casmkit.protect import (
 )
 from casmkit.puf import Enrollment, make_device
 from casmkit.rng import derive_rng
-from casmkit.verify import DivergenceReport
+from casmkit.verify import DivergenceReport, TraceComparison
 
 
 @dataclass
@@ -126,6 +129,45 @@ def protected_run(protected: ProtectedProgram, device, steps: int,
         state = result.state
         yield TraceEntry(k + 1, dict(state.values), dict(monitored),
                          list(result.fired), list(result.events))
+
+
+def random_valuation(program: Program, seed: int, step_index: int
+                     ) -> dict[Location, Value]:
+    """The inputs a :class:`~casmkit.interp.RandomOracle` with ``seed``
+    gives at ``step_index``: each location's first pick over its sort's
+    values, from its full stream ``("monitored", seed, step, location)``."""
+    out: dict[Location, Value] = {}
+    for loc in program.monitored_locations():
+        values = program.function(loc[0]).result.values()
+        rng = derive_rng("monitored", seed, step_index, format_location(loc))
+        out[loc] = values[rng.randrange(len(values))]
+    return out
+
+
+def compare_target_traces(original: Program, protected: ProtectedProgram,
+                          device_seed: int, steps: int,
+                          make_oracle: Callable[[], MonitoredOracle],
+                          run_seed: int, noise: float = 0.0
+                          ) -> TraceComparison:
+    """:func:`casmkit.verify.compare_target_traces` with each run asking
+    an oracle of its own, from ``make_oracle``, for every step's
+    inputs."""
+    enrollment = protected.enrollment
+    device = make_device(device_seed, enrollment.challenge_bits,
+                         enrollment.response_bits, noise)
+    runner = ProtectedRunner(protected, device, run_seed)
+    fallbacks = 0
+    order = sorted(original.initial_state().values, key=str)
+    for orig_entry, prot_entry in zip(
+            iter_run(original, steps, make_oracle(), run_seed),
+            runner.iter_entries(steps, make_oracle())):
+        fallbacks += prot_entry.events.count(FALLBACK_TAKEN)
+        decoded = protected.decoded_values(prot_entry.state)
+        for loc in order:
+            if decoded.get(loc) != orig_entry.state.get(loc):
+                return TraceComparison("MISMATCH", orig_entry.step,
+                                       format_location(loc), fallbacks)
+    return TraceComparison("EQUAL", None, None, fallbacks)
 
 
 def clone_divergence_report(protected: ProtectedProgram,

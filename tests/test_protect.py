@@ -391,7 +391,9 @@ class TestProtectPipeline:
     def test_comparison_lists_each_programs_inputs_once(
             self, traffic, protected_traffic, monkeypatch):
         """The plain and the protected run step in turn under one random
-        oracle, which lists each program's monitored locations once."""
+        oracle.  Both programs have the same inputs, so each step's
+        inputs are drawn once, for the plain program, and neither
+        program's monitored locations are listed again at each step."""
         protected = protected_traffic[0]
         compare_target_traces(traffic, protected, 42, 1, RandomOracle(3), 1)
         listed = Counter()
