@@ -843,8 +843,16 @@ def load_protected(directory: str) -> ProtectedProgram:
         raise CasmError(f"{casm_path} is not a protected artifact")
     enrollment = Enrollment.from_json(_read_artifact(enr_path))
     program = result.program
+    if enrollment.ctl_name != program.ctl_name:
+        raise CasmError(
+            f"{enr_path} has ctlFunction {enrollment.ctl_name}, but "
+            f"{casm_path} protects {program.ctl_name}")
     _check_response_width(program, enrollment, enr_path)
     plain_sort = program.sort(result.extras.plain_sort)
+    if enrollment.init_state not in plain_sort.values():
+        raise CasmError(
+            f"{enr_path} has initState {format_value(enrollment.init_state)}"
+            f", outside the plain sort {plain_sort.name}")
     enc = result.extras.enc_map()
     for state, responses in enc.items():
         if tuple(enrollment.encodings(state)) != tuple(responses):

@@ -119,14 +119,6 @@ class PufDevice:
             return None
         return flip
 
-    def query_at(self, challenge: int, seed: int, step: int, site: str
-                 ) -> int:
-        """Response at a site of a run: the stable response unless
-        :meth:`flips_at` flips it at ``step``."""
-        flip = self.flips_at(challenge, seed, site)
-        flipped = None if flip is None else flip(step)
-        return self.stable(challenge) if flipped is None else flipped
-
     def _check_challenge(self, challenge: int) -> None:
         if not 0 <= challenge < self.challenge_count:
             raise PufParameterError(

@@ -6,9 +6,9 @@ rules.  Each feasible combination yields a path condition and a symbolic
 successor map; infeasible combinations are pruned by ``satisfiable``, a
 backtracking search that assigns the finite-sorted leaves one at a time
 and cuts a branch off as soon as the partial assignment decides the
-formula.  Enumerating every valuation serves as a complete equivalence
-oracle: when ``ORACLE_CHECK`` is on (the test suite turns it on), every
-simplification and every feasibility answer is checked against it.
+formula.  The test suite checks every simplification, feasibility
+answer and symbol elimination against a brute-force enumeration of every
+valuation (``tests/reference_symexec.py``).
 
 Simplification and feasibility keep their work in a
 :class:`FormulaCache`; inside an :func:`analysis` block (``protect``
@@ -22,7 +22,6 @@ over all values of the argument sort, one ground location per value.
 from __future__ import annotations
 
 import itertools
-import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -34,15 +33,11 @@ from .ast import (
     Update, Value, Var, and_all, cached_hash, canonical_values, children,
     location_term, locations_of_interest, or_all,
 )
-from .ast import term_size  # noqa: F401 -- tests import it from here
 
 DOMAIN_CAP = 1 << 24
 
-# When on, every simplification result and every feasibility answer is
-# re-verified against the enumeration oracle (skipped above _ORACLE_SKIP
-# combined domain size).
+# Read only by benchmarks/run.py, which refuses to run with it on.
 ORACLE_CHECK = False
-_ORACLE_SKIP = 1 << 16
 
 
 class DomainTooLarge(CasmError):
@@ -216,7 +211,7 @@ class FormulaCache:
         argument;
       * the node count of a term (``term_size``), for the simplifier's
         size guard;
-      * the leaves of a term in first-occurrence order (``free_leaves``);
+      * the leaves of a term in first-occurrence order (``leaves``);
       * the three-valued closure of a term (``_partial``).  Closures read
         one slot per leaf, numbered in the order the cache first met the
         leaves rather than per query, so a query compiles only the
@@ -275,8 +270,6 @@ class FormulaCache:
             out = nxt
         if self.size(out) > self.size(f):
             out = f
-        if ORACLE_CHECK:
-            _oracle_check(f, out, program)
         return out
 
     def satisfiable(self, f: Term, program: Optional[Program] = None,
@@ -293,13 +286,7 @@ class FormulaCache:
         for i in order:
             slots[i] = None
         root = _partial(f, slot_of, slots, self._closures)
-        answer = _search(root, slots, order, domains, 0)
-        if ORACLE_CHECK and math.prod(map(len, domains)) <= _ORACLE_SKIP:
-            brute = not equivalent_on_finite_domains(f, FALSE, program)[0]
-            if brute != answer:
-                raise CasmError(f"pruned search says satisfiable={answer} "
-                                "against the enumeration oracle")
-        return answer
+        return _search(root, slots, order, domains, 0)
 
 
 _ACTIVE: ContextVar[Optional[FormulaCache]] = ContextVar(
@@ -323,7 +310,7 @@ def analysis() -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration oracle
+# Leaf domains
 # ---------------------------------------------------------------------------
 
 def _leaf_sort(leaf: Term, program: Optional[Program]) -> Sort:
@@ -335,37 +322,6 @@ def _leaf_sort(leaf: Term, program: Optional[Program]) -> Sort:
                 f"need the program signature to type location {leaf.fn}")
         return program.function(leaf.fn).result
     raise CasmError(f"not a leaf: {type(leaf).__name__}")
-
-
-def free_leaves(*terms: Term) -> list[Term]:
-    """Symbols and ground locations, in first-occurrence order."""
-    cache = _cache()
-    return list(dict.fromkeys(leaf for t in terms
-                              for leaf in cache.leaves(t)))
-
-
-def eval_fd(term: Term, valuation: dict[Term, Value]) -> Value:
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, (SymRef, App)):
-        return valuation[term]
-    if isinstance(term, Not):
-        return not eval_fd(term.operand, valuation)
-    if isinstance(term, And):
-        return bool(eval_fd(term.left, valuation)
-                    and eval_fd(term.right, valuation))
-    if isinstance(term, Or):
-        return bool(eval_fd(term.left, valuation)
-                    or eval_fd(term.right, valuation))
-    if isinstance(term, Eq):
-        return eval_fd(term.left, valuation) == eval_fd(term.right, valuation)
-    if isinstance(term, Member):
-        return eval_fd(term.item, valuation) in term.values
-    if isinstance(term, Ite):
-        if eval_fd(term.cond, valuation):
-            return eval_fd(term.then, valuation)
-        return eval_fd(term.other, valuation)
-    raise CasmError(f"cannot evaluate {type(term).__name__}")
 
 
 def _domains(leaves: list[Term], program: Optional[Program],
@@ -382,29 +338,6 @@ def _domains(leaves: list[Term], program: Optional[Program],
     return domains
 
 
-def _valuations(leaves: list[Term], program: Optional[Program],
-                cap: int = DOMAIN_CAP):
-    domains = _domains(leaves, program, cap)
-    for combo in itertools.product(*domains):
-        yield dict(zip(leaves, combo))
-
-
-def equivalent_on_finite_domains(
-        f: Term, g: Term, program: Optional[Program] = None,
-        assume: Optional[Term] = None,
-        cap: int = DOMAIN_CAP) -> tuple[bool, Optional[dict[Term, Value]]]:
-    """Complete equivalence check by exhaustive valuation; on failure the
-    witness valuation is returned."""
-    extra = (assume,) if assume is not None else ()
-    leaves = free_leaves(f, g, *extra)
-    for valuation in _valuations(leaves, program, cap):
-        if assume is not None and not eval_fd(assume, valuation):
-            continue
-        if eval_fd(f, valuation) != eval_fd(g, valuation):
-            return False, valuation
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # Feasibility
 # ---------------------------------------------------------------------------
@@ -413,7 +346,7 @@ def satisfiable(f: Term, program: Optional[Program] = None,
                 cap: int = DOMAIN_CAP) -> bool:
     """Whether some valuation of the leaves makes ``f`` true.
 
-    Assigns the leaves one at a time in ``free_leaves`` order and
+    Assigns the leaves one at a time in first-occurrence order and
     evaluates ``f`` three-valued after each assignment, so a branch ends
     as soon as the partial assignment decides the formula.  The
     evaluation is compiled once per distinct subterm and analysis (see
@@ -439,11 +372,12 @@ def _search(root, slots: list, order: list[int], domains: list,
 
 def _partial(term: Term, index: dict[Term, int], slots: list,
              memo: Optional[dict[Term, Callable]] = None):
-    """Closure evaluating ``term`` like ``eval_fd`` over the leaf values
-    in ``slots`` (leaf ``l`` in ``slots[index[l]]``); it returns ``None``
-    while the unassigned leaves (slots holding ``None``) can still change
-    the result.  ``memo`` keeps the closure of each subterm built over
-    the same ``index`` and ``slots``."""
+    """Closure evaluating ``term`` over the leaf values in ``slots`` (leaf
+    ``l`` in ``slots[index[l]]``), as ``eval_fd`` in
+    ``tests/reference_symexec.py`` does over a full valuation; it returns
+    ``None`` while the unassigned leaves (slots holding ``None``) can
+    still change the result.  ``memo`` keeps the closure of each subterm
+    built over the same ``index`` and ``slots``."""
     if memo is None:
         memo = {}
     fn = memo.get(term)
@@ -640,17 +574,6 @@ def simplify_formula(f: Term, program: Optional[Program] = None) -> Term:
     already seen.  Outside an analysis the cache is the call's own.
     """
     return _cache().simplify(f, program)
-
-
-def _oracle_check(f: Term, g: Term, program: Optional[Program]) -> None:
-    try:
-        ok, witness = equivalent_on_finite_domains(f, g, program,
-                                                   cap=_ORACLE_SKIP)
-    except CasmError:
-        return  # placeholder variables or untypable leaves: not checkable
-    if not ok:
-        raise CasmError(
-            f"simplification changed meaning under {witness!r}")
 
 
 def _flatten(term: Term, cls) -> list[Term]:
@@ -1160,12 +1083,7 @@ def merge_successors(paths: list[PathedSymState]) -> list[PathedSymState]:
 
 def elim_symbol(f: Term, symbol: Symbol,
                 program: Optional[Program] = None) -> Term:
-    out = simplify_formula(_elim(f, symbol, {}), program)
-    if ORACLE_CHECK:
-        witnessed = or_all([subst_symbol(f, symbol, Const(v))
-                            for v in symbol.sort.values()])
-        _oracle_check(witnessed, out, program)
-    return out
+    return simplify_formula(_elim(f, symbol, {}), program)
 
 
 def _elim(f: Term, symbol: Symbol, mentions: dict[Term, bool]) -> Term:

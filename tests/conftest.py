@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import settings
 
-from casmkit import symexec
 from casmkit.parser import parse_or_raise
 from casmkit.programs import traffic_light_source
+
+import reference_symexec
 
 settings.register_profile("suite", derandomize=True, max_examples=60,
                           deadline=None)
@@ -11,13 +12,10 @@ settings.load_profile("suite")
 
 
 @pytest.fixture(autouse=True)
-def oracle_checked_simplification():
-    """Every simplification in a test build is re-verified against the
-    enumeration oracle."""
-    previous = symexec.ORACLE_CHECK
-    symexec.ORACLE_CHECK = True
-    yield
-    symexec.ORACLE_CHECK = previous
+def oracle_checks(monkeypatch):
+    """Every simplification, feasibility answer and symbol elimination in
+    a test is re-verified against the enumeration oracle."""
+    reference_symexec.install_checks(monkeypatch)
 
 
 @pytest.fixture(scope="session")

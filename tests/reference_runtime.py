@@ -9,6 +9,7 @@ compiled engine from a :class:`~casmkit.ast.State` and checks the inputs
 total first.  ``protected_run`` chains such steps, with no memo, and
 decides every site term by term at its step.  ``clone_divergence_report``
 runs every clone trial in full, with no trial sharing another's run.
+``query_at`` gives a device's response at one site and step of a run.
 ``random_valuation`` draws a random oracle's inputs from full named
 streams, and ``compare_target_traces`` gives each of its two runs an
 oracle of its own.
@@ -112,6 +113,15 @@ def make_ctl_resolver(protected: ProtectedProgram, device, seed: int
         return at
 
     return resolver
+
+
+def query_at(device, challenge: int, seed: int, step_index: int,
+             site: str) -> int:
+    """The device's response at a site of a run: the stable response
+    unless ``device.flips_at`` flips it at ``step_index``."""
+    flip = device.flips_at(challenge, seed, site)
+    flipped = None if flip is None else flip(step_index)
+    return device.stable(challenge) if flipped is None else flipped
 
 
 def protected_run(protected: ProtectedProgram, device, steps: int,

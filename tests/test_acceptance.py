@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from casmkit.ast import (
     And, App, Const, Eq, Ite, Member, Not, Or, State, Var, eval_term,
-    validate_program,
+    term_size, validate_program,
 )
 from casmkit.cli import main as cli_main
 from casmkit.interp import ConstantOracle, RandomOracle, ScriptedOracle, run
@@ -23,9 +23,8 @@ from casmkit.protect import derive_safe_condition, protect
 from casmkit.puf import make_device
 from casmkit.rng import derive_rng
 from casmkit.symexec import (
-    SymInit, elim_symbol, equivalent_on_finite_domains, eval_fd,
-    free_symbols_in, merge_successors, simplify_formula, subst_term,
-    symbolic_step, term_size,
+    SymInit, elim_symbol, free_symbols_in, merge_successors,
+    simplify_formula, subst_term, symbolic_step,
 )
 from casmkit.verify import (
     clone_divergence_report, compare_target_traces, exhaustive_safety_check,
@@ -33,6 +32,7 @@ from casmkit.verify import (
 )
 
 from fuzzing import formula_symbols, random_formula, random_program
+from reference_symexec import equivalent_on_finite_domains, eval_fd
 
 PHASE = ("phase", ())
 PHASES = ("Stop1Stop2", "Go1Stop2", "Stop2Stop1", "Go2Stop1")

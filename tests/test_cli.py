@@ -275,6 +275,16 @@ def _truncated(raw):
     return json.dumps(raw)[:-10]
 
 
+def _other_ctl_function(raw):
+    raw["ctlFunction"] = "Passed"
+    return json.dumps(raw)
+
+
+def _init_state_outside_plain_sort(raw):
+    raw["initState"] = "Bogus"
+    return json.dumps(raw)
+
+
 class TestBadInputs:
     """Malformed artifacts and input specs end in exit code 2 with a
     one-line diagnostic, never a traceback."""
@@ -284,7 +294,9 @@ class TestBadInputs:
         (_string_challenge, "challenge"),
         (_duplicate_response, "reused"),
         (_response_is_init_token, "reused"),
-        (_truncated, "malformed")])
+        (_truncated, "malformed"),
+        (_other_ctl_function, "ctlFunction Passed"),
+        (_init_state_outside_plain_sort, "initState Bogus")])
     def test_corrupt_enrollment(self, workspace, corrupt, names):
         invoke("protect", "traffic.casm", "--device-seed", "42",
                "--challenge-bits", "16", "--response-bits", "16",

@@ -10,12 +10,12 @@ import casmkit.symexec as csymexec
 from casmkit.ast import BOOL, FALSE, And, CasmError, Or
 from casmkit.parser import parse_or_raise
 from casmkit.protect import compute_transition_set, derive_safe_condition
-from casmkit.symexec import (
-    Symbol, SymRef, _partial, equivalent_on_finite_domains, eval_fd,
-    free_leaves, satisfiable,
-)
+from casmkit.symexec import Symbol, SymRef, _partial, satisfiable
 
 from fuzzing import mixed_formula, random_program
+from reference_symexec import (
+    equivalent_on_finite_domains, eval_fd, free_leaves, remove_checks,
+)
 from rings import ring_source
 
 
@@ -75,7 +75,8 @@ def test_domain_cap_still_raises():
 def recorded_queries(monkeypatch):
     """Every feasibility query made by symbolic execution and by the
     transition-set split, checked against enumeration as it is made.
-    The built-in oracle checks are off: this check replaces them."""
+    The installed oracle checks are off: this check replaces them."""
+    remove_checks(monkeypatch)
     queries = []
 
     def checked(f, program=None, cap=csymexec.DOMAIN_CAP):
@@ -84,7 +85,6 @@ def recorded_queries(monkeypatch):
         queries.append(answer)
         return answer
 
-    monkeypatch.setattr(csymexec, "ORACLE_CHECK", False)
     monkeypatch.setattr(csymexec, "satisfiable", checked)
     return queries
 

@@ -18,6 +18,7 @@ from casmkit.puf import make_device
 from casmkit.symexec import FormulaCache, Symbol, SymRef, simplify_formula
 
 from fuzzing import random_program
+from reference_symexec import remove_checks
 from rings import ring_source
 
 
@@ -47,7 +48,7 @@ class TestNotCarriedOver:
     @pytest.fixture(autouse=True)
     def no_oracle(self, monkeypatch):
         # the enumeration oracle has no bearing on what a cache keeps
-        monkeypatch.setattr(csymexec, "ORACLE_CHECK", False)
+        remove_checks(monkeypatch)
 
     @pytest.fixture()
     def node_evaluations(self, monkeypatch):
@@ -106,8 +107,9 @@ class TestNotCarriedOver:
 @pytest.fixture()
 def checked_against_fresh(monkeypatch):
     """Every cached simplification and feasibility answer, checked as it
-    is made against a call with a fresh cache of its own.  The built-in
+    is made against a call with a fresh cache of its own.  The installed
     oracle checks are off: this check replaces them."""
+    remove_checks(monkeypatch)
     simplify, satisfiable = FormulaCache.simplify, FormulaCache.satisfiable
     caches = []
 
@@ -123,7 +125,6 @@ def checked_against_fresh(monkeypatch):
         caches.append(self)
         return answer
 
-    monkeypatch.setattr(csymexec, "ORACLE_CHECK", False)
     monkeypatch.setattr(FormulaCache, "simplify", checked_simplify)
     monkeypatch.setattr(FormulaCache, "satisfiable", checked_satisfiable)
     return caches

@@ -1,5 +1,5 @@
 """One-shot draws: ``first_words`` gives the first word of the stream
-``derive_rng`` names, and the noise coin of ``PufDevice.query_at``
+``derive_rng`` names, and the noise coin of ``PufDevice.flips_at``
 draws as the full noise stream does."""
 import itertools
 import random
@@ -8,6 +8,8 @@ import pytest
 
 from casmkit.puf import make_device
 from casmkit.rng import derive_rng, first_words
+
+from reference_runtime import query_at
 
 
 def random_part(rnd):
@@ -76,7 +78,7 @@ class TestQueryAt:
                 seed = rnd.choice([0, 5, -1, 1 << 40])
                 step = rnd.randrange(10_000)
                 site = rnd.choice(["main#0", "lane|1#2", "r#1000"])
-                got = device.query_at(challenge, seed, step, site)
+                got = query_at(device, challenge, seed, step, site)
                 expected = device.query(challenge, derive_rng(
                     "pufnoise", device_seed, seed, step, site))
                 assert got == expected, (device_seed, seed, step, site)

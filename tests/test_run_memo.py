@@ -21,7 +21,7 @@ from casmkit.puf import make_device
 from casmkit.verify import compare_target_traces
 
 from fuzzing import random_program
-from reference_runtime import make_ctl_resolver
+from reference_runtime import make_ctl_resolver, query_at
 from rings import ring_source
 
 FUZZ_SEED = 4242
@@ -192,7 +192,7 @@ def checked_resolver(protected, device, seed, k, fresh, sites):
     decider = protected.decider
 
     def resolve(site, challenge, post, current):
-        response = device.query_at(challenge, seed, k, site)
+        response = query_at(device, challenge, seed, k, site)
         for i in range(3):
             def draw(n, i=i):
                 return i % n

@@ -9,12 +9,13 @@ from casmkit.ast import (
 )
 from casmkit.symexec import (
     DomainTooLarge, SymInit, SymRef, Symbol, UnhousedSymbol, elim_symbol,
-    equivalent_on_finite_domains, eval_fd, free_symbols_in, merge_successors,
-    simplify_formula, substitute_initial_terms, symbolic_step,
+    free_symbols_in, merge_successors, simplify_formula,
+    substitute_initial_terms, symbolic_step,
 )
 
 from fuzzing import formula_symbols, random_formula
 from reference_runtime import step
+from reference_symexec import equivalent_on_finite_domains, eval_fd
 
 PHASE = ("phase", ())
 PHASES = ("Stop1Stop2", "Go1Stop2", "Stop2Stop1", "Go2Stop1")
