@@ -303,33 +303,45 @@ def or_all(terms: Iterable[Term]) -> Term:
 
 def term_size(term: Term) -> int:
     """Node count; Member counts as a single node."""
-    if isinstance(term, (Const, Var, Member)) and not isinstance(term, App):
-        if isinstance(term, Member):
-            return 1 + term_size(term.item)
-        return 1
-    if isinstance(term, App):
-        return 1 + sum(term_size(a) for a in term.args)
-    if isinstance(term, Not):
-        return 1 + term_size(term.operand)
-    if isinstance(term, (And, Or, Eq)):
-        return 1 + term_size(term.left) + term_size(term.right)
-    if isinstance(term, Ite):
-        return 1 + term_size(term.cond) + term_size(term.then) + term_size(term.other)
-    return 1
+    return 1 + sum(map(term_size, children(term)))
+
+
+# Dispatch is on the exact node type; a kind missing here is a leaf.
+_CHILDREN = {
+    App: lambda t: t.args,
+    Not: lambda t: (t.operand,),
+    And: lambda t: (t.left, t.right),
+    Or: lambda t: (t.left, t.right),
+    Eq: lambda t: (t.left, t.right),
+    Member: lambda t: (t.item,),
+    Ite: lambda t: (t.cond, t.then, t.other),
+}
+
+_REBUILD = {
+    App: lambda t, k: App(t.fn, tuple(k)),
+    Not: lambda t, k: Not(k[0]),
+    And: lambda t, k: And(k[0], k[1]),
+    Or: lambda t, k: Or(k[0], k[1]),
+    Eq: lambda t, k: Eq(k[0], k[1]),
+    Member: lambda t, k: Member(k[0], t.values),
+    Ite: lambda t, k: Ite(k[0], k[1], k[2]),
+}
 
 
 def children(term: Term) -> tuple[Term, ...]:
-    if isinstance(term, App):
-        return term.args
-    if isinstance(term, Not):
-        return (term.operand,)
-    if isinstance(term, (And, Or, Eq)):
-        return (term.left, term.right)
-    if isinstance(term, Member):
-        return (term.item,)
-    if isinstance(term, Ite):
-        return (term.cond, term.then, term.other)
-    return ()
+    """The node's direct subterms in field order, ``()`` for a leaf.  With
+    :func:`rebuild`, the one place that knows a node's children: a term
+    walker maps these and rebuilds instead of listing node kinds."""
+    get = _CHILDREN.get(type(term))
+    return () if get is None else get(term)
+
+
+def rebuild(term: Term, kids) -> Term:
+    """``term`` with its children replaced by ``kids``, given in
+    :func:`children` order; a leaf comes back as it is.  With
+    :func:`children`, the one place that knows a node's children."""
+    make = _REBUILD.get(type(term))
+    return term if make is None else make(term, kids)
 
 
 def reads_location(term: Term, loc: Location) -> bool:

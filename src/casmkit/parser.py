@@ -37,7 +37,8 @@ from typing import Optional
 from .ast import (
     BOOL, And, App, Call, Choose, ChooseCtl, Cond, Const, Eq, FunctionDecl,
     Ite, Let, Member, NamedRule, Not, Or, Par, Program, Rule, SetExpr, Sort,
-    Term, Update, Value, Var, format_value, make_init, validate_program,
+    Term, Update, Value, Var, children, format_value, make_init, rebuild,
+    validate_program,
 )
 
 KEYWORDS = {
@@ -651,28 +652,13 @@ class _Resolver:
                 "error", "E-UNKNOWN-LITERAL",
                 f"unknown literal or identifier {node.name}", span))
             raise _SyntaxAbort()
-        if isinstance(node, App):
-            if node.fn not in self.p.fn_names:
-                span = self.p.spans.get(id(node), SourceSpan(1, 1))
-                self.diags.append(Diagnostic(
-                    "error", "E-UNKNOWN-IDENT",
-                    f"unknown function {node.fn}", span))
-                raise _SyntaxAbort()
-            return App(node.fn, tuple(self.term(a, scope) for a in node.args))
-        if isinstance(node, Not):
-            return Not(self.term(node.operand, scope))
-        if isinstance(node, And):
-            return And(self.term(node.left, scope), self.term(node.right, scope))
-        if isinstance(node, Or):
-            return Or(self.term(node.left, scope), self.term(node.right, scope))
-        if isinstance(node, Eq):
-            return Eq(self.term(node.left, scope), self.term(node.right, scope))
-        if isinstance(node, Member):
-            return Member(self.term(node.item, scope), node.values)
-        if isinstance(node, Ite):
-            return Ite(self.term(node.cond, scope), self.term(node.then, scope),
-                       self.term(node.other, scope))
-        return node
+        if isinstance(node, App) and node.fn not in self.p.fn_names:
+            span = self.p.spans.get(id(node), SourceSpan(1, 1))
+            self.diags.append(Diagnostic(
+                "error", "E-UNKNOWN-IDENT",
+                f"unknown function {node.fn}", span))
+            raise _SyntaxAbort()
+        return rebuild(node, [self.term(c, scope) for c in children(node)])
 
     def rule(self, node: Rule, scope: frozenset) -> Rule:
         if isinstance(node, Update):
@@ -886,7 +872,6 @@ def _fmt(term: Term) -> tuple[str, int]:
 
 
 def _mentions_member(term: Term) -> bool:
-    from .ast import children
     if isinstance(term, Member):
         return True
     return any(_mentions_member(c) for c in children(term))

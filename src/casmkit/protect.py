@@ -33,12 +33,12 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from .ast import (
-    And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
-    FunctionDecl, Ite, Let, Location, Member, NamedRule, Not, Or, Par,
+    App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
+    FunctionDecl, Ite, Let, Location, Member, NamedRule, Par,
     Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
-    eval_term, format_value, free_vars, iter_rules,
+    children, eval_term, format_value, free_vars, iter_rules,
     location_term, locations_read, make_init, or_all, reads_location,
-    validate_program, State,
+    rebuild, validate_program, State,
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry, collect,
@@ -387,24 +387,12 @@ def rewrite_program(program: Program, tset: TransitionSet,
             for a, b in ((term.left, term.right), (term.right, term.left)):
                 if a == ctl_term and isinstance(b, Const):
                     return Member(ctl_term, enc_plus_init(b.value))
-            return Eq(rw_term(term.left), rw_term(term.right))
         if isinstance(term, Member) and term.item == ctl_term:
             return Member(ctl_term, tuple(
                 r for v in term.values for r in enc_plus_init(v)))
         if term == ctl_term:
             return decode_cascade()
-        if isinstance(term, App):
-            return App(term.fn, tuple(rw_term(a) for a in term.args))
-        if isinstance(term, Not):
-            return Not(rw_term(term.operand))
-        if isinstance(term, And):
-            return And(rw_term(term.left), rw_term(term.right))
-        if isinstance(term, Or):
-            return Or(rw_term(term.left), rw_term(term.right))
-        if isinstance(term, Ite):
-            return Ite(rw_term(term.cond), rw_term(term.then),
-                       rw_term(term.other))
-        return term
+        return rebuild(term, [rw_term(c) for c in children(term)])
 
     writes_ctl: dict[str, bool] = {}
 
@@ -853,6 +841,11 @@ def load_protected(directory: str) -> ProtectedProgram:
         raise CasmError(
             f"{enr_path} has initState {format_value(enrollment.init_state)}"
             f", outside the plain sort {plain_sort.name}")
+    for t in enrollment.transitions:
+        if t.source not in plain_sort.values():
+            raise CasmError(
+                f"{enr_path} has a transition from {format_value(t.source)}"
+                f", outside the plain sort {plain_sort.name}")
     enc = result.extras.enc_map()
     for state, responses in enc.items():
         if tuple(enrollment.encodings(state)) != tuple(responses):

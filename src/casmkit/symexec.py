@@ -31,7 +31,7 @@ from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, FALSE, Ite,
     Let, Location, Member, Not, Or, Par, Program, Sort, TRUE, Term,
     Update, Value, Var, and_all, cached_hash, canonical_values, children,
-    location_term, locations_of_interest, or_all,
+    location_term, locations_of_interest, or_all, rebuild,
 )
 
 DOMAIN_CAP = 1 << 24
@@ -173,20 +173,10 @@ class SymInit:
                 return sym_val[loc]
             if isinstance(term, Const):
                 return term
-            if isinstance(term, Not):
-                return Not(translate(term.operand))
-            if isinstance(term, And):
-                return And(translate(term.left), translate(term.right))
-            if isinstance(term, Or):
-                return Or(translate(term.left), translate(term.right))
-            if isinstance(term, Eq):
-                return Eq(translate(term.left), translate(term.right))
-            if isinstance(term, Member):
-                return Member(translate(term.item), term.values)
-            if isinstance(term, Ite):
-                return Ite(translate(term.cond), translate(term.then),
-                           translate(term.other))
-            raise CasmError("unsupported construct in initial constraint")
+            kids = children(term)
+            if not kids:
+                raise CasmError("unsupported construct in initial constraint")
+            return rebuild(term, [translate(c) for c in kids])
 
         for loc in order:
             sym_val[loc] = translate(constrained[loc])
@@ -520,6 +510,23 @@ def s_ite(c: Term, t: Term, o: Term) -> Term:
     return Ite(c, t, o)
 
 
+_S_REBUILD = {
+    Not: lambda t, k: s_not(k[0]),
+    And: lambda t, k: s_and(k[0], k[1]),
+    Or: lambda t, k: s_or(k[0], k[1]),
+    Eq: lambda t, k: s_eq(k[0], k[1]),
+    Member: lambda t, k: s_member(k[0], t.values),
+    Ite: lambda t, k: s_ite(k[0], k[1], k[2]),
+}
+
+
+def s_rebuild(term: Term, kids) -> Term:
+    """:func:`~casmkit.ast.rebuild` through the smart constructors above;
+    an ``App`` is rebuilt plain and a leaf is returned as it is."""
+    make = _S_REBUILD.get(type(term))
+    return rebuild(term, kids) if make is None else make(term, kids)
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
@@ -529,26 +536,10 @@ def subst_term(term: Term, mapping: dict[Term, Term]) -> Term:
     hit = mapping.get(term)
     if hit is not None:
         return hit
-    if isinstance(term, Not):
-        return s_not(subst_term(term.operand, mapping))
-    if isinstance(term, And):
-        return s_and(subst_term(term.left, mapping),
-                     subst_term(term.right, mapping))
-    if isinstance(term, Or):
-        return s_or(subst_term(term.left, mapping),
-                    subst_term(term.right, mapping))
-    if isinstance(term, Eq):
-        return s_eq(subst_term(term.left, mapping),
-                    subst_term(term.right, mapping))
-    if isinstance(term, Member):
-        return s_member(subst_term(term.item, mapping), term.values)
-    if isinstance(term, Ite):
-        return s_ite(subst_term(term.cond, mapping),
-                     subst_term(term.then, mapping),
-                     subst_term(term.other, mapping))
-    if isinstance(term, App):
-        return App(term.fn, tuple(subst_term(a, mapping) for a in term.args))
-    return term
+    kids = children(term)
+    if not kids:
+        return term
+    return s_rebuild(term, [subst_term(c, mapping) for c in kids])
 
 
 def subst_symbol(term: Term, symbol: Symbol, replacement: Term) -> Term:
@@ -898,24 +889,10 @@ def sym_eval(term: Term, program: Program, locmap: dict[Location, Term],
                 for (i, _), v in zip(dims, combo)])
             expr = s_ite(cond, read(args_for(combo)), expr)
         return expr
-    if isinstance(term, Not):
-        return s_not(sym_eval(term.operand, program, locmap, env))
-    if isinstance(term, And):
-        return s_and(sym_eval(term.left, program, locmap, env),
-                     sym_eval(term.right, program, locmap, env))
-    if isinstance(term, Or):
-        return s_or(sym_eval(term.left, program, locmap, env),
-                    sym_eval(term.right, program, locmap, env))
-    if isinstance(term, Eq):
-        return s_eq(sym_eval(term.left, program, locmap, env),
-                    sym_eval(term.right, program, locmap, env))
-    if isinstance(term, Member):
-        return s_member(sym_eval(term.item, program, locmap, env), term.values)
-    if isinstance(term, Ite):
-        return s_ite(sym_eval(term.cond, program, locmap, env),
-                     sym_eval(term.then, program, locmap, env),
-                     sym_eval(term.other, program, locmap, env))
-    raise CasmError(f"cannot evaluate {type(term).__name__} symbolically")
+    kids = children(term)
+    if not kids:
+        raise CasmError(f"cannot evaluate {type(term).__name__} symbolically")
+    return s_rebuild(term, [sym_eval(c, program, locmap, env) for c in kids])
 
 
 @dataclass
@@ -1147,19 +1124,9 @@ def substitute_initial_terms(f: Term, init: SymInit,
             if t.symbol in negated:
                 return Not(location_term(negated[t.symbol]))
             raise UnhousedSymbol(t.symbol)
-        if isinstance(t, Not):
-            return s_not(walk(t.operand))
-        if isinstance(t, And):
-            return s_and(walk(t.left), walk(t.right))
-        if isinstance(t, Or):
-            return s_or(walk(t.left), walk(t.right))
-        if isinstance(t, Eq):
-            return s_eq(walk(t.left), walk(t.right))
-        if isinstance(t, Member):
-            return s_member(walk(t.item), t.values)
-        if isinstance(t, Ite):
-            return s_ite(walk(t.cond), walk(t.then), walk(t.other))
-        return t
+        if isinstance(t, App):
+            return t
+        return s_rebuild(t, [walk(c) for c in children(t)])
 
     return walk(f)
 
@@ -1183,20 +1150,6 @@ def format_symexpr(term: Term) -> str:
     def devar(t: Term) -> Term:
         if isinstance(t, SymRef):
             return Var(t.symbol.name)
-        if isinstance(t, App):
-            return App(t.fn, tuple(devar(a) for a in t.args))
-        if isinstance(t, Not):
-            return Not(devar(t.operand))
-        if isinstance(t, And):
-            return And(devar(t.left), devar(t.right))
-        if isinstance(t, Or):
-            return Or(devar(t.left), devar(t.right))
-        if isinstance(t, Eq):
-            return Eq(devar(t.left), devar(t.right))
-        if isinstance(t, Member):
-            return Member(devar(t.item), t.values)
-        if isinstance(t, Ite):
-            return Ite(devar(t.cond), devar(t.then), devar(t.other))
-        return t
+        return rebuild(t, [devar(c) for c in children(t)])
 
     return format_term(devar(term))

@@ -1,12 +1,19 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, strategies as st
 
+import casmkit
 from casmkit.ast import (
-    And, App, Const, Eq, InconsistentUpdate, Member, NamedRule, Not, Program,
-    Sort, State, Update, check_updates, eval_term,
-    format_location, locations_of_interest, validate_program, Cond,
-    FunctionDecl, make_init, BOOL,
+    And, App, Const, Eq, InconsistentUpdate, Ite, Member, NamedRule, Not, Or,
+    Program, Sort, State, Term, Update, Var, check_updates, children,
+    eval_term, format_location, locations_of_interest, rebuild,
+    validate_program, Cond, FunctionDecl, make_init, BOOL,
 )
+from casmkit.parser import _RawIdent
+from casmkit.symexec import SymRef, Symbol, s_rebuild
 
 
 def phase_app():
@@ -47,6 +54,65 @@ class TestEvalTerm:
         term = And(Not(App("GoLight", (Const(1),))),
                    App("StopLight", (Const(2),)))
         assert eval_term(term, state) == eval_term(term, state)
+
+
+def _concrete_term_kinds() -> set[type]:
+    """Every ``Term`` subclass the package defines, all modules imported."""
+    for info in pkgutil.walk_packages(casmkit.__path__, "casmkit."):
+        importlib.import_module(info.name)
+    kinds, stack = set(), [Term]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in kinds and sub.__module__.startswith("casmkit."):
+                kinds.add(sub)
+                stack.append(sub)
+    return kinds
+
+
+# one node of every kind, its children distinct variables; none of them
+# folds under the smart constructors of ``symexec``
+_A, _B, _C = Var("a"), Var("b"), Var("c")
+TERM_SAMPLES = {
+    Const: Const(1),
+    Var: Var("v"),
+    App: App("f", (_A, _B)),
+    Not: Not(_A),
+    And: And(_A, _B),
+    Or: Or(_A, _B),
+    Eq: Eq(_A, _B),
+    Member: Member(_A, ("X", "Y")),
+    Ite: Ite(_A, _B, _C),
+    SymRef: SymRef(Symbol("alpha", BOOL)),
+    _RawIdent: _RawIdent("name"),
+}
+
+
+def _term_fields(term: Term) -> list[Term]:
+    """The terms held in ``term``'s fields, directly or in a tuple."""
+    out = []
+    for f in dataclasses.fields(term):
+        value = getattr(term, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        out.extend(v for v in values if isinstance(v, Term))
+    return out
+
+
+class TestTermMap:
+    """``children`` and ``rebuild`` are the one place that knows a node's
+    children, so every node kind must be covered here."""
+
+    def test_every_term_kind_has_a_sample(self):
+        assert _concrete_term_kinds() == set(TERM_SAMPLES)
+
+    @pytest.mark.parametrize("term", TERM_SAMPLES.values(),
+                             ids=[k.__name__ for k in TERM_SAMPLES])
+    def test_children_and_rebuild_cover_every_field(self, term):
+        kids = children(term)
+        assert [id(k) for k in kids] == [id(k) for k in _term_fields(term)]
+        assert rebuild(term, kids) == term
+        assert s_rebuild(term, kids) == term
+        fresh = tuple(Var(f"k{i}") for i in range(len(kids)))
+        assert children(rebuild(term, fresh)) == fresh
 
 
 class TestCheckUpdates:

@@ -285,6 +285,11 @@ def _init_state_outside_plain_sort(raw):
     return json.dumps(raw)
 
 
+def _transition_from_outside_plain_sort(raw):
+    raw["transitions"][0]["from"] = "Bogus"
+    return json.dumps(raw)
+
+
 class TestBadInputs:
     """Malformed artifacts and input specs end in exit code 2 with a
     one-line diagnostic, never a traceback."""
@@ -296,7 +301,8 @@ class TestBadInputs:
         (_response_is_init_token, "reused"),
         (_truncated, "malformed"),
         (_other_ctl_function, "ctlFunction Passed"),
-        (_init_state_outside_plain_sort, "initState Bogus")])
+        (_init_state_outside_plain_sort, "initState Bogus"),
+        (_transition_from_outside_plain_sort, "transition from Bogus")])
     def test_corrupt_enrollment(self, workspace, corrupt, names):
         invoke("protect", "traffic.casm", "--device-seed", "42",
                "--challenge-bits", "16", "--response-bits", "16",

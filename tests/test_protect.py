@@ -434,6 +434,25 @@ class TestProtectPipeline:
         assert not report.unsafe_reachable
         assert report.explored_states == 9
 
+    def test_guard_with_membership_over_a_control_read(self):
+        # `Passed(phase) in { true }` is a membership whose item reads the
+        # control state without being it: the rewrite must reach the
+        # `phase` inside, or the guard compares a response with a Phase
+        from casmkit.programs import traffic_light_source
+        source = traffic_light_source().replace(
+            "and Passed(phase) then", "and Passed(phase) in { true } then")
+        assert source.count("Passed(phase) in { true }") == 2
+        program = parse_or_raise(source)
+        protected, _ = protect(program, make_device(42, 16, 16, 0.0))
+        report = exhaustive_safety_check(protected, adversarial_puf=True)
+        assert not report.unsafe_reachable
+        assert (report.explored_states, report.transition_count) == \
+            (9, 488)
+        comparison = compare_target_traces(program, protected, 42, 2000,
+                                           RandomOracle(3), 1)
+        assert comparison.verdict == "EQUAL"
+        assert comparison.fallback_count == 0
+
     def test_runner_matches_reference_resolver(self, traffic,
                                                protected_traffic):
         protected, _, _ = protected_traffic
