@@ -23,16 +23,23 @@ Grammar (keywords lowercase, ``//`` comments, ASCII identifiers):
     setExpr  := "{" const ("," const)* "}" | IDENT
     formula  := or-precedence chain over and, not, (=, !=, in), atoms;
                 the set after "in" is a sort or "{" const,* "}"
+    NUMBER   := "-"? [0-9]+                      // ASCII digits only
+    IDENT    := [A-Za-z_] [A-Za-z0-9_]*          // unless a keyword
 
 Rules without a parameter list are top-level machine rules and run on
 every step; rules with a (possibly empty) parameter list are helpers and
 run only when called.  A ``let`` binding term cannot use an unparenthesized
 ``in`` membership at top level, since ``in`` terminates the binding.
+
+Blanks are space, tab and carriage return.  Any other character outside a
+token or comment, a non-ASCII digit included, is an E-SYNTAX error, and so
+is a number longer than Python's int-string limit (4,300 digits by default).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ast import (
     BOOL, And, App, Call, Choose, ChooseCtl, Cond, Const, Eq, FunctionDecl,
@@ -105,8 +112,7 @@ class ParseFailure(Exception):
         super().__init__("; ".join(d.render(filename) for d in diagnostics))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str
     value: str
     line: int
@@ -121,60 +127,51 @@ class _SyntaxAbort(Exception):
     pass
 
 
+# two-character punctuation first, so that ":=" is not read as ":" "="
+_PUNCT_ALTS = "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))
+
+# one alternative per token class, tried in this order at each offset;
+# OTHER takes any character no other class starts with
+_SCAN = re.compile(rf"""
+    (?P<NEWLINE>\n)
+  | (?P<BLANK>[ \t\r]+)
+  | (?P<COMMENT>//[^\n]*)
+  | (?P<PUNCT>{_PUNCT_ALTS})
+  | (?P<NUMBER>-?[0-9]+)
+  | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<OTHER>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start, end = 1, 0, len(text)
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind == "BLANK":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT:
-            tokens.append(Token(_PUNCT[two], two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "_" or ch.isascii() and ch.isalpha():
-            j = i
-            while j < n and (text[j] == "_" or text[j].isascii() and text[j].isalnum()):
-                j += 1
-            word = text[i:j]
-            ttype = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(ttype, word, line, col))
-            col += j - i
-            i = j
-            continue
-        diags.append(Diagnostic("error", "E-SYNTAX",
-                                f"unexpected character {ch!r}",
-                                SourceSpan(line, col)))
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", line, col))
+        value = m.group()
+        column = m.start() - line_start + 1
+        if kind == "WORD":
+            tokens.append(Token(value if value in KEYWORDS else "IDENT",
+                                value, line, column))
+        elif kind == "PUNCT":
+            tokens.append(Token(_PUNCT[value], value, line, column))
+        elif kind == "NUMBER":
+            tokens.append(Token("NUMBER", value, line, column))
+        elif kind == "COMMENT":
+            if m.end() == len(text):
+                end = m.start()  # end of input sits before a trailing comment
+        else:
+            diags.append(Diagnostic("error", "E-SYNTAX",
+                                    f"unexpected character {value!r}",
+                                    SourceSpan(line, column)))
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens, diags
 
 
@@ -200,34 +197,41 @@ class _Parser:
         self.constraints: list[Term] = []
         self.condx: Optional[Term] = None
         self.enc_sort: Optional[str] = None
-        # source position of each parsed identifier and application, by id()
-        self.spans: dict[int, SourceSpan] = {}
+        # token of each parsed identifier and application, by id(); its
+        # span is built only for a diagnostic
+        self.spans: dict[int, Token] = {}
         self.enc_entries: list[tuple[Value, tuple[int, ...]]] = []
         self.rule_spans: dict[str, SourceSpan] = {}
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+    # the cursor never moves past the EOF sentinel, and no caller asks
+    # accept() or expect() for EOF, so a match is never the sentinel
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != "EOF":
             self.pos += 1
         return tok
 
     def at(self, ttype: str) -> bool:
-        return self.peek().type == ttype
+        return self.tokens[self.pos].type == ttype
 
     def accept(self, ttype: str) -> Optional[Token]:
-        if self.at(ttype):
-            return self.next()
+        tok = self.tokens[self.pos]
+        if tok.type == ttype:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, ttype: str, what: str = "") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type == ttype:
-            return self.next()
+            self.pos += 1
+            return tok
         shown = what or ttype.lower()
         self.error("E-SYNTAX", f"expected {shown}, found {tok.value or 'end of input'}",
                    tok.span)
@@ -235,6 +239,17 @@ class _Parser:
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diags.append(Diagnostic("error", code, message, span))
+
+    def number(self, tok: Token) -> int:
+        """Value of a NUMBER token.  A literal longer than Python's
+        int-string digit limit is a syntax error at the token."""
+        try:
+            return int(tok.value)
+        except ValueError:
+            digits = len(tok.value.lstrip("-"))
+            self.error("E-SYNTAX", f"number literal too long ({digits} digits)",
+                       tok.span)
+            raise _SyntaxAbort() from None
 
     # -- declarations ------------------------------------------------------
 
@@ -274,9 +289,9 @@ class _Parser:
         elif tok.type == "int":
             name_tok = self.expect("IDENT", "sort name")
             self.expect("EQ", "'='")
-            lo = int(self.expect("NUMBER", "lower bound").value)
+            lo = self.number(self.expect("NUMBER", "lower bound"))
             self.expect("RANGE", "'..'")
-            hi = int(self.expect("NUMBER", "upper bound").value)
+            hi = self.number(self.expect("NUMBER", "upper bound"))
             if lo > hi:
                 self.error("E-SORT", f"empty range {lo}..{hi}", name_tok.span)
                 raise _SyntaxAbort()
@@ -392,7 +407,7 @@ class _Parser:
         elif tok.type == "false":
             value = False
         elif tok.type == "NUMBER":
-            value = int(tok.value)
+            value = self.number(tok)
         elif tok.type == "IDENT":
             lit_sort = self.literals.get(tok.value)
             if lit_sort is None:
@@ -422,9 +437,9 @@ class _Parser:
             self.expect("LBRACKET", "'['")
             responses: list[int] = []
             if not self.at("RBRACKET"):
-                responses.append(int(self.expect("NUMBER", "response").value))
+                responses.append(self.number(self.expect("NUMBER", "response")))
                 while self.accept("COMMA"):
-                    responses.append(int(self.expect("NUMBER", "response").value))
+                    responses.append(self.number(self.expect("NUMBER", "response")))
             self.expect("RBRACKET", "']'")
             self.enc_entries.append((key, tuple(responses)))
             more = self.accept("COMMA") is not None
@@ -502,8 +517,8 @@ class _Parser:
             return Let(var, binding, tuple(body))
         if tok.type == "challenge":
             self.next()
-            num = self.expect("NUMBER", "challenge value")
-            return ChooseCtl(int(num.value))
+            return ChooseCtl(self.number(self.expect("NUMBER",
+                                                     "challenge value")))
         if tok.type == "IDENT":
             name = self.next().value
             args: list[Term] = []
@@ -589,7 +604,7 @@ class _Parser:
         if tok.type == "false":
             return Const(False)
         if tok.type == "NUMBER":
-            return Const(int(tok.value))
+            return Const(self.number(tok))
         if tok.type == "ite":
             self.expect("LPAREN", "'('")
             cond = self.parse_formula()
@@ -614,7 +629,7 @@ class _Parser:
                 node = App(tok.value, tuple(args))
             else:
                 node = _RawIdent(tok.value)
-            self.spans[id(node)] = tok.span
+            self.spans[id(node)] = tok
             return node
         self.error("E-SYNTAX", f"expected a term, found {tok.value or 'end of input'}",
                    tok.span)
@@ -638,6 +653,10 @@ class _Resolver:
         self.p = parser
         self.diags = parser.diags
 
+    def span(self, node: Term) -> SourceSpan:
+        tok = self.p.spans.get(id(node))
+        return tok.span if tok is not None else SourceSpan(1, 1)
+
     def term(self, node: Term, scope: frozenset) -> Term:
         if isinstance(node, _RawIdent):
             if node.name in scope:
@@ -647,16 +666,14 @@ class _Resolver:
             decl = self.p.fn_names.get(node.name)
             if decl is not None:
                 return App(node.name, ())
-            span = self.p.spans.get(id(node), SourceSpan(1, 1))
             self.diags.append(Diagnostic(
                 "error", "E-UNKNOWN-LITERAL",
-                f"unknown literal or identifier {node.name}", span))
+                f"unknown literal or identifier {node.name}", self.span(node)))
             raise _SyntaxAbort()
         if isinstance(node, App) and node.fn not in self.p.fn_names:
-            span = self.p.spans.get(id(node), SourceSpan(1, 1))
             self.diags.append(Diagnostic(
                 "error", "E-UNKNOWN-IDENT",
-                f"unknown function {node.fn}", span))
+                f"unknown function {node.fn}", self.span(node)))
             raise _SyntaxAbort()
         return rebuild(node, [self.term(c, scope) for c in children(node)])
 

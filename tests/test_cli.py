@@ -34,6 +34,14 @@ class TestParseCommand:
         # diagnostics carry file:line:col
         assert "garbage.txt:1:" in result.output
 
+    @pytest.mark.parametrize("bound", ["\u00b2", "9" * 5000],
+                             ids=["superscript-two", "5000-digits"])
+    def test_bad_number_is_a_one_line_usage_error(self, workspace, bound):
+        (workspace / "bad.casm").write_text(f"asm p\nint N = 0..{bound}\n",
+                                            encoding="utf-8")
+        result = invoke("parse", "bad.casm")
+        assert_one_line_usage_error(result, "bad.casm:2:12: error[E-SYNTAX]")
+
     def test_input_file_is_not_modified(self, workspace):
         before = (workspace / "traffic.casm").read_bytes()
         invoke("parse", "traffic.casm")

@@ -3,14 +3,18 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casmkit.ast import App, Member, validate_program
 from casmkit.parser import (
-    ParseFailure, parse_or_raise, parse_program, pretty_print,
+    ParseFailure, parse_or_raise, parse_program, pretty_print, tokenize,
 )
 from casmkit.programs import traffic_light_source
+from casmkit.protect import protect
+from casmkit.puf import make_device
 
 from fuzzing import random_program
+from reference_parser import reference_tokenize
 
 
 class TestParseTrafficLight:
@@ -222,3 +226,84 @@ class TestFuzz:
             # acceptance implies validation
             if result.ok:
                 assert validate_program(result.program) == []
+
+
+def _only_diagnostic(text):
+    result = parse_program(text)
+    assert not result.ok
+    assert len(result.diagnostics) == 1, \
+        [d.render() for d in result.diagnostics]
+    return result.diagnostics[0].render("p.casm")
+
+
+class TestNumberLiterals:
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"],
+                             ids=["superscript-two", "arabic-indic-three"])
+    def test_non_ascii_digit_is_an_unexpected_character(self, digit):
+        # U+00B2 once reached int() and raised; U+0663 was read as 3
+        assert _only_diagnostic(f"asm p\nint N = 0 .. {digit}\n") == \
+            f"p.casm:2:14: error[E-SYNTAX]: unexpected character {digit!r}"
+
+    @pytest.mark.parametrize("template, position", [
+        ("asm p\nint N = 0..{}\n", "2:12"),
+        ("asm p\nint N = -{}..0\n", "2:9"),
+        ("asm p\nenum S = {{ A }}\nenc S {{ A: [{}] }}\n", "3:13"),
+        ("asm p\nrule r:\n  challenge {}\n", "3:13"),
+        ("asm p\nrule r:\n  x := {}\n", "3:8"),
+    ], ids=["upper-bound", "lower-bound", "response", "challenge", "term"])
+    def test_over_long_number_is_a_syntax_error(self, template, position):
+        text = template.format("9" * 5000)
+        assert _only_diagnostic(text) == (
+            f"p.casm:{position}: error[E-SYNTAX]: "
+            "number literal too long (5000 digits)")
+
+    def test_longest_convertible_number_still_parses(self):
+        # the bound converts, so parsing goes on to the missing rules
+        text = "asm p\nint N = 0..{}\n".format("9" * 4300)
+        assert _only_diagnostic(text) == \
+            "p.casm:3:1: error[E-SYNTAX]: expected at least one rule"
+
+
+class TestEndOfInput:
+    def test_after_one_character_punctuation(self):
+        assert _only_diagnostic("asm p\nenum S = {") == \
+            "p.casm:2:11: error[E-SYNTAX]: expected literal, found end of input"
+
+    def test_before_a_trailing_comment(self):
+        assert _only_diagnostic("asm p\nenum S = { // open") == \
+            "p.casm:2:12: error[E-SYNTAX]: expected literal, found end of input"
+
+
+# pieces that exercise every scanner rule, its two-character punctuation,
+# whitespace it skips or refuses, and characters outside ASCII
+_PIECES = [
+    "//", "->", "..", "!=", ":=", "-", "=", ":", "{", "}", "(", ")", "[",
+    "]", ",", ".", "!", "/", " ", "\t", "\r", "\n", "\x0c", "\u00e9",
+    "\u00b2", "\u0663", "\uff17", "0", "7", "42", "x", "Q_1", "_", "asm",
+    "rule", "in", "enc", "challenge", "endif",
+]
+_texts = st.one_of(st.lists(st.sampled_from(_PIECES), max_size=60).map("".join),
+                   st.text(max_size=60))
+
+
+class TestScannerAgainstReference:
+    @settings(max_examples=400)
+    @given(_texts)
+    def test_tokens_and_diagnostics_match_the_reference(self, text):
+        tokens, diags = tokenize(text)
+        ref_tokens, ref_diags = reference_tokenize(text)
+        assert [(t.type, t.value, t.line, t.column) for t in tokens] == \
+            [(t.type, t.value, t.line, t.column) for t in ref_tokens]
+        assert [d.render() for d in diags] == [d.render() for d in ref_diags]
+
+    def test_protected_artifact_matches_the_reference(self):
+        protected, _ = protect(parse_or_raise(traffic_light_source()),
+                               make_device(42, 16, 16))
+        text = protected.source_text()
+        assert tokenize(text) == reference_tokenize(text)
+
+    @settings(max_examples=400)
+    @given(_texts)
+    def test_parse_never_raises(self, text):
+        result = parse_program(text)
+        assert result.ok == (result.program is not None)
