@@ -393,28 +393,67 @@ class CompiledProgram:
 
     def step_values(self, values: dict, monitored: dict, pick,
                     ctl_resolver: Optional[CtlResolver] = None,
-                    step_index: int = 0, memo: Optional[dict] = None,
-                    key=None) -> tuple[dict, list[str], list[str]]:
-        """Step ``step_index`` of a run: the new values, the rules that
-        fired and the events.
+                    step_index: int = 0, node: Optional[_Node] = None,
+                    inputs=None) -> tuple[object, list[str], list[str]]:
+        """Step ``step_index`` of a run from ``values``: the next state,
+        the rules that fired and the events.
 
-        With ``memo`` (kept by one run of a choose-free program) the whole
-        step is looked up under ``key``, the state and input values in a
-        fixed location order, and its rule pass fired only on a miss.
         ``ctl_resolver`` stages each challenge site of a step once, and
-        each staged site resolves at ``step_index``
-        (:meth:`_Step.finish`).  The returned dict and lists may be shared
-        with other steps of the run and must not be mutated."""
-        if memo is None:
-            step = _Step(self.ctl_loc, values,
-                         *self.fire_rules(values, monitored, pick))
-        else:
-            step = memo.get(key)
-            if step is None:
-                step = memo[key] = _Step(
-                    self.ctl_loc, values,
-                    *self.fire_rules(values, monitored, pick))
-        return step.finish(self.ctl_loc, ctl_resolver, step_index)
+        each staged site resolves at ``step_index`` (:meth:`_Step.finish`).
+        Without ``node`` the rule pass fires and the next state is its
+        values.  With ``node``, the run's node of ``values``
+        (:func:`iter_run`), the step is looked up in the node's table by
+        ``inputs``, the input values in monitored-location order, and
+        fired only on a miss; the next state is its node.  The returned
+        values and lists may be shared with other steps of the run and
+        must not be mutated."""
+        if node is None:
+            return _Step(self.ctl_loc, values,
+                         *self.fire_rules(values, monitored, pick)).finish(
+                ctl_resolver, step_index)
+        steps = node.steps
+        step = steps.get(inputs)
+        if step is None:
+            step = steps[inputs] = _Step(
+                self.ctl_loc, values,
+                *self.fire_rules(values, monitored, pick))
+        return step.finish(ctl_resolver, step_index, node.graph)
+
+
+class _Node:
+    """One state of a run: its values, and the steps taken from it by
+    inputs key (:meth:`CompiledProgram.step_values`)."""
+
+    __slots__ = ("values", "steps", "graph")
+
+    def __init__(self, values: dict, graph: "_Graph"):
+        self.values = values
+        self.steps: dict[object, _Step] = {}
+        self.graph = graph
+
+
+class _Graph(dict):
+    """The states one run has reached, as nodes by state key.  A
+    choose-free program's step is a function of the state, the inputs
+    and what its sites resolve to, so each distinct state is interned
+    once, and its node's steps serve every later visit.  With no state
+    key, for a program that draws, nothing is interned: each state is a
+    node of its own, stepped once."""
+
+    __slots__ = ("state_key",)
+
+    def __init__(self, state_key: Optional[Callable[[dict], object]]):
+        super().__init__()
+        self.state_key = state_key
+
+    def node(self, values: dict) -> _Node:
+        if self.state_key is None:
+            return _Node(values, self)
+        key = self.state_key(values)
+        node = self.get(key)
+        if node is None:
+            node = self[key] = _Node(values, self)
+        return node
 
 
 class _Step:
@@ -422,14 +461,18 @@ class _Step:
     its updates, the first site of each challenge (:func:`_first_sites`),
     the fired rules and the post-update view the sites are resolved on;
     each site staged, once, by the first resolver to finish the step;
-    and, for each tuple of resolved site values, the next state, merged
-    and checked once.  A memo serves one run, so one resolver."""
+    and, by what the sites resolve to, the successor, merged and checked
+    once: the next state's node in a run's graph, else its values.  A
+    step serves one run, so one resolver.  The key of ``after`` is the
+    resolved value of a one-site step, and the tuple of resolved values
+    otherwise."""
 
-    __slots__ = ("values", "updates", "sites", "fired", "post", "current",
-                 "staged", "after")
+    __slots__ = ("ctl_loc", "values", "updates", "sites", "fired", "post",
+                 "current", "staged", "after")
 
     def __init__(self, ctl_loc: Location, values: dict, out: _Out,
                  fired: list[str]):
+        self.ctl_loc = ctl_loc
         self.values = values
         self.updates = out.updates
         self.sites = pending = out.pending
@@ -441,42 +484,62 @@ class _Step:
             self.post = post = dict(values)
             post.update(out.updates)
             self.current = values[ctl_loc]
-        self.after: dict[tuple[Value, ...], dict] = {}
+        self.after: dict = {}
 
-    def finish(self, ctl_loc: Location, ctl_resolver: Optional[CtlResolver],
-               step_index: int) -> tuple[dict, list[str], list[str]]:
-        """Resolve the sites at ``step_index`` and give the step's result."""
-        events: list[str] = []
-        resolved: tuple[Value, ...] = ()
-        if self.sites:
-            staged = self.staged
-            if staged is None:
-                if ctl_resolver is None:
-                    raise StepError("program has hardware-bound sites but "
-                                    "no device is attached")
-                post, current = self.post, self.current
-                staged = self.staged = [
-                    ctl_resolver(site, challenge, post, current)
-                    for site, challenge in self.sites]
-            chosen = []
-            for site in staged:
-                value, tag = site(step_index)
-                chosen.append(value)
-                events.append(tag)
-            resolved = tuple(chosen)
-        new_values = self.after.get(resolved)
-        if new_values is None:
-            merged = check_updates(
-                self.updates + [(ctl_loc, value) for value in resolved])
-            if merged:
-                new_values = dict(self.values)
-                new_values.update(merged)
+    def finish(self, ctl_resolver: Optional[CtlResolver], step_index: int,
+               graph: Optional[_Graph] = None
+               ) -> tuple[object, list[str], list[str]]:
+        """Resolve the sites at ``step_index`` and give the successor,
+        the fired rules and the events."""
+        if not self.sites:
+            resolved = ()
+            events = []
+        else:
+            staged = self.staged or self._stage(ctl_resolver)
+            if len(staged) == 1:
+                resolved, tag = staged[0](step_index)
+                events = [tag]
             else:
-                new_values = self.values
-            self.after[resolved] = new_values
+                chosen = []
+                events = []
+                for site in staged:
+                    value, tag = site(step_index)
+                    chosen.append(value)
+                    events.append(tag)
+                resolved = tuple(chosen)
         if not self.fired:
             events.append(STALL)
-        return new_values, self.fired, events
+        successor = self.after.get(resolved)
+        if successor is None:
+            successor = self.after[resolved] = self._successor(resolved,
+                                                               graph)
+        return successor, self.fired, events
+
+    def _stage(self, ctl_resolver: Optional[CtlResolver]
+               ) -> list[StagedSite]:
+        if ctl_resolver is None:
+            raise StepError("program has hardware-bound sites but no "
+                            "device is attached")
+        post, current = self.post, self.current
+        staged = self.staged = [ctl_resolver(site, challenge, post, current)
+                                for site, challenge in self.sites]
+        return staged
+
+    def _successor(self, resolved, graph: Optional[_Graph]) -> object:
+        """The state the updates and ``resolved``, the key of
+        ``after``, give: its node in ``graph``, or its values without
+        one."""
+        if len(self.sites) == 1:
+            resolved = (resolved,)
+        ctl_loc = self.ctl_loc
+        merged = check_updates(
+            self.updates + [(ctl_loc, value) for value in resolved])
+        if merged:
+            values = dict(self.values)
+            values.update(merged)
+        else:
+            values = self.values
+        return values if graph is None else graph.node(values)
 
 
 def _noop(vals, mon, env, out):
@@ -627,7 +690,7 @@ def rng_picker(seed: int, step_index: int):
 # Runs and traces
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     step: int
     state: dict[Location, Value]
@@ -662,15 +725,22 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     The one run loop, for plain and protected programs alike:
     ``ctl_resolver`` stages the challenge sites of a step, and step ``k``
     calls each staged site with ``k``.  Looking up a step's inputs in
-    monitored-location order checks them total.  A choose-free program's
-    step is a function of the state, the inputs and what its sites
-    resolve to, so this run memoizes the whole step, staged sites
-    included (:meth:`CompiledProgram.step_values`), and calls only the
-    staged sites again; such a program draws nothing, so its steps take
-    no picker.
+    monitored-location order checks them total.
+
+    The run walks a graph of its states (:class:`_Graph`).  A node holds
+    a state's values and, by inputs key, the step taken from it; a step
+    holds its staged sites and, by what they resolve to, the successor
+    node.  A choose-free program's step is a function of the state, the
+    inputs and what its sites resolve to, so such a run interns each
+    distinct state once: a step costs one lookup by inputs key, its
+    staged sites and one lookup of the successor, and the rule pass and
+    the state key run only the first time.  Such a program draws
+    nothing, so its steps take no picker.  A program with ``choose``
+    draws afresh each step: each of its states is a node of its own, and
+    each step fires its rule pass under a seeded picker.
 
     Yielded state dicts and ``fired`` lists are shared between steps,
-    and with the memo: consumers must not mutate them, and need not copy
+    and with the graph: consumers must not mutate them, and need not copy
     one to retain it, since the run never changes a dict it has yielded.
     :func:`run` gives every entry its own copies.
     """
@@ -678,9 +748,10 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     values = program.initial_state().values
     yield TraceEntry(0, values, {}, [], [])
     step_values = cp.step_values
-    inputs_key, state_key = cp.inputs_key, cp.state_key
-    memo: Optional[dict] = {} if cp.choose_free else None
-    key = pick = None
+    inputs_key = cp.inputs_key
+    draws = not cp.choose_free
+    node = _Graph(None if draws else cp.state_key).node(values)
+    pick = None
     for k in range(steps):
         monitored = oracle.valuation(program, k)
         try:
@@ -688,16 +759,14 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
         except KeyError:
             _check_total(program, monitored, k)
             raise
-        if memo is None:
+        if draws:
             pick = rng_picker(seed, k)
-        else:
-            key = (state_key(values), inputs)
         try:
-            values, fired, events = step_values(
-                values, monitored, pick, ctl_resolver, k, memo, key)
+            node, fired, events = step_values(
+                node.values, monitored, pick, ctl_resolver, k, node, inputs)
         except InconsistentUpdate as exc:
             raise StepError(str(exc), k) from exc
-        yield TraceEntry(k + 1, values, monitored, fired, events)
+        yield TraceEntry(k + 1, node.values, monitored, fired, events)
 
 
 def check_step_count(steps: int) -> None:

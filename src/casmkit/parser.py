@@ -197,8 +197,8 @@ class _Parser:
         self.constraints: list[Term] = []
         self.condx: Optional[Term] = None
         self.enc_sort: Optional[str] = None
-        # token of each parsed identifier and application, by id(); its
-        # span is built only for a diagnostic
+        # token of each parsed identifier, application, update and call,
+        # by id(); its span is built only for a diagnostic
         self.spans: dict[int, Token] = {}
         self.enc_entries: list[tuple[Value, tuple[int, ...]]] = []
         self.rule_spans: dict[str, SourceSpan] = {}
@@ -531,12 +531,15 @@ class _Parser:
                         args.append(self.parse_formula())
                 self.expect("RPAREN", "')'")
             if self.accept("ASSIGN"):
-                rhs = self.parse_formula()
-                return Update(name, tuple(args), rhs)
-            if had_parens:
-                return Call(name, tuple(args))
-            self.error("E-SYNTAX", f"expected ':=' after {name}", tok.span)
-            raise _SyntaxAbort()
+                node = Update(name, tuple(args), self.parse_formula())
+            elif had_parens:
+                node = Call(name, tuple(args))
+            else:
+                self.error("E-SYNTAX", f"expected ':=' after {name}",
+                           tok.span)
+                raise _SyntaxAbort()
+            self.spans[id(node)] = tok
+            return node
         self.error("E-SYNTAX", f"expected a statement, found {tok.value!r}",
                    tok.span)
         raise _SyntaxAbort()
@@ -653,7 +656,7 @@ class _Resolver:
         self.p = parser
         self.diags = parser.diags
 
-    def span(self, node: Term) -> SourceSpan:
+    def span(self, node: Term | Rule) -> SourceSpan:
         tok = self.p.spans.get(id(node))
         return tok.span if tok is not None else SourceSpan(1, 1)
 
@@ -685,7 +688,7 @@ class _Resolver:
                               self.term(node.rhs, scope))
             self.diags.append(Diagnostic(
                 "error", "E-UNKNOWN-IDENT",
-                f"update to unknown function {node.fn}", SourceSpan(1, 1)))
+                f"update to unknown function {node.fn}", self.span(node)))
             raise _SyntaxAbort()
         if isinstance(node, Cond):
             return Cond(self.term(node.guard, scope),
@@ -706,7 +709,8 @@ class _Resolver:
             if node.name in self.p.fn_names and node.name not in self.p.rule_spans:
                 self.diags.append(Diagnostic(
                     "error", "E-SYNTAX",
-                    f"{node.name} is a function, not a rule", SourceSpan(1, 1)))
+                    f"{node.name} is a function, not a rule",
+                    self.span(node)))
                 raise _SyntaxAbort()
             return Call(node.name, tuple(self.term(a, scope) for a in node.args))
         return node

@@ -47,7 +47,7 @@ from .interp import (
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
 from .puf import Enrollment, enroll
-from .rng import derive_rng, first_words
+from .rng import derive_rng, step_words
 from . import symexec
 from .symexec import (
     SymInit, elim_symbol, free_symbols_in, merge_successors,
@@ -637,32 +637,35 @@ class SiteDecider:
               ) -> StagedSite:
         """:meth:`decide` at one site of a step, as a function of the
         step index, for a device whose stable response is ``response``.
-        That response is decided here, once; ``word(step) % n`` draws a
-        fallback.  On a noisy device ``flip(step)`` gives the response
-        where noise flips it (else ``None``), and :meth:`decide` decides
-        it at that step."""
+        That response is decided here, once, and the staged site is one
+        closure for its outcome: a bound site (or a stall) gives one
+        result, a fallback draws ``word(step) % n``.  On a noisy device
+        ``flip(step)`` gives the response where noise flips it (else
+        ``None``), and :meth:`decide` decides it at that step."""
         values, tag = self._rule(response, self._safe(post), current_ctl)
-        if tag is FALLBACK_TAKEN:
-            n = len(values)
+        n = len(values)
+        result = values[0], tag
+        if flip is not None:
+            decide = self.decide
+            falls_back = tag is FALLBACK_TAKEN
 
-            def stable(step):
-                return values[word(step) % n], tag
-        else:
-            result = values[0], tag
-
-            def stable(step):
+            def noisy(step):
+                flipped = flip(step)
+                if flipped is not None:
+                    return decide(flipped, post, current_ctl,
+                                  lambda k: word(step) % k)
+                if falls_back:
+                    return values[word(step) % n], tag
                 return result
-        if flip is None:
-            return stable
-        decide = self.decide
+            return noisy
+        if tag is FALLBACK_TAKEN:
+            def fallback(step):
+                return values[word(step) % n], tag
+            return fallback
 
-        def noisy(step):
-            flipped = flip(step)
-            if flipped is None:
-                return stable(step)
-            return decide(flipped, post, current_ctl,
-                          lambda n: word(step) % n)
-        return noisy
+        def bound(step):
+            return result
+        return bound
 
     def outcomes(self, post: dict, current_ctl: Value
                  ) -> list[tuple[Value, str]]:
@@ -719,19 +722,17 @@ class ProtectedRunner:
         self.device = device
         self.seed = seed
         self.decider = protected.decider
-        # a fallback draws once from ("fallback", seed, step, site)
-        self._fallback_word = first_words("fallback", seed)
 
     def _stage(self, site: str, challenge: int, post: dict,
                current_ctl: Value) -> StagedSite:
         """Stage one site of a step (:data:`~casmkit.interp.CtlResolver`):
         the device's stable response and noise, decided by the program's
-        :class:`SiteDecider`."""
-        word = self._fallback_word
+        :class:`SiteDecider`.  A fallback draws once from the stream
+        ("fallback", seed, step, site)."""
         device = self.device
         return self.decider.stage(
             device.stable(challenge), post, current_ctl,
-            lambda step: word(step, site),
+            step_words(("fallback", self.seed), site),
             device.flips_at(challenge, self.seed, site))
 
     def _resolver(self, step: int, site: str, challenge: int, post: dict,

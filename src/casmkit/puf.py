@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .ast import CasmError, Value, format_value
-from .rng import derive_rng, first_words
+from .rng import derive_rng, step_words
 
 ENROLLMENT_VERSION = 1
 _MAJORITY_ROUNDS = 9
@@ -47,9 +47,6 @@ class PufDevice:
     noise_rate: float = 0.0
     _stable: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-    # run seed -> first words of its noise streams
-    _coins: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         if not 1 <= self.challenge_bits <= 32:
@@ -102,18 +99,16 @@ class PufDevice:
         response at ``step`` where :meth:`query` with the noise stream
         named after this device and (seed, step, site) flips it, and
         ``None`` where that query gives the stable response.  The
-        stream's first draw, the noise coin, is taken on its own; the
-        stream is derived only when the coin says the response flips."""
+        stream's first draw, the noise coin, is taken on its own
+        (:func:`~casmkit.rng.step_words`); the stream is derived only
+        when the coin says the response flips."""
         if self.noise_rate <= 0.0:
             return None
-        coin = self._coins.get(seed)
-        if coin is None:
-            coin = self._coins[seed] = first_words(
-                "pufnoise", self.device_seed, seed)
+        coin = step_words(("pufnoise", self.device_seed, seed), site)
         rate = self.noise_rate
 
         def flip(step: int) -> Optional[int]:
-            if coin(step, site) / 2.0 ** 64 < rate:
+            if coin(step) / 2.0 ** 64 < rate:
                 return self.query(challenge, derive_rng(
                     "pufnoise", self.device_seed, seed, step, site))
             return None

@@ -4,11 +4,12 @@ Every random draw in the toolchain comes from a stream named by a label
 path, so runs are reproducible bit-for-bit across platforms and adding
 one draw site never perturbs another site's stream.  Streams are
 counter-mode SHA-256: cheap to create, cheap to draw from.  A draw site
-that takes one word from each of many streams whose labels share a
-prefix uses :func:`first_words`, which encodes that prefix once.  A draw
-site that picks one value from each of a fixed set of streams at a time,
-as a step's monitored inputs do, uses :func:`first_picks`, which encodes
-each stream's label tail once and hashes the shared head once a pick.
+of a run that takes one word per step, as a challenge site's fallback
+pick and noise coin do, uses :func:`step_words`, which encodes the
+site's label head and tail once.  A draw site that picks one value from
+each of a fixed set of streams at a time, as a step's monitored inputs
+do, uses :func:`first_picks`, which encodes each stream's label tail once
+and hashes the shared head once a pick.
 """
 from __future__ import annotations
 
@@ -52,23 +53,21 @@ def derive_rng(*parts) -> HashStream:
     return HashStream(*parts)
 
 
-def first_words(*prefix) -> Callable[..., int]:
-    """A function ``first_word(*rest)`` that gives the first 64-bit word
-    of the stream ``derive_rng(*prefix, *rest)``, for one or more parts
-    ``rest``, without building the stream.  That word ``w`` is what the
-    stream's first draw reads: ``w / 2 ** 64`` is its ``random()`` and
-    ``w % n`` its ``randrange(n)``."""
+def step_words(prefix: Sequence, site) -> Callable[[object], int]:
+    """A function ``word(step)`` that gives the first 64-bit word of the
+    stream ``derive_rng(*prefix, step, site)`` without building the
+    stream.  That word ``w`` is what the stream's first draw reads:
+    ``w / 2 ** 64`` is its ``random()`` and ``w % n`` its
+    ``randrange(n)``.  The label head ``prefix|`` and tail ``|site#0``
+    are formatted once, here; a call puts the step between them and
+    hashes one block."""
     head = "".join(f"{p!s}|" for p in prefix)
+    tail = f"|{site!s}#0"
 
-    def first_word(part, *rest) -> int:
-        # one and two parts, the draws of a run, skip the join
-        if not rest:
-            return _word(f"{head}{part!s}#0".encode())
-        if len(rest) == 1:
-            return _word(f"{head}{part!s}|{rest[0]!s}#0".encode())
-        return _word(
-            f"{head}{part!s}|{'|'.join(map(str, rest))}#0".encode())
-    return first_word
+    def word(step) -> int:
+        return _unpack_word(_sha256(f"{head}{step!s}{tail}".encode())
+                            .digest())[0]
+    return word
 
 
 def first_picks(choices: Iterable[tuple[Hashable, object, Sequence]],

@@ -172,6 +172,20 @@ class TestSourceSpans:
         assert (hits[0].span.line, hits[0].span.column) == \
             _position(src, name)
 
+    @pytest.mark.parametrize("old, new, code, message", [
+        ("GoLight(1) := not GoLight(1)", "GoLite(1) := not GoLight(1)",
+         "E-UNKNOWN-IDENT", "update to unknown function GoLite"),
+        ("phase := Go2Stop1", "Passed(Go2Stop1)", "E-SYNTAX",
+         "Passed is a function, not a rule"),
+    ])
+    def test_a_statement_diagnostic_points_at_the_statement(
+            self, old, new, code, message):
+        src = traffic_light_source().replace(old, new, 1)
+        hits = [d for d in parse_program(src).diagnostics if d.code == code]
+        assert [d.message for d in hits] == [message]
+        assert (hits[0].span.line, hits[0].span.column) == \
+            _position(src, new) != (1, 1)
+
     def test_repeated_parses_keep_memory_flat(self):
         text = ("asm tiny\n"
                 "enum Mode = { A, B }\n"

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -70,6 +71,37 @@ class TestDevice:
         flips = sum(device.query(c % 16, rng) != device.stable_response(c % 16)
                     for c in range(10000))
         assert abs(flips / 10000 - 0.1) <= 0.02
+
+
+class TestNoiseCoin:
+    """The coin of ``flips_at`` is ``word / 2.0 ** 64 < rate``, as the
+    first ``random()`` of the noise stream in ``query``: the word is
+    rounded to a float before the comparison."""
+
+    DEVICE_SEED, SEED, SITE, CHALLENGE = 999, 7, "main#0", 5
+
+    def rounded_up_word(self):
+        """A step whose coin word ``w`` rounds up in ``float(w)``, with
+        that word."""
+        for step in range(1000):
+            word = derive_rng("pufnoise", self.DEVICE_SEED, self.SEED, step,
+                              self.SITE).randrange(1 << 64)
+            if int(float(word)) > word and word > 1 << 62:
+                return step, word
+        raise AssertionError("no word rounds up")
+
+    def flip(self, rate, step):
+        device = make_device(self.DEVICE_SEED, 16, 16, rate)
+        return device.flips_at(self.CHALLENGE, self.SEED, self.SITE)(step)
+
+    def test_a_rate_equal_to_the_rounded_word_does_not_flip(self):
+        step, word = self.rounded_up_word()
+        rate = float(word) / 2 ** 64
+        # as integers the word lies below the rate, as floats it equals it
+        assert word < rate * 2 ** 64 and word / 2.0 ** 64 == rate
+        assert self.flip(rate, step) is None
+        # one ulp above, the coin flips the response
+        assert self.flip(math.nextafter(rate, 2.0), step) is not None
 
 
 class TestEnrollment:

@@ -1,13 +1,13 @@
-"""One-shot draws: ``first_words`` gives the first word of the stream
-``derive_rng`` names, and the noise coin of ``PufDevice.flips_at``
-draws as the full noise stream does."""
+"""One-shot draws: ``step_words`` gives the first word of the stream
+``derive_rng`` names at each step of a site, and the noise coin of
+``PufDevice.flips_at`` draws as the full noise stream does."""
 import itertools
 import random
 
 import pytest
 
 from casmkit.puf import make_device
-from casmkit.rng import derive_rng, first_words
+from casmkit.rng import derive_rng, step_words
 
 from reference_runtime import query_at
 
@@ -25,45 +25,57 @@ def random_part(rnd):
 
 
 def random_parts(rnd):
-    return [random_part(rnd) for _ in range(rnd.randrange(1, 6))]
+    return [random_part(rnd) for _ in range(rnd.randrange(0, 4))]
 
 
-class TestFirstWords:
+PARTS = ["main#0", "", "a|b", 7, 0, -12, True, False, 1 << 64]
+
+
+class TestStepWords:
     def test_equals_the_first_draw_of_the_named_stream(self):
         rnd = random.Random(11)
         for _ in range(2000):
-            parts = random_parts(rnd)
-            split = rnd.randrange(len(parts))
-            word = first_words(*parts[:split])(*parts[split:])
+            prefix = random_parts(rnd)
+            step, site = random_part(rnd), random_part(rnd)
+            word = step_words(prefix, site)(step)
+            parts = [*prefix, step, site]
             assert word / 2 ** 64 == derive_rng(*parts).random(), parts
             n = rnd.choice([1, 2, 3, 7, 1000, rnd.randrange(1, 1 << 32)])
             assert word % n == derive_rng(*parts).randrange(n), (parts, n)
 
-    @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_each_rest_width_hashes_the_stream_label(self, width):
-        # one- and two-part rests take their own formatting path
-        parts = ["main#0", "", "a|b", 7, 0, -12, True, False]
-        for prefix in ((), ("fallback", 5), ("pufnoise", -3, 1 << 40)):
-            word = first_words(*prefix)
-            for rest in itertools.product(parts, repeat=width):
-                assert word(*rest) == \
-                    derive_rng(*prefix, *rest).randrange(1 << 64), rest
+    @pytest.mark.parametrize("width", [0, 1, 2])
+    def test_each_part_kind_hashes_the_stream_label(self, width):
+        # int, bool and str parts, negative ones and "|" inside a part,
+        # in the prefix, the step and the site
+        for prefix in itertools.product(PARTS, repeat=width):
+            for site in PARTS:
+                word = step_words(prefix, site)
+                for step in PARTS:
+                    assert word(step) == derive_rng(
+                        *prefix, step, site).randrange(1 << 64), \
+                        (prefix, step, site)
 
-    def test_a_prefix_serves_many_streams(self):
-        word = first_words("fallback", -7)
-        for step in range(200):
+    def test_a_site_serves_every_step(self):
+        for prefix in (("fallback", -7), ("pufnoise", -3, 1 << 40, 5)):
             for site in ("main#0", "a|b#1", ""):
-                assert word(step, site) % 5 == \
-                    derive_rng("fallback", -7, step, site).randrange(5)
+                word = step_words(prefix, site)
+                for step in range(200):
+                    assert word(step) % 5 == \
+                        derive_rng(*prefix, step, site).randrange(5)
+
+    def test_negative_seeds_draw_their_own_streams(self):
+        words = {step_words(("fallback", seed), "main#0")(3)
+                 for seed in (-1, 1, -(1 << 63), 1 << 63)}
+        assert len(words) == 4
+        assert step_words(("fallback", -1), "main#0")(3) / 2 ** 64 == \
+            derive_rng("fallback", -1, 3, "main#0").random()
 
     def test_a_separator_in_a_part_joins_as_the_stream_label_does(self):
         # "a|b" then "c" and "a" then "b|c" name one stream
-        assert first_words("a|b")("c") == first_words("a")("b|c") == \
-            first_words()("a", "b", "c")
-
-    def test_needs_a_part_after_the_prefix(self):
-        with pytest.raises(TypeError):
-            first_words("fallback", 1)()
+        assert step_words(("a|b",), "d")("c") == \
+            step_words(("a",), "d")("b|c") == \
+            step_words((), "d")("a|b|c") == \
+            step_words((), "c|d")("a|b")
 
 
 class TestQueryAt:

@@ -1,6 +1,7 @@
-"""The run loop memoizes the rule pass of choose-free programs and the
-site decider memoizes its safe states; these tests hold both against
-step-by-step ``step_values`` chains that use no memo."""
+"""The run loop interns the states of choose-free programs, so a rule
+pass fires once per state and inputs, and the site decider memoizes its
+safe states; these tests hold both against step-by-step ``step_values``
+chains that use neither."""
 import json
 import random
 
@@ -161,6 +162,62 @@ class TestRuleMemo:
             "  if mode = Idle then\n    col := Red\n  endif"))
         # the rule is never called, yet it keeps the memo off
         assert not compiled(program).choose_free
+
+
+class TestInternedGraph:
+    """A run of a choose-free program interns each state once: the rule
+    pass fires once per distinct (state, inputs) pair, and the state key
+    runs once for the initial state and once per distinct edge, the
+    first time the edge is taken, not once per step."""
+
+    STEPS = 10_000
+
+    def runs(self, traffic):
+        """(name, program, oracle, seed, make_resolver): a clone run of
+        the protected traffic light at each noise rate, under the clone
+        experiment's inputs, and a plain run under random inputs;
+        ``make_resolver()`` gives a new resolver for the run's sites."""
+        protected, _ = protect(traffic, make_device(42, 16, 16, 0.0))
+        always = ConstantOracle.always_true(traffic)
+        for noise in (0.0, 0.05):
+            device = make_device(999, 16, 16, noise)
+            yield (f"clone/{noise}", protected.program, always, 5,
+                   lambda device=device:
+                   ProtectedRunner(protected, device, 5)._stage)
+        yield "plain/random:3", traffic, RandomOracle(3), 7, lambda: None
+
+    def test_work_is_done_once_per_state_and_edge(self, traffic,
+                                                  rule_passes,
+                                                  monkeypatch):
+        keys: list = []
+
+        def counting(state_key):
+            def count(values):
+                keys.append(None)
+                return state_key(values)
+            count.counting = True
+            return count
+        for name, program, oracle, seed, make_resolver in self.runs(traffic):
+            cp = compiled(program)
+            if not hasattr(cp.state_key, "counting"):
+                monkeypatch.setattr(cp, "state_key", counting(cp.state_key))
+            keys.clear()
+            rule_passes.clear()
+            got = collected(iter_run(program, self.STEPS, oracle, seed,
+                                     make_resolver()))
+            passes, state_keys = rule_passes[program.name], len(keys)
+
+            resolver = make_resolver()
+            assert got == stepwise(program, self.STEPS, oracle, seed,
+                                   lambda k: resolver), name
+            entries, error = got
+            assert error is None and len(entries) == self.STEPS + 1
+            assert passes == len(distinct_keys(program, entries)), name
+            edges = {(cp.state_key(before[1]), cp.inputs_key(after[2]),
+                      cp.state_key(after[1]))
+                     for before, after in zip(entries, entries[1:])}
+            assert state_keys == len(edges) + 1, name
+            assert state_keys < self.STEPS // 100, name
 
 
 def protected_subjects(traffic):
