@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 Value = Union[bool, int, str]
 Location = tuple[str, tuple[Value, ...]]
@@ -458,6 +458,43 @@ class NamedRule:
     body: tuple[Rule, ...]
 
 
+# Dispatch is on the exact rule type; a kind missing here has no parts.
+_RULE_PARTS = {
+    Update: lambda r: ((*r.args, r.rhs), ()),
+    Cond: lambda r: ((r.guard,), (r.then_rules, r.else_rules)),
+    Par: lambda r: ((), (r.rules,)),
+    Choose: lambda r: ((), (r.body,)),
+    Let: lambda r: ((r.binding,), (r.body,)),
+    Call: lambda r: (r.args, ()),
+}
+
+_REBUILD_RULE = {
+    Update: lambda r, t, b: Update(r.fn, tuple(t[:-1]), t[-1]),
+    Cond: lambda r, t, b: Cond(t[0], tuple(b[0]), tuple(b[1])),
+    Par: lambda r, t, b: Par(tuple(b[0])),
+    Choose: lambda r, t, b: Choose(r.var, r.candidates, tuple(b[0])),
+    Let: lambda r, t, b: Let(r.var, t[0], tuple(b[0])),
+    Call: lambda r, t, b: Call(r.name, tuple(t)),
+}
+
+
+def rule_parts(rule: Rule) -> tuple[tuple[Term, ...], tuple[tuple[Rule, ...], ...]]:
+    """The rule's terms and its bodies (rule tuples), each in field order;
+    ``((), ())`` for a rule with neither.  A ``Choose``/``Let`` variable
+    is in scope in the bodies only.  With :func:`rebuild_rule`, the one
+    place that knows a rule's parts: a rule walker maps these and
+    rebuilds instead of listing rule kinds."""
+    get = _RULE_PARTS.get(type(rule))
+    return ((), ()) if get is None else get(rule)
+
+
+def rebuild_rule(rule: Rule, terms, bodies) -> Rule:
+    """``rule`` with its terms and bodies replaced, given in
+    :func:`rule_parts` order; a rule without parts comes back as it is."""
+    make = _REBUILD_RULE.get(type(rule))
+    return rule if make is None else make(rule, terms, bodies)
+
+
 # ---------------------------------------------------------------------------
 # Program and state
 # ---------------------------------------------------------------------------
@@ -673,47 +710,31 @@ def locations_of_interest(program: Program) -> tuple[Location, ...]:
 
     def collect_rule(rule: Rule, ranges: dict[str, tuple[Value, ...]],
                      seen_calls: frozenset) -> None:
-        if isinstance(rule, Update):
-            for a in rule.args:
-                collect_term(a, ranges)
-            collect_term(rule.rhs, ranges)
-        elif isinstance(rule, Cond):
-            collect_term(rule.guard, ranges)
-            for r in rule.then_rules + rule.else_rules:
-                collect_rule(r, ranges, seen_calls)
-        elif isinstance(rule, Par):
-            for r in rule.rules:
-                collect_rule(r, ranges, seen_calls)
-        elif isinstance(rule, Choose):
-            sub = dict(ranges)
-            sub[rule.var] = rule.candidates.resolve(program)
-            for r in rule.body:
-                collect_rule(r, sub, seen_calls)
+        terms, bodies = rule_parts(rule)
+        for t in terms:
+            collect_term(t, ranges)
+        sub = ranges
+        if isinstance(rule, Choose):
+            sub = {**ranges, rule.var: rule.candidates.resolve(program)}
         elif isinstance(rule, Let):
-            collect_term(rule.binding, ranges)
             sub = dict(ranges)
             if isinstance(rule.binding, Const):
                 sub[rule.var] = (rule.binding.value,)
             else:
                 sub.pop(rule.var, None)
-            for r in rule.body:
-                collect_rule(r, sub, seen_calls)
         elif isinstance(rule, Call):
-            for a in rule.args:
-                collect_term(a, ranges)
             if rule.name in seen_calls:
                 return
             target = program.named_rule(rule.name)
-            sub: dict[str, tuple[Value, ...]] = {}
-            for (pname, psort), arg in zip(target.params, rule.args):
-                if isinstance(arg, Const):
-                    sub[pname] = (arg.value,)
-                else:
-                    sub[pname] = psort.values()
-            for r in target.body:
-                collect_rule(r, sub, seen_calls | {rule.name})
+            sub = {pname: (arg.value,) if isinstance(arg, Const)
+                   else psort.values()
+                   for (pname, psort), arg in zip(target.params, rule.args)}
+            bodies, seen_calls = (target.body,), seen_calls | {rule.name}
         elif isinstance(rule, ChooseCtl):
             found.setdefault(program.ctl_loc)
+        for body in bodies:
+            for r in body:
+                collect_rule(r, sub, seen_calls)
 
     for main in program.main_rules:
         for r in main.body:
@@ -867,7 +888,8 @@ def validate_program(program: Program, protected: bool = False,
             problems.append(("E-CTLSHAPE", f"top-level rule {nr.name} has parameters"))
         for r in nr.body:
             checker.check_rule(r, {}, protected)
-        _check_main_shape(program, nr, problems, protected)
+        _check_main_shape(program, nr, problems)
+    _check_ctl_writes(program, problems, protected)
 
     if free_vars(program.unsafe):
         problems.append(("E-UNBOUND", "violation predicate must be variable-free"))
@@ -882,7 +904,7 @@ def validate_program(program: Program, protected: bool = False,
 
 
 def _check_main_shape(program: Program, nr: NamedRule,
-                      problems: list, protected: bool) -> None:
+                      problems: list) -> None:
     if len(nr.body) != 1 or not isinstance(nr.body[0], Cond):
         problems.append(
             ("E-CTLSHAPE",
@@ -893,22 +915,32 @@ def _check_main_shape(program: Program, nr: NamedRule,
         problems.append(
             ("E-CTLSHAPE",
              f"guard of rule {nr.name} does not constrain {program.ctl_name}"))
-    for rule, _ in iter_rules(nr.body):
-        if isinstance(rule, Update) and rule.fn == program.ctl_name:
-            if protected:
-                problems.append(
-                    ("E-CTLSHAPE",
-                     f"plain control-state update in protected rule {nr.name}"))
-            elif not isinstance(rule.rhs, Const):
-                problems.append(
-                    ("E-CTL-CONST",
-                     f"update to {program.ctl_name} in rule {nr.name} "
-                     "must assign a constant"))
-            elif not program.ctl.result.contains(rule.rhs.value):
-                problems.append(
-                    ("E-SORT",
-                     f"update assigns {format_value(rule.rhs.value)} outside "
-                     f"{program.ctl.result.name}"))
+
+
+def _check_ctl_writes(program: Program, problems: list,
+                      protected: bool) -> None:
+    """A protected program writes the control state only at challenge
+    sites, in every rule; a plain program's main rules assign it
+    constants of its sort."""
+    for nr, rule in program_rules(program):
+        if not (isinstance(rule, Update) and rule.fn == program.ctl_name):
+            continue
+        if protected:
+            problems.append(
+                ("E-CTLSHAPE",
+                 f"plain control-state update in protected rule {nr.name}"))
+        elif nr not in program.main_rules:
+            continue  # a plain helper's writes are checked as protect inlines it
+        elif not isinstance(rule.rhs, Const):
+            problems.append(
+                ("E-CTL-CONST",
+                 f"update to {program.ctl_name} in rule {nr.name} "
+                 "must assign a constant"))
+        elif not program.ctl.result.contains(rule.rhs.value):
+            problems.append(
+                ("E-SORT",
+                 f"update assigns {format_value(rule.rhs.value)} outside "
+                 f"{program.ctl.result.name}"))
 
 
 def _conjuncts(term: Term) -> list[Term]:
@@ -980,15 +1012,18 @@ def iter_rules(rules: Iterable[Rule], env: Optional[dict] = None):
     env = env or {}
     for rule in rules:
         yield rule, env
-        if isinstance(rule, Cond):
-            yield from iter_rules(rule.then_rules, env)
-            yield from iter_rules(rule.else_rules, env)
-        elif isinstance(rule, Par):
-            yield from iter_rules(rule.rules, env)
-        elif isinstance(rule, (Choose, Let)):
-            sub = dict(env)
-            sub[rule.var] = rule
-            yield from iter_rules(rule.body, sub)
+        sub = {**env, rule.var: rule} \
+            if isinstance(rule, (Choose, Let)) else env
+        for body in rule_parts(rule)[1]:
+            yield from iter_rules(body, sub)
+
+
+def program_rules(program: Program) -> Iterator[tuple[NamedRule, Rule]]:
+    """Every rule of the program, depth first, with the main or helper
+    rule whose body holds it: main rules first, then helpers."""
+    for nr in (*program.main_rules, *program.named_rules):
+        for rule, _ in iter_rules(nr.body):
+            yield nr, rule
 
 
 class _SortChecker:

@@ -27,7 +27,7 @@ from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
     Ite, Let, Location, Member, Not, Or, And, Par, Program, Rule,
     Sort, Term, Update, Value, Var, check_updates,
-    format_location, iter_rules, locations_of_interest, parse_location_key,
+    format_location, locations_of_interest, parse_location_key, program_rules,
 )
 from .rng import derive_rng, first_picks
 
@@ -200,10 +200,8 @@ class CompiledProgram:
     @cached_property
     def choose_free(self) -> bool:
         # decided over the AST: named-rule bodies compile lazily
-        program = self.program
         return not any(isinstance(rule, Choose)
-                       for nr in program.main_rules + program.named_rules
-                       for rule, _ in iter_rules(nr.body))
+                       for _, rule in program_rules(self.program))
 
     @cached_property
     def state_key(self) -> Callable[[dict], object]:

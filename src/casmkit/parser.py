@@ -44,8 +44,8 @@ from typing import NamedTuple, Optional
 from .ast import (
     BOOL, And, App, Call, Choose, ChooseCtl, Cond, Const, Eq, FunctionDecl,
     Ite, Let, Member, NamedRule, Not, Or, Par, Program, Rule, SetExpr, Sort,
-    Term, Update, Value, Var, children, format_value, make_init, rebuild,
-    validate_program,
+    Term, Update, Value, Var, children, format_value, make_init,
+    program_rules, rebuild, rebuild_rule, rule_parts, validate_program,
 )
 
 KEYWORDS = {
@@ -681,39 +681,23 @@ class _Resolver:
         return rebuild(node, [self.term(c, scope) for c in children(node)])
 
     def rule(self, node: Rule, scope: frozenset) -> Rule:
-        if isinstance(node, Update):
-            if node.fn in self.p.fn_names:
-                return Update(node.fn,
-                              tuple(self.term(a, scope) for a in node.args),
-                              self.term(node.rhs, scope))
+        if isinstance(node, Update) and node.fn not in self.p.fn_names:
             self.diags.append(Diagnostic(
                 "error", "E-UNKNOWN-IDENT",
                 f"update to unknown function {node.fn}", self.span(node)))
             raise _SyntaxAbort()
-        if isinstance(node, Cond):
-            return Cond(self.term(node.guard, scope),
-                        tuple(self.rule(r, scope) for r in node.then_rules),
-                        tuple(self.rule(r, scope) for r in node.else_rules))
-        if isinstance(node, Par):
-            return Par(tuple(self.rule(r, scope) for r in node.rules))
-        if isinstance(node, Choose):
-            inner = scope | {node.var}
-            return Choose(node.var, node.candidates,
-                          tuple(self.rule(r, inner) for r in node.body))
-        if isinstance(node, Let):
-            binding = self.term(node.binding, scope)
-            inner = scope | {node.var}
-            return Let(node.var, binding,
-                       tuple(self.rule(r, inner) for r in node.body))
-        if isinstance(node, Call):
-            if node.name in self.p.fn_names and node.name not in self.p.rule_spans:
-                self.diags.append(Diagnostic(
-                    "error", "E-SYNTAX",
-                    f"{node.name} is a function, not a rule",
-                    self.span(node)))
-                raise _SyntaxAbort()
-            return Call(node.name, tuple(self.term(a, scope) for a in node.args))
-        return node
+        if isinstance(node, Call) and node.name in self.p.fn_names \
+                and node.name not in self.p.rule_spans:
+            self.diags.append(Diagnostic(
+                "error", "E-SYNTAX",
+                f"{node.name} is a function, not a rule", self.span(node)))
+            raise _SyntaxAbort()
+        terms, bodies = rule_parts(node)
+        inner = scope | {node.var} \
+            if isinstance(node, (Choose, Let)) else scope
+        return rebuild_rule(
+            node, [self.term(t, scope) for t in terms],
+            [[self.rule(r, inner) for r in body] for body in bodies])
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +766,8 @@ def parse_program(text: str, filename: str = "<input>") -> ParseResult:
 
     extras = None
     is_protected = (parser.enc_sort is not None or condx is not None
-                    or _has_challenge_sites(program))
+                    or any(isinstance(rule, ChooseCtl)
+                           for _, rule in program_rules(program)))
     if is_protected:
         extras = ProtectedExtras(
             plain_sort=parser.enc_sort or "",
@@ -800,15 +785,6 @@ def parse_program(text: str, filename: str = "<input>") -> ParseResult:
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags, extras)
     return ParseResult(program, diags, extras)
-
-
-def _has_challenge_sites(program: Program) -> bool:
-    from .ast import iter_rules
-    for nr in program.main_rules + program.named_rules:
-        for rule, _ in iter_rules(nr.body):
-            if isinstance(rule, ChooseCtl):
-                return True
-    return False
 
 
 def _check_condx(program: Program, plain_sort: str, condx: Term,

@@ -37,8 +37,9 @@ from .ast import (
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Par,
     Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
     children, eval_term, format_value, free_vars, iter_rules,
-    location_term, locations_read, make_init, or_all, reads_location,
-    rebuild, validate_program, State,
+    location_term, locations_read, make_init, or_all, program_rules,
+    reads_location, rebuild, rebuild_rule, rule_parts, validate_program,
+    State,
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry, collect,
@@ -323,11 +324,9 @@ class ProtectedProgram:
     def challenges(self) -> tuple[int, ...]:
         """The challenges of the program's sites, main and named rules
         alike, sorted and each once."""
-        program = self.program
         return tuple(sorted({
-            r.challenge
-            for nr in (*program.main_rules, *program.named_rules)
-            for r, _ in iter_rules(nr.body) if isinstance(r, ChooseCtl)}))
+            r.challenge for _, r in program_rules(self.program)
+            if isinstance(r, ChooseCtl)}))
 
     @cached_property
     def decider(self) -> "SiteDecider":
@@ -419,33 +418,17 @@ def rewrite_program(program: Program, tset: TransitionSet,
     rule_name, ordinals = "", itertools.count()
 
     def rw_rule(rule: Rule) -> Rule:
-        if isinstance(rule, Update):
-            if rule.fn == ctl_name:
-                site = sites.get((rule_name, next(ordinals)))
-                if site is None:
-                    # branch unreachable for every control value
-                    return Par(())
-                return bind_site(site.sources, site.target)
-            return Update(rule.fn, tuple(rw_term(a) for a in rule.args),
-                          rw_term(rule.rhs))
-        if isinstance(rule, Cond):
-            return Cond(rw_term(rule.guard),
-                        tuple(rw_rule(r) for r in rule.then_rules),
-                        tuple(rw_rule(r) for r in rule.else_rules))
-        if isinstance(rule, Par):
-            return Par(tuple(rw_rule(r) for r in rule.rules))
-        if isinstance(rule, Choose):
-            return Choose(rule.var, rule.candidates,
-                          tuple(rw_rule(r) for r in rule.body))
-        if isinstance(rule, Let):
-            return Let(rule.var, rw_term(rule.binding),
-                       tuple(rw_rule(r) for r in rule.body))
-        if isinstance(rule, Call):
-            if named_writes_ctl(rule.name):
-                return Par(tuple(rw_rule(r)
-                                 for r in _inline_call(program, rule)))
-            return Call(rule.name, tuple(rw_term(a) for a in rule.args))
-        return rule
+        if isinstance(rule, Update) and rule.fn == ctl_name:
+            site = sites.get((rule_name, next(ordinals)))
+            if site is None:
+                # branch unreachable for every control value
+                return Par(())
+            return bind_site(site.sources, site.target)
+        if isinstance(rule, Call) and named_writes_ctl(rule.name):
+            return Par(tuple(rw_rule(r) for r in _inline_call(program, rule)))
+        terms, bodies = rule_parts(rule)
+        return rebuild_rule(rule, [rw_term(t) for t in terms],
+                            [[rw_rule(r) for r in body] for body in bodies])
 
     new_mains = []
     for nr in program.main_rules:
@@ -512,16 +495,7 @@ def _var_names(rule: Rule) -> set[str]:
     names: set[str] = set()
     for r, env in iter_rules((rule,)):
         names |= env.keys()  # the binders around ``r``
-        terms: tuple[Term, ...] = ()
-        if isinstance(r, Update):
-            terms = (*r.args, r.rhs)
-        elif isinstance(r, Cond):
-            terms = (r.guard,)
-        elif isinstance(r, Let):
-            terms = (r.binding,)
-        elif isinstance(r, Call):
-            terms = r.args
-        for t in terms:
+        for t in rule_parts(r)[0]:
             names |= free_vars(t)
     return names
 
@@ -529,33 +503,20 @@ def _var_names(rule: Rule) -> set[str]:
 def _subst_rule(rule: Rule, mapping: dict[Term, Term]) -> Rule:
     """Replace variables by terms, renaming a binder that would capture a
     variable of a replacement."""
-    if isinstance(rule, Update):
-        return Update(rule.fn,
-                      tuple(subst_term(a, mapping) for a in rule.args),
-                      subst_term(rule.rhs, mapping))
-    if isinstance(rule, Cond):
-        return Cond(subst_term(rule.guard, mapping),
-                    tuple(_subst_rule(r, mapping) for r in rule.then_rules),
-                    tuple(_subst_rule(r, mapping) for r in rule.else_rules))
-    if isinstance(rule, Par):
-        return Par(tuple(_subst_rule(r, mapping) for r in rule.rules))
+    terms, bodies = rule_parts(rule)
+    inner = mapping
     if isinstance(rule, (Choose, Let)):
-        var = rule.var
-        inner = {k: v for k, v in mapping.items() if k != Var(var)}
+        inner = {k: v for k, v in mapping.items() if k != Var(rule.var)}
         taken = set().union(*(free_vars(v) for v in inner.values()))
-        if var in taken:
+        if rule.var in taken:
             taken |= _var_names(rule)
             var = next(f"{rule.var}_{i}" for i in itertools.count(1)
                        if f"{rule.var}_{i}" not in taken)
             inner[Var(rule.var)] = Var(var)
-        body = tuple(_subst_rule(r, inner) for r in rule.body)
-        if isinstance(rule, Choose):
-            return Choose(var, rule.candidates, body)
-        return Let(var, subst_term(rule.binding, mapping), body)
-    if isinstance(rule, Call):
-        return Call(rule.name, tuple(subst_term(a, mapping)
-                                     for a in rule.args))
-    return rule
+            rule = replace(rule, var=var)
+    return rebuild_rule(rule, [subst_term(t, mapping) for t in terms],
+                        [[_subst_rule(r, inner) for r in body]
+                         for body in bodies])
 
 
 # ---------------------------------------------------------------------------

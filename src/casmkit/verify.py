@@ -202,7 +202,6 @@ def exhaustive_safety_check(
 
     init_values = program.initial_state().values
     init_key = key_of(init_values)
-    visited: dict[tuple, Optional[tuple]] = {init_key: None}
     parents: dict[tuple, tuple] = {}
     snapshots: dict[tuple, dict[Location, Value]] = {init_key: init_values}
     frontier = [init_key]
@@ -227,9 +226,8 @@ def exhaustive_safety_check(
                     succ = dict(values)
                     succ.update(updates)
                     succ_key = key_of(succ)
-                    if succ_key in visited:
+                    if succ_key in snapshots:
                         continue
-                    visited[succ_key] = state_key
                     parents[succ_key] = (state_key, mon)
                     snapshots[succ_key] = succ
                     nxt.append(succ_key)
@@ -256,7 +254,7 @@ def exhaustive_safety_check(
         witness = chain
 
     return ReachabilityReport(
-        explored_states=len(visited),
+        explored_states=len(snapshots),
         transition_count=transition_count,
         unsafe_reachable=unsafe_key is not None,
         witness=witness,

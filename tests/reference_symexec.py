@@ -6,10 +6,12 @@ valuation of a formula's finite-sorted leaves.
 ``install_checks`` (``conftest.py`` calls it for every test) wraps the
 three steps whose answers decide ``condx``, so that every
 simplification, feasibility answer and symbol elimination is checked
-against enumeration as it is made.  A check is skipped where enumeration
-cannot decide it: a feasibility query over more than ``_ORACLE_SKIP``
-valuations, and a simplification or elimination whose formulas hold
-placeholder variables or leaves the program cannot type.
+against enumeration as it is made.  A formula over the placeholder
+``x`` of ``condx`` is checked once for each plain control value.  A
+check is skipped where enumeration cannot decide it: a feasibility query
+over more than ``_ORACLE_SKIP`` valuations, and a simplification or
+elimination whose formulas hold other variables or leaves the program
+cannot type.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Optional
 from casmkit import symexec
 from casmkit.ast import (
     And, App, CasmError, Const, Eq, FALSE, Ite, Member, Not, Or, Program,
-    Term, Value, or_all,
+    Term, Value, Var, children, free_vars, or_all, rebuild,
 )
 from casmkit.symexec import (
     DOMAIN_CAP, FormulaCache, SymRef, _cache, _domains, subst_symbol,
@@ -85,14 +87,28 @@ def equivalent_on_finite_domains(
 
 
 def _oracle_check(f: Term, g: Term, program: Optional[Program]) -> None:
-    try:
-        ok, witness = equivalent_on_finite_domains(f, g, program,
-                                                   cap=_ORACLE_SKIP)
-    except CasmError:
-        return  # placeholder variables or untypable leaves: not checkable
-    if not ok:
-        raise CasmError(
-            f"simplification changed meaning under {witness!r}")
+    pairs = [(f, g)]
+    if program is not None and free_vars(f) | free_vars(g) == {"x"}:
+        # the placeholder of ``condx`` ranges over the plain control values
+        pairs = [(_bind_x(f, v), _bind_x(g, v))
+                 for v in program.ctl_values()]
+    for a, b in pairs:
+        try:
+            ok, witness = equivalent_on_finite_domains(a, b, program,
+                                                       cap=_ORACLE_SKIP)
+        except CasmError:
+            return  # other variables or untypable leaves: not checkable
+        if not ok:
+            raise CasmError(
+                f"simplification changed meaning under {witness!r}")
+
+
+def _bind_x(term: Term, value: Value) -> Term:
+    # plain ``rebuild``, not ``subst_term``, whose folding constructors
+    # are part of the simplification being checked
+    if term == Var("x"):
+        return Const(value)
+    return rebuild(term, [_bind_x(c, value) for c in children(term)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 import casmkit
 from casmkit.ast import (
-    And, App, Const, Eq, InconsistentUpdate, Ite, Member, NamedRule, Not, Or,
-    Program, Sort, State, Term, Update, Var, check_updates, children,
-    eval_term, format_location, locations_of_interest, rebuild,
-    validate_program, Cond, FunctionDecl, make_init, BOOL,
+    And, App, Call, Choose, ChooseCtl, Const, Eq, InconsistentUpdate, Ite,
+    Let, Member, NamedRule, Not, Or, Par, Program, Rule, SetExpr, Sort,
+    State, Term, Update, Var, check_updates, children, eval_term,
+    format_location, locations_of_interest, rebuild, rebuild_rule,
+    rule_parts, validate_program, Cond, FunctionDecl, make_init, BOOL,
 )
 from casmkit.parser import _RawIdent
 from casmkit.symexec import SymRef, Symbol, s_rebuild
@@ -56,17 +57,23 @@ class TestEvalTerm:
         assert eval_term(term, state) == eval_term(term, state)
 
 
-def _concrete_term_kinds() -> set[type]:
-    """Every ``Term`` subclass the package defines, all modules imported."""
+def _concrete_kinds(base: type) -> set[type]:
+    """Every subclass of ``base`` the package defines, all modules
+    imported."""
     for info in pkgutil.walk_packages(casmkit.__path__, "casmkit."):
         importlib.import_module(info.name)
-    kinds, stack = set(), [Term]
+    kinds, stack = set(), [base]
     while stack:
         for sub in stack.pop().__subclasses__():
             if sub not in kinds and sub.__module__.startswith("casmkit."):
                 kinds.add(sub)
                 stack.append(sub)
     return kinds
+
+
+def _concrete_term_kinds() -> set[type]:
+    """Every ``Term`` subclass the package defines, all modules imported."""
+    return _concrete_kinds(Term)
 
 
 # one node of every kind, its children distinct variables; none of them
@@ -113,6 +120,49 @@ class TestTermMap:
         assert s_rebuild(term, kids) == term
         fresh = tuple(Var(f"k{i}") for i in range(len(kids)))
         assert children(rebuild(term, fresh)) == fresh
+
+
+# one rule of every kind, its terms distinct variables and every body
+# non-empty, so each part is told apart by identity
+_U, _W = Update("u", (), _A), Update("w", (), _B)
+RULE_SAMPLES = {
+    Update: Update("f", (_A, _B), _C),
+    Cond: Cond(_A, (_U,), (_W,)),
+    Par: Par((_U, _W)),
+    Choose: Choose("v", SetExpr(("X", "Y")), (_U, _W)),
+    Let: Let("v", _A, (_U,)),
+    Call: Call("r", (_A, _B)),
+    ChooseCtl: ChooseCtl(7),
+}
+
+
+def _rule_bodies(rule: Rule) -> list[tuple[Rule, ...]]:
+    """The rule tuples held in ``rule``'s fields."""
+    values = (getattr(rule, f.name) for f in dataclasses.fields(rule))
+    return [v for v in values if isinstance(v, tuple) and v
+            and all(isinstance(r, Rule) for r in v)]
+
+
+class TestRuleMap:
+    """``rule_parts`` and ``rebuild_rule`` are the one place that knows a
+    rule's terms and bodies, so every rule kind must be covered here."""
+
+    def test_every_rule_kind_has_a_sample(self):
+        assert _concrete_kinds(Rule) == set(RULE_SAMPLES)
+
+    @pytest.mark.parametrize("rule", RULE_SAMPLES.values(),
+                             ids=[k.__name__ for k in RULE_SAMPLES])
+    def test_parts_and_rebuild_cover_every_field(self, rule):
+        terms, bodies = rule_parts(rule)
+        assert [id(t) for t in terms] == [id(t) for t in _term_fields(rule)]
+        assert [id(b) for b in bodies] == [id(b) for b in _rule_bodies(rule)]
+        assert rebuild_rule(rule, terms, bodies) == rule
+        fresh_terms = tuple(Var(f"k{i}") for i in range(len(terms)))
+        fresh_bodies = tuple((Update(f"g{i}", (), _C),)
+                             for i in range(len(bodies)))
+        rebuilt = rebuild_rule(rule, list(fresh_terms),
+                               [list(b) for b in fresh_bodies])
+        assert rule_parts(rebuilt) == (fresh_terms, fresh_bodies)
 
 
 class TestCheckUpdates:

@@ -369,6 +369,25 @@ class TestBadInputs:
                  f"{challenge} {reason}")
         assert_one_line_usage_error(invoke(*command), names)
 
+    @pytest.mark.parametrize("command", [
+        ("run-protected", "p", "--device-seed", "999", "--steps", "50",
+         "--seed", "1"),
+        ("verify", "p"),
+        ("compare", "p", "--target-seed", "42", "--steps", "50")])
+    def test_helper_writes_the_control_state(self, workspace, command):
+        # a helper's plain control write would jump on every device
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        casm = workspace / "p" / "protected.casm"
+        text = casm.read_text()
+        assert text.count("challenge 2\n") == 1
+        casm.write_text(text.replace("challenge 2\n", "jump()\n")
+                        + "\nrule jump():\n  phase := 28866\n")
+        assert_one_line_usage_error(
+            invoke(*command),
+            "E-CTLSHAPE]: plain control-state update in protected rule jump")
+
     @pytest.mark.parametrize("missing", ["protected.casm", "enrollment.json"])
     @pytest.mark.parametrize("command", [
         ("run-protected", "p", "--device-seed", "42", "--steps", "3",

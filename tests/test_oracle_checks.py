@@ -56,6 +56,13 @@ def test_elimination_imported_by_name_is_checked(monkeypatch):
         elim_symbol(And(b, c), b.symbol)
 
 
+def test_elimination_in_the_analysis_is_checked(monkeypatch):
+    # derive_safe_condition eliminates over the placeholder x of condx
+    monkeypatch.setattr(csymexec, "_elim", lambda *args: FALSE)
+    with pytest.raises(CasmError, match="simplification changed meaning"):
+        protect_ring3()
+
+
 @pytest.mark.parametrize("broken", ["dropped_conjunct", "nothing_feasible"])
 def test_unchecked_analysis_misses_the_break(broken, request, monkeypatch):
     request.getfixturevalue(broken)
