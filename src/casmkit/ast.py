@@ -1026,6 +1026,21 @@ def program_rules(program: Program) -> Iterator[tuple[NamedRule, Rule]]:
             yield nr, rule
 
 
+def ctl_writes(program: Program, rule: Rule,
+               calling: frozenset = frozenset()) -> int:
+    """The control-state writes in ``rule``, a call holding those of the
+    rule it calls: in rule order, then branch first, the rewrite's sites.
+    A recursive call, which would hold endlessly many, is refused."""
+    if isinstance(rule, Call):
+        if rule.name in calling:
+            raise CasmError(f"recursive rule {rule.name} in analysis")
+        return sum(ctl_writes(program, r, calling | {rule.name})
+                   for r in program.named_rule(rule.name).body)
+    return int(isinstance(rule, Update) and rule.fn == program.ctl_name) \
+        + sum(ctl_writes(program, r, calling)
+              for body in rule_parts(rule)[1] for r in body)
+
+
 class _SortChecker:
     """Bidirectional sort checking of terms and rules."""
 

@@ -140,12 +140,12 @@ def cmd_symexec(file: str, out: str | None, no_ctl_abstraction: bool) -> None:
     try:
         with analysis():
             init = SymInit.for_program(program)
-            paths = merge_successors(
-                symbolic_step(program, init,
-                              ctl_abstraction=not no_ctl_abstraction))
+            paths = symbolic_step(program, init,
+                                  ctl_abstraction=not no_ctl_abstraction)
             cond_x = None
             if not no_ctl_abstraction:
-                cond_x = derive_safe_condition(program).cond_x
+                cond_x = derive_safe_condition(program, (init, paths)).cond_x
+            paths = merge_successors(paths)
     except CasmError as exc:
         _fail(str(exc), EXIT_USAGE)
     report = {

@@ -1,13 +1,13 @@
 """Hardware-binding transformation pipeline.
 
-Protecting a program means: extract its control-state transition set,
-enroll one PUF challenge per transition, derive (by one symbolic step)
-the predicate that marks dangerous next control states, then rewrite the
-program so that
+Protecting a program means: execute one step of it symbolically, read
+the control-state transitions off the paths of that step, enroll one PUF
+challenge per transition, derive from the same paths the predicate that
+marks dangerous next control states, then rewrite the program so that
 
   * every plain control-state update becomes a challenge site that
     queries the device at run time, with the challenges of the sources
-    extraction recorded for that update (the rewrite decides none),
+    the step recorded for that update (the rewrite decides none),
   * every guard on the control state tests membership in the enrolled
     response encodings (the stored control value IS a raw response), and
   * the control state's runtime sort is the response space, initialized
@@ -36,9 +36,9 @@ from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Par,
     Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
-    children, eval_term, format_value, free_vars, iter_rules,
-    location_term, locations_read, make_init, or_all, program_rules,
-    reads_location, rebuild, rebuild_rule, rule_parts, validate_program,
+    children, ctl_writes, eval_term, format_value, free_vars,
+    iter_rules, location_term, locations_read, make_init, or_all,
+    program_rules, rebuild, rebuild_rule, rule_parts, validate_program,
     State,
 )
 from .interp import (
@@ -51,9 +51,9 @@ from .puf import Enrollment, enroll
 from .rng import derive_rng, step_words
 from . import symexec
 from .symexec import (
-    SymInit, elim_symbol, free_symbols_in, merge_successors,
-    simplify_formula, subst_symbol, subst_term, substitute_initial_terms,
-    symbolic_step,
+    PathedSymState, SymInit, elim_symbol, free_symbols_in,
+    merge_successors, simplify_formula, subst_symbol, subst_term,
+    substitute_initial_terms, symbolic_step,
 )
 
 BOUND_OK = "BOUND_OK"
@@ -93,107 +93,63 @@ class TransitionSet:
     sites: tuple[SiteInfo, ...]
 
 
-def _guard_source_split(program: Program, guard: Term,
-                        possible: frozenset,
-                        ranges: dict[str, tuple[Value, ...]]
-                        ) -> tuple[frozenset, frozenset]:
-    """Control values in ``possible`` under which the guard can be true
-    (respectively false), with every other location left free.  The
-    guard's choose-bound variables are expanded existentially."""
-    closed = guard
-    for var, values in ranges.items():
-        closed = or_all([subst_term(closed, {Var(var): Const(v)})
-                         for v in values])
-    ctl_term = App(program.ctl_name, ())
-    sat_true = set()
-    sat_false = set()
-    for v in possible:
-        fixed = subst_term(closed, {ctl_term: Const(v)})
-        if symexec.satisfiable(fixed, program):
-            sat_true.add(v)
-        if symexec.satisfiable(symexec.s_not(fixed), program):
-            sat_false.add(v)
-    return frozenset(sat_true), frozenset(sat_false)
+# one symbolic step of a program: its symbolic initial state and paths
+Step = tuple[SymInit, list[PathedSymState]]
 
 
-def compute_transition_set(program: Program) -> TransitionSet:
-    """Pairs (i, j) licensed by syntactic containment of a control-state
-    update inside the rule(s) guarding state i.
+def _one_step(program: Program) -> Step:
+    """The step transitions and ``condx`` come from, control writes
+    abstracted."""
+    init = SymInit.for_program(program)
+    return init, symbolic_step(program, init, ctl_abstraction=True)
 
-    The source set of an update is tracked along the branch path: at each
-    conditional the set narrows to the control values under which that
-    branch is reachable, other locations left free.  A guard testing a
-    set of states therefore contributes one pair per member that still
-    dominates the update.  A ``let`` body is walked with its variable
-    replaced by the binding, and a call as the called body with its
-    parameters replaced by the arguments, under the caller's binders.
 
-    This is the only place that decides an update's sources: the n-th
-    control update reached from main rule ``r`` is recorded as the site
-    ``(r, n)``, and :func:`rewrite_program` binds that update to it.
+def compute_transition_set(program: Program,
+                           step: Optional[Step] = None) -> TransitionSet:
+    """Pairs (i, j) such that a path of the symbolic step ``step`` (one
+    of its own when not given) writes j to the control state from i.
+
+    A path's sources are the control values its condition admits.  Each
+    control write is a site ``(r, n)``, the n-th control write of main
+    rule ``r``, with the sources of the paths through it; a write on no
+    path has no site.  :func:`rewrite_program` binds each write to its
+    site.  A write must assign a constant under a guard that reads the
+    control state.
     """
+    init, paths = step or _one_step(program)
     sort = program.ctl.result
-    all_values = frozenset(sort.values())
-    pairs: dict[tuple[Value, Value], None] = {}
-    sites: list[SiteInfo] = []
-
-    # the main rule being walked and the ordinals of its control updates
-    rule_name, counter = "", itertools.count()
-
-    def walk(rule: Rule, possible: frozenset, constrained: bool,
-             ranges: dict, stack: frozenset) -> None:
-        if isinstance(rule, Update):
-            if rule.fn != program.ctl_name:
-                return
-            if not isinstance(rule.rhs, Const):
+    sources_of: dict[tuple[str, int], set[Value]] = {}
+    target_of: dict[tuple[str, int], Value] = {}
+    for p in paths:
+        for w in p.ctl_writes:
+            if not isinstance(w.target, Const):
+                raise AmbiguousSource(f"control-state update in {w.rule} "
+                                      "has a non-constant target")
+            if not w.guarded:
                 raise AmbiguousSource(
-                    f"control-state update in {rule_name} has a "
-                    "non-constant target")
-            if not constrained:
-                raise AmbiguousSource(
-                    f"control-state update in {rule_name} is not dominated "
+                    f"control-state update in {w.rule} is not dominated "
                     "by any guard on the control state")
-            target = rule.rhs.value
-            ordinal = next(counter)
-            sources = tuple(sorted(possible, key=sort.index))
-            if sources:
-                sites.append(SiteInfo(rule_name, ordinal, sources, target))
-                for src in sources:
-                    pairs.setdefault((src, target))
-        elif isinstance(rule, Cond):
-            sat_true, sat_false = _guard_source_split(
-                program, rule.guard, possible, ranges)
-            branched = constrained or reads_location(rule.guard,
-                                                     program.ctl_loc)
-            for r in rule.then_rules:
-                walk(r, sat_true, branched, ranges, stack)
-            for r in rule.else_rules:
-                walk(r, sat_false, branched, ranges, stack)
-        elif isinstance(rule, Par):
-            for r in rule.rules:
-                walk(r, possible, constrained, ranges, stack)
-        elif isinstance(rule, Choose):
-            inner = {**ranges, rule.var: rule.candidates.resolve(program)}
-            for r in rule.body:
-                walk(r, possible, constrained, inner, stack)
-        elif isinstance(rule, Let):
-            for r in rule.body:
-                walk(_subst_rule(r, {Var(rule.var): rule.binding}),
-                     possible, constrained, ranges, stack)
-        elif isinstance(rule, Call):
-            if rule.name in stack:
-                raise CasmError(f"recursive rule {rule.name} in analysis")
-            for r in _inline_call(program, rule):
-                walk(r, possible, constrained, ranges, stack | {rule.name})
+        if not p.ctl_writes:
+            continue
+        # a guard reads the control state, so it is held by a symbol
+        alpha = init.sym_val[program.ctl_loc]
+        sources = [v for v in sort.values() if symexec.satisfiable(
+            subst_term(p.path_cond, {alpha: Const(v)}), program)]
+        for w in p.ctl_writes:
+            sources_of.setdefault((w.rule, w.ordinal), set()).update(sources)
+            target_of[w.rule, w.ordinal] = w.target.value
 
-    for nr in program.main_rules:
-        rule_name, counter = nr.name, itertools.count()
-        for r in nr.body:
-            walk(r, all_values, False, {}, frozenset())
-
-    ordered = tuple(sorted(pairs, key=lambda ij: (sort.index(ij[0]),
-                                                  sort.index(ij[1]))))
-    return TransitionSet(pairs=ordered, sites=tuple(sites))
+    rule_index = {nr.name: k for k, nr in enumerate(program.main_rules)}
+    sites = tuple(
+        SiteInfo(r, n, tuple(sorted(sources_of[r, n], key=sort.index)),
+                 target_of[r, n])
+        for r, n in sorted(sources_of, key=lambda rn: (rule_index[rn[0]],
+                                                       rn[1])))
+    pairs = {(src, site.target) for site in sites for src in site.sources}
+    return TransitionSet(
+        pairs=tuple(sorted(pairs, key=lambda ij: (sort.index(ij[0]),
+                                                  sort.index(ij[1])))),
+        sites=sites)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +169,16 @@ class SafeCondition:
         return subst_term(self.cond_x, {Var("x"): Const(value)})
 
 
-def derive_safe_condition(program: Program) -> SafeCondition:
-    """One symbolic step, merged, turned into the dangerous-choice
-    predicate: a disjunct per transition group, each the conjunction of
-    its (back-substituted) path condition and the violation predicate
-    pushed through its successor map.  Symbols with no concrete carrier
-    at run time (environment inputs, the abstracted next control value,
-    internal choices) are eliminated existentially."""
-    init = SymInit.for_program(program)
-    paths = symbolic_step(program, init, ctl_abstraction=True)
+def derive_safe_condition(program: Program,
+                          step: Optional[Step] = None) -> SafeCondition:
+    """The symbolic step ``step`` (one of its own when not given),
+    merged, turned into the dangerous-choice predicate: a disjunct per
+    transition group, each the conjunction of its (back-substituted)
+    path condition and the violation predicate pushed through its
+    successor map.  Symbols with no concrete carrier at run time
+    (environment inputs, the abstracted next control value, internal
+    choices) are eliminated existentially."""
+    init, paths = step or _one_step(program)
     merged = merge_successors(paths)
     contributing = [p for p in merged if not p.stutter]
 
@@ -393,17 +350,6 @@ def rewrite_program(program: Program, tset: TransitionSet,
             return decode_cascade()
         return rebuild(term, [rw_term(c) for c in children(term)])
 
-    writes_ctl: dict[str, bool] = {}
-
-    def named_writes_ctl(name: str) -> bool:
-        if name not in writes_ctl:
-            writes_ctl[name] = False  # a recursive call adds no write
-            writes_ctl[name] = any(
-                (isinstance(r, Update) and r.fn == ctl_name)
-                or (isinstance(r, Call) and named_writes_ctl(r.name))
-                for r, _ in iter_rules(program.named_rule(name).body))
-        return writes_ctl[name]
-
     def bind_site(sources: tuple[Value, ...], target: Value) -> Rule:
         node: Rule = ChooseCtl(enrollment.challenge_for(sources[-1], target))
         for src in reversed(sources[:-1]):
@@ -424,8 +370,13 @@ def rewrite_program(program: Program, tset: TransitionSet,
                 # branch unreachable for every control value
                 return Par(())
             return bind_site(site.sources, site.target)
-        if isinstance(rule, Call) and named_writes_ctl(rule.name):
-            return Par(tuple(rw_rule(r) for r in _inline_call(program, rule)))
+        if isinstance(rule, Call) and ctl_writes(program, rule):
+            # inlined, the parameters replaced by the arguments
+            called = program.named_rule(rule.name)
+            mapping = {Var(p): a for (p, _), a in zip(called.params,
+                                                      rule.args)}
+            return Par(tuple(rw_rule(_subst_rule(r, mapping))
+                             for r in called.body))
         terms, bodies = rule_parts(rule)
         return rebuild_rule(rule, [rw_term(t) for t in terms],
                             [[rw_rule(r) for r in body] for body in bodies])
@@ -438,7 +389,8 @@ def rewrite_program(program: Program, tset: TransitionSet,
     # named rules that write the control state are inlined at their calls
     new_named = tuple(
         NamedRule(nr.name, nr.params, tuple(rw_rule(r) for r in nr.body))
-        for nr in program.named_rules if not named_writes_ctl(nr.name))
+        for nr in program.named_rules
+        if not any(ctl_writes(program, r) for r in nr.body))
 
     ctl_decl = FunctionDecl(ctl_name, (), resp_sort, "controlled",
                             make_init({(): enrollment.init_token}))
@@ -480,14 +432,6 @@ def rewrite_program(program: Program, tset: TransitionSet,
         provenance=provenance,
         warnings=warnings,
     )
-
-
-def _inline_call(program: Program, call: Call) -> tuple[Rule, ...]:
-    """The called rule's body with its parameters replaced by the call's
-    arguments."""
-    target = program.named_rule(call.name)
-    mapping = {Var(p): a for (p, _), a in zip(target.params, call.args)}
-    return tuple(_subst_rule(r, mapping) for r in target.body)
 
 
 def _var_names(rule: Rule) -> set[str]:
@@ -720,20 +664,21 @@ def run_protected(protected: ProtectedProgram, device, steps: int,
 
 def protect(program: Program, device, attempt_budget: int = 65536
             ) -> tuple[ProtectedProgram, Enrollment]:
-    """Full pipeline: transitions, enrollment, safety derivation,
-    rewrite.  Deterministic given the program and device parameters;
-    nothing is emitted on partial failure.  Extraction and the safety
-    derivation share one :class:`~casmkit.symexec.FormulaCache`, dropped
-    when they return."""
+    """Full pipeline: one symbolic step, then from its paths the
+    transitions, enrollment and the safety derivation, then the rewrite.
+    Deterministic given the program and device parameters; nothing is
+    emitted on partial failure.  The analysis shares one
+    :class:`~casmkit.symexec.FormulaCache`, dropped when it returns."""
     problems = validate_program(program)
     if problems:
         raise ProgramError("; ".join(f"{c}: {m}" for c, m in problems))
     with symexec.analysis():
-        tset = compute_transition_set(program)
+        step = _one_step(program)
+        tset = compute_transition_set(program, step)
         enrollment = enroll(device, tset.pairs, program.initial_ctl(),
                             attempt_budget)
         enrollment = replace(enrollment, ctl_name=program.ctl_name)
-        safe_condition = derive_safe_condition(program)
+        safe_condition = derive_safe_condition(program, step)
     protected = rewrite_program(program, tset, enrollment, safe_condition)
     return protected, enrollment
 

@@ -25,13 +25,14 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, FALSE, Ite,
     Let, Location, Member, Not, Or, Par, Program, Sort, TRUE, Term,
     Update, Value, Var, and_all, cached_hash, canonical_values, children,
-    location_term, locations_of_interest, or_all, rebuild,
+    ctl_writes, location_term, locations_of_interest, or_all,
+    reads_location, rebuild,
 )
 
 DOMAIN_CAP = 1 << 24
@@ -895,14 +896,27 @@ def sym_eval(term: Term, program: Program, locmap: dict[Location, Term],
     return s_rebuild(term, [sym_eval(c, program, locmap, env) for c in kids])
 
 
+class CtlWrite(NamedTuple):
+    """A control-state write on a path: its site (the ``ordinal``-th
+    control write of main rule ``rule``), its value, and whether a guard
+    that reads the control state encloses it."""
+
+    rule: str
+    ordinal: int
+    target: Term
+    guarded: bool
+
+
 @dataclass
 class PathedSymState:
-    """One symbolic execution path: its condition and successor map."""
+    """One symbolic execution path: its condition and successor map, and
+    the control writes it makes."""
 
     path_cond: Term
     loc_map: dict[Location, Term]
     updated: frozenset[Location]
     merged_from: tuple[int, ...] = ()
+    ctl_writes: tuple[CtlWrite, ...] = ()
 
     @property
     def stutter(self) -> bool:
@@ -920,6 +934,9 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
     still raise :class:`SymbolicInconsistency`.  Combinations where no
     rule fires appear as stutter paths whose successor map is the
     initial one.
+
+    Each path records its control writes (:class:`CtlWrite`), numbered
+    by :func:`~casmkit.ast.ctl_writes`: a pruned branch keeps its numbers.
     """
     if init is None:
         init = SymInit.for_program(program)
@@ -940,15 +957,21 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
 
     paths: list[PathedSymState] = []
 
-    def feasible(conds: list[Term]) -> bool:
-        f = and_all(conds)
-        return satisfiable(f, program)
+    def items_of(rules, env: dict[str, Term], site: tuple[str, int],
+                 guarded: bool) -> list:
+        """Work items for ``rules``, each with the site of its first
+        control write."""
+        rule, ordinal = site
+        items = []
+        for r in rules:
+            items.append((r, env, (rule, ordinal), guarded))
+            ordinal += ctl_writes(program, r)
+        return items
 
-    def finalize(conds: list[Term],
-                 updates: list[tuple[Location, Term]]) -> None:
+    def finalize(conds: list[Term], updates: list) -> None:
         cond = simplify_formula(and_all(conds), program)
         merged: dict[Location, Term] = {}
-        for loc, expr in updates:
+        for loc, expr, _ in updates:
             if loc in merged and merged[loc] != expr:
                 disagree = s_and(and_all(conds),
                                  s_not(s_eq(merged[loc], expr)))
@@ -960,14 +983,16 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
             merged[ctl_loc] = next_ctl_symbol()
         locmap = dict(locmap0)
         locmap.update(merged)
-        paths.append(PathedSymState(cond, locmap, frozenset(merged)))
+        writes = tuple(w for _, _, w in updates if w is not None)
+        paths.append(PathedSymState(cond, locmap, frozenset(merged),
+                                    ctl_writes=writes))
 
-    def walk(items: list, conds: list[Term],
-             updates: list[tuple[Location, Term]]) -> None:
+    def walk(items: list, conds: list[Term], updates: list) -> None:
+        """``updates``: (location, value, :class:`CtlWrite` or None)."""
         if not items:
             finalize(conds, updates)
             return
-        (node, env), rest = items[0], items[1:]
+        (node, env, site, guarded), rest = items[0], items[1:]
         if isinstance(node, Update):
             argexprs = [sym_eval(a, program, locmap0, env) for a in node.args]
             if not all(isinstance(e, Const) for e in argexprs):
@@ -982,24 +1007,30 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
             else:
                 rhs = simplify_formula(
                     sym_eval(node.rhs, program, locmap0, env), program)
-            walk(rest, conds, updates + [(loc, rhs)])
+            write = CtlWrite(*site, rhs, guarded) if loc == ctl_loc else None
+            walk(rest, conds, updates + [(loc, rhs, write)])
         elif isinstance(node, Cond):
+            guarded = guarded or reads_location(node.guard, ctl_loc)
             guard = simplify_formula(
                 sym_eval(node.guard, program, locmap0, env), program)
+            then = items_of(node.then_rules, env, site, guarded)
+            other = items_of(node.else_rules, env, (site[0], site[1] + sum(
+                ctl_writes(program, r) for r in node.then_rules)), guarded)
             if guard == TRUE:
-                walk([(r, env) for r in node.then_rules] + rest, conds, updates)
+                walk(then + rest, conds, updates)
                 return
             if guard == FALSE:
-                walk([(r, env) for r in node.else_rules] + rest, conds, updates)
+                walk(other + rest, conds, updates)
                 return
             pos = conds + [guard]
-            if feasible(pos):
-                walk([(r, env) for r in node.then_rules] + rest, pos, updates)
+            if satisfiable(and_all(pos), program):
+                walk(then + rest, pos, updates)
             neg = conds + [s_not(guard)]
-            if feasible(neg):
-                walk([(r, env) for r in node.else_rules] + rest, neg, updates)
+            if satisfiable(and_all(neg), program):
+                walk(other + rest, neg, updates)
         elif isinstance(node, Par):
-            walk([(r, env) for r in node.rules] + rest, conds, updates)
+            walk(items_of(node.rules, env, site, guarded) + rest, conds,
+                 updates)
         elif isinstance(node, Choose):
             if node.candidates.sort_name is None and not node.candidates.values:
                 raise UnsupportedConstruct("empty candidate set in choose")
@@ -1012,22 +1043,26 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
             inner[node.var] = SymRef(sym)
             constraint = s_member(SymRef(sym), values)
             new_conds = conds if constraint == TRUE else conds + [constraint]
-            walk([(r, inner) for r in node.body] + rest, new_conds, updates)
+            walk(items_of(node.body, inner, site, guarded) + rest,
+                 new_conds, updates)
         elif isinstance(node, Let):
             inner = dict(env)
             inner[node.var] = sym_eval(node.binding, program, locmap0, env)
-            walk([(r, inner) for r in node.body] + rest, conds, updates)
+            walk(items_of(node.body, inner, site, guarded) + rest, conds,
+                 updates)
         elif isinstance(node, Call):
             target = program.named_rule(node.name)
             inner = {p: sym_eval(a, program, locmap0, env)
                      for (p, _), a in zip(target.params, node.args)}
-            walk([(r, inner) for r in target.body] + rest, conds, updates)
+            walk(items_of(target.body, inner, site, guarded) + rest, conds,
+                 updates)
         elif isinstance(node, ChooseCtl):
-            walk(rest, conds, updates + [(ctl_loc, next_ctl_symbol())])
+            walk(rest, conds, updates + [(ctl_loc, next_ctl_symbol(), None)])
         else:
             raise CasmError(f"cannot execute {type(node).__name__}")
 
-    items = [(r, {}) for nr in program.main_rules for r in nr.body]
+    items = [item for nr in program.main_rules
+             for item in items_of(nr.body, {}, (nr.name, 0), False)]
     walk(items, [], [])
     return paths
 

@@ -3,6 +3,9 @@ valuation of a formula's finite-sorted leaves.
 
 ``equivalent_on_finite_domains`` is a complete equivalence check, and
 ``eval_fd`` evaluates a formula under one full valuation.
+``transitions_by_enumeration`` finds a program's control-state
+transitions by running one step from every state the symbolic step
+ranges over.
 ``install_checks`` (``conftest.py`` calls it for every test) wraps the
 three steps whose answers decide ``condx``, so that every
 simplification, feasibility answer and symbol elimination is checked
@@ -23,11 +26,15 @@ from typing import Optional
 from casmkit import symexec
 from casmkit.ast import (
     And, App, CasmError, Const, Eq, FALSE, Ite, Member, Not, Or, Program,
-    Term, Value, Var, children, free_vars, or_all, rebuild,
+    State, Term, Value, Var, children, eval_term, free_vars,
+    locations_of_interest, or_all, rebuild,
 )
+from casmkit.interp import compiled, monitored_reads
 from casmkit.symexec import (
     DOMAIN_CAP, FormulaCache, SymRef, _cache, _domains, subst_symbol,
 )
+
+from reference_walker import enumerate_step_outcomes
 
 _ORACLE_SKIP = 1 << 16
 
@@ -109,6 +116,43 @@ def _bind_x(term: Term, value: Value) -> Term:
     if term == Var("x"):
         return Const(value)
     return rebuild(term, [_bind_x(c, value) for c in children(term)])
+
+
+def transitions_by_enumeration(program: Program) -> set[tuple[Value, Value]]:
+    """The pairs (v, t) such that one step from a state with control
+    value v writes t to the control state, under some input and some
+    ``choose`` draw.  The states are those the symbolic step ranges over:
+    every valuation of the controlled locations of interest that meets
+    the initial constraints.  The inputs are those the step can read
+    (``monitored_reads``), the others at their first value."""
+    interest = locations_of_interest(program)
+    controlled = [l for l in interest
+                  if program.function(l[0]).mode != "monitored"]
+    domains = {l: program.function(l[0]).result.values()
+               for l in program.monitored_locations() if l in interest}
+    fixed = {l: program.function(l[0]).result.values()[0]
+             for l in program.monitored_locations() if l not in interest}
+    first = {**fixed, **{l: d[0] for l, d in domains.items()}}
+    cp = compiled(program)
+    ctl_loc = program.ctl_loc
+    initial = program.initial_state().values
+    pairs = set()
+    for combo in itertools.product(
+            *(program.function(l[0]).result.values() for l in controlled)):
+        values = dict(initial)
+        values.update(zip(controlled, combo))
+        if not all(eval_term(c, State(values=values, monitored={}))
+                   for c in program.init_constraints):
+            continue
+        read = monitored_reads(cp, values, fixed, domains)
+        inputs = [l for l in domains if read is None or l in read]
+        for given in itertools.product(*(domains[l] for l in inputs)):
+            monitored = {**first, **dict(zip(inputs, given))}
+            for outcome in enumerate_step_outcomes(program, values,
+                                                   monitored):
+                if ctl_loc in outcome.updates:
+                    pairs.add((values[ctl_loc], outcome.updates[ctl_loc]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_cached_answers_match_fresh_ones_on_fuzz_programs(
         checked_against_fresh):
     rng = random.Random(4242)
     protected = 0
-    for _ in range(60):
+    for _ in range(80):
         try:
             protect(random_program(rng), device())
             protected += 1
