@@ -10,8 +10,7 @@ closures once per program.  Runs execute it with a seeded picker in one
 run loop (:func:`iter_run`), shared by plain runs and protected runs on
 any device; the model checker enumerates every resolution of the
 nondeterminism by re-running the same closures under a backtracking
-picker, and finds the monitored inputs a step reads by making each read
-one more choice point of that picker.
+picker.
 """
 from __future__ import annotations
 
@@ -26,8 +25,8 @@ from weakref import WeakKeyDictionary
 from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
     Ite, Let, Location, Member, Not, Or, And, Par, Program, Rule,
-    Sort, Term, Update, Value, Var, check_updates,
-    format_location, locations_of_interest, parse_location_key, program_rules,
+    Sort, Term, Update, Value, Var, check_updates, format_location,
+    locations_of_interest, locations_read, parse_location_key, program_rules,
 )
 from .rng import derive_rng, first_picks
 
@@ -222,6 +221,52 @@ class CompiledProgram:
     @cached_property
     def interest(self) -> tuple[Location, ...]:
         return locations_of_interest(self.program)
+
+    # -- model checking -------------------------------------------------------
+
+    @cached_property
+    def controlled_key(self) -> Callable[[dict], object]:
+        """A checked state's key: its values at the non-monitored
+        locations of interest, in interest order."""
+        function = self.program.function
+        return location_key(tuple(l for l in self.interest
+                                  if function(l[0]).mode != "monitored"))
+
+    @cached_property
+    def input_split(self) -> tuple[tuple[Location, ...],
+                                   dict[Location, tuple[Value, ...]],
+                                   dict[Location, Value]]:
+        """The monitored inputs of interest, which a checked step branches
+        on, with their domains, and the other inputs at their first
+        value."""
+        interest = set(self.interest)
+        domains = {loc: sort.values() for loc, sort in self.input_sorts
+                   if loc in interest}
+        fixed = {loc: sort.values()[0] for loc, sort in self.input_sorts
+                 if loc not in interest}
+        return tuple(domains), domains, fixed
+
+    @cached_property
+    def unsafe_reads(self) -> frozenset[Location]:
+        """The locations the violation predicate can read."""
+        return frozenset(locations_read(self.program, self.program.unsafe))
+
+    @cached_property
+    def _unsafe(self) -> Callable:
+        return self._term(self.program.unsafe)
+
+    def unsafe_test(self, decode: Optional[Callable[[dict], dict]] = None
+                    ) -> Callable[[dict, dict], bool]:
+        """The violation predicate as a function of a state's values and
+        inputs.  ``decode`` maps a protected state's values to plain
+        ones; it runs only when the predicate reads the control state.
+        A location the values or inputs lack raises ``KeyError``."""
+        f = self._unsafe
+        empty: dict = {}
+        if decode is None or self.ctl_loc not in self.unsafe_reads:
+            return lambda values, monitored: bool(f(values, monitored, empty))
+        return lambda values, monitored: bool(
+            f(decode(values), monitored, empty))
 
     # -- term compilation ---------------------------------------------------
 
@@ -599,12 +644,12 @@ def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
     draws in depth-first order, then each run's challenge sites, one per
     challenge as in a run (:func:`_first_sites`), as a product over the
     enumerator's outcomes (the first site slowest).  The rule pass re-runs
-    once per sequence of draws."""
+    once per sequence of draws; a ``choose``-free step runs it once."""
     results: list[dict[Location, Value]] = []
     ctl_loc = cp.ctl_loc
 
-    def run(choose):
-        out, _ = cp.fire_rules(values, monitored, _picker(choose))
+    def run(pick):
+        out, _ = cp.fire_rules(values, monitored, pick)
         updates = out.updates
         if not out.pending:
             results.append(check_updates(updates))
@@ -624,46 +669,11 @@ def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
                 results.append(check_updates(
                     updates + [(ctl_loc, value) for value, _ in combo]))
 
-    _backtrack(run)
+    if cp.choose_free:
+        run(None)
+    else:
+        _backtrack(lambda choose: run(_picker(choose)))
     return results
-
-
-class _LazyInputs(dict):
-    """Inputs of one discovery run: reading a location that has no value
-    yet is a choice point over its domain."""
-
-    __slots__ = ("domains", "choose", "read")
-
-    def __missing__(self, loc):
-        domain = self.domains[loc]
-        value = self[loc] = domain[self.choose(len(domain))]
-        self.read[loc] = None
-        return value
-
-
-def monitored_reads(cp: CompiledProgram, values: dict[Location, Value],
-                    fixed: dict[Location, Value],
-                    domains: dict[Location, tuple[Value, ...]]
-                    ) -> Optional[set[Location]]:
-    """The locations of ``domains`` that one step from ``values`` reads
-    under some valuation of them and some choose draw, the inputs of
-    ``fixed`` held at their values; ``None`` when a run raises.
-
-    The rule pass runs once per path: each read of an unset input and
-    each draw is a choice point of one backtracking search."""
-    read: dict[Location, None] = {}
-
-    def run(choose):
-        inputs = _LazyInputs(fixed)
-        inputs.domains, inputs.choose, inputs.read = domains, choose, read
-        cp.fire_rules(values, inputs, _picker(choose))
-
-    try:
-        _backtrack(run)
-    except (CasmError, KeyError):
-        # a valuation that fails here fails the full enumeration alike
-        return None
-    return set(read)
 
 
 _COMPILE_CACHE: "WeakKeyDictionary[Program, CompiledProgram]" = WeakKeyDictionary()

@@ -36,10 +36,9 @@ from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Par,
     Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
-    children, ctl_writes, eval_term, format_value, free_vars,
+    children, ctl_writes, format_value, free_vars,
     iter_rules, location_term, locations_read, make_init, or_all,
     program_rules, rebuild, rebuild_rule, rule_parts, validate_program,
-    State,
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry, collect,
@@ -289,12 +288,6 @@ class ProtectedProgram:
     def decider(self) -> "SiteDecider":
         return SiteDecider(self.program, self.enrollment,
                            self.safe_condition)
-
-    def is_unsafe(self, values: dict[Location, Value],
-                  monitored: Optional[dict] = None) -> bool:
-        state = State(values=self.decoded_values(values),
-                      monitored=monitored or {})
-        return bool(eval_term(self.program.unsafe, state))
 
 
 def _response_sort(program: Program, bits: int) -> Sort:

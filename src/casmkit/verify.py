@@ -15,11 +15,11 @@ from typing import Optional, Union
 
 from .ast import (
     CasmError, EvalError, Location, Program, State, Value, eval_term,
-    format_location, locations_read, reads_location,
+    format_location,
 )
 from .interp import (
     MonitoredOracle, Trace, check_step_count, compiled,
-    enumerate_step_outcomes, iter_run, monitored_reads, rng_picker,
+    enumerate_step_outcomes, iter_run, location_key, rng_picker,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -62,20 +62,9 @@ class ReachabilityReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _space_size(program: Program, controlled: list[Location],
-                ctl_restriction: Optional[int]) -> int:
-    size = 1
-    for loc in controlled:
-        if ctl_restriction is not None and loc == program.ctl_loc:
-            size *= ctl_restriction
-        else:
-            size *= program.function(loc[0]).result.size
-    return size
-
-
 class _InputProduct:
     """The eager product of the inputs of interest, cut down to those in
-    ``read`` (all when ``None``); the others stay at their first value.
+    ``read``; the others stay at their first value.
 
     Each combination of the read inputs stands for every eager valuation
     that agrees with it on them.  Its first such valuation, the unread
@@ -83,29 +72,26 @@ class _InputProduct:
     successors, parents and witnesses come out as from the whole
     product."""
 
-    def __init__(self, branched: list[Location],
+    def __init__(self, branched: tuple[Location, ...],
                  domains: dict[Location, tuple[Value, ...]],
-                 fixed: dict[Location, Value], read: Optional[set]):
-        self.branched = branched
-        self.fixed = fixed
-        self.spots = [i for i, l in enumerate(branched)
-                      if read is None or l in read]
-        self.domains = [domains[branched[i]] for i in self.spots]
-        self.first = [domains[l][0] for l in branched]
+                 fixed: dict[Location, Value], read: frozenset):
+        self.spots = [i for i, l in enumerate(branched) if l in read]
         # tail[i]: the number of valuations of the unread inputs from i on
-        self.tail = [1] * (len(branched) + 1)
+        self.tail = tail = [1] * (len(branched) + 1)
         for i in reversed(range(len(branched))):
-            self.tail[i] = self.tail[i + 1] * (
-                1 if i in self.spots else len(domains[branched[i]]))
-
-    def __iter__(self):
-        valuation = list(self.first)
-        for combo in itertools.product(*self.domains):
+            l = branched[i]
+            tail[i] = tail[i + 1] * (1 if l in read else len(domains[l]))
+        # each combination, its valuation of every branched input, and
+        # the step's inputs under that valuation
+        self.combos: list[tuple[tuple, tuple, dict[Location, Value]]] = []
+        valuation = [domains[l][0] for l in branched]
+        for combo in itertools.product(*(domains[branched[i]]
+                                         for i in self.spots)):
             for i, v in zip(self.spots, combo):
                 valuation[i] = v
-            mon = dict(self.fixed)
-            mon.update(zip(self.branched, valuation))
-            yield combo, mon
+            mon = dict(fixed)
+            mon.update(zip(branched, valuation))
+            self.combos.append((combo, tuple(valuation), mon))
 
     def transitions(self, counts: list[tuple[tuple, int]],
                     stopped: bool) -> int:
@@ -121,6 +107,25 @@ class _InputProduct:
             p = next(k for k, (a, b) in enumerate(zip(combo, last)) if a != b)
             total += n * self.tail[self.spots[p] + 1]
         return total
+
+
+class _ReadInputs(dict):
+    """A step's inputs that note each location the step reads."""
+
+    __slots__ = ("read",)
+
+    def __getitem__(self, loc):
+        self.read[loc] = None
+        return dict.__getitem__(self, loc)
+
+
+def _eval_error(exc: KeyError) -> EvalError:
+    """What evaluating over an ``ast.State`` raises where a compiled
+    term raised ``exc``."""
+    (key,) = exc.args
+    if isinstance(key, str):
+        return EvalError(f"unbound variable {key}")
+    return EvalError(f"unknown location {format_location(key)}")
 
 
 def exhaustive_safety_check(
@@ -139,13 +144,16 @@ def exhaustive_safety_check(
     values behave identically), and fallback draws branch universally.
 
     A state is stepped under each valuation of the monitored inputs its
-    step can read, found by :func:`~casmkit.interp.monitored_reads`; the
-    other inputs stay at their first value, and each outcome counts once
-    per valuation of them.  Report, witness and transition count are those
-    of stepping under the whole input product.  ``max_states`` bounds the
-    number of states (the product of the controlled locations' domains),
-    not states times input valuations; a larger space is refused up
-    front.
+    step reads; the other inputs stay at their first value, and each
+    outcome counts once per valuation of them.  The inputs a step reads
+    are learnt from its own runs: the first run has every input at its
+    first value, and when a run reads an input outside the set so far,
+    the set grows and the state's valuations are taken again over it,
+    each valuation stepped once.  A run that raises raises when its
+    valuation's turn comes.  Report, witness and transition count are
+    those of stepping under the whole input product.  ``max_states``
+    bounds the number of states visited, not states times input
+    valuations: one more raises :class:`StateSpaceTooLarge`.
     """
     protected: Optional[ProtectedProgram] = None
     if isinstance(subject, ProtectedProgram):
@@ -153,17 +161,6 @@ def exhaustive_safety_check(
         program = subject.program
     else:
         program = subject
-
-    cp = compiled(program)
-    interest = set(cp.interest)
-    controlled = [l for l in interest
-                  if program.function(l[0]).mode != "monitored"]
-    ctl_restriction = None
-    if protected is not None:
-        ctl_restriction = len(protected.enrollment.transitions) + 1
-    if _space_size(program, controlled, ctl_restriction) > max_states:
-        raise StateSpaceTooLarge(
-            f"state space exceeds {max_states} states")
 
     ctl_enum = None
     if protected is not None:
@@ -173,54 +170,91 @@ def exhaustive_safety_check(
         ctl_enum = protected.decider.enumerator(
             None if adversarial_puf else device)
 
-    mon_locs = program.monitored_locations()
-    branched = [l for l in mon_locs if l in interest]
-    domains = {l: program.function(l[0]).result.values() for l in branched}
-    fixed = {l: program.function(l[0]).result.values()[0]
-             for l in mon_locs if l not in interest}
-    unsafe_inputs = _InputProduct(
-        branched, domains, fixed,
-        set(locations_read(program, program.unsafe)))
+    cp = compiled(program)
+    key_of = cp.controlled_key
+    branched, domains, fixed = cp.input_split
+    products: dict[frozenset, _InputProduct] = {}
+
+    def product(read: frozenset) -> _InputProduct:
+        inputs = products.get(read)
+        if inputs is None:
+            inputs = products[read] = _InputProduct(branched, domains,
+                                                    fixed, read)
+        return inputs
+
+    unsafe_test = cp.unsafe_test(
+        None if protected is None else protected.decoded_values)
+    unsafe_inputs = product(cp.unsafe_reads)
+    empty: dict = {}
 
     def unsafe_state(values: dict[Location, Value]) -> bool:
-        check_values = values
-        if protected is not None:
-            check_values = protected.decoded_values(values)
         try:
-            return bool(eval_term(program.unsafe,
-                                  State(values=check_values, monitored={})))
-        except EvalError:
+            return unsafe_test(values, empty)
+        except KeyError:
             pass
-        for _, mon in unsafe_inputs:
-            if eval_term(program.unsafe,
-                         State(values=check_values, monitored=mon)):
-                return True
-        return False
+        try:
+            return any(unsafe_test(values, mon)
+                       for _, _, mon in unsafe_inputs.combos)
+        except KeyError as exc:
+            raise _eval_error(exc) from None
 
-    def key_of(values: dict[Location, Value]) -> tuple:
-        return tuple(values[l] for l in controlled)
+    def step_state(values: dict[Location, Value]):
+        """The product of the inputs the step reads, and each of its
+        valuations' outcomes (or exception)."""
+        runs: dict[tuple, object] = {}
+        read: frozenset = frozenset()
+        while True:
+            inputs = product(read)
+            for _, valuation, mon in inputs.combos:
+                if valuation in runs:
+                    continue
+                reading = _ReadInputs(mon)
+                reading.read = {}
+                try:
+                    outcome = enumerate_step_outcomes(cp, values, reading,
+                                                      ctl_enum)
+                except (CasmError, KeyError) as exc:
+                    # raised when its valuation's turn comes, after the
+                    # successors of every valuation before it
+                    outcome = exc
+                runs[valuation] = outcome
+                grown = [l for l in reading.read
+                         if l in domains and l not in read]
+                if grown:
+                    read = read.union(grown)
+                    break
+            else:
+                return inputs, runs
+
+    parents: dict[object, tuple] = {}
+    snapshots: dict[object, dict[Location, Value]] = {}
+
+    def visit(key, values: dict[Location, Value]) -> None:
+        if len(snapshots) >= max_states:
+            raise StateSpaceTooLarge(
+                f"state space exceeds {max_states} states")
+        snapshots[key] = values
 
     init_values = program.initial_state().values
     init_key = key_of(init_values)
-    parents: dict[tuple, tuple] = {}
-    snapshots: dict[tuple, dict[Location, Value]] = {init_key: init_values}
+    visit(init_key, init_values)
     frontier = [init_key]
     transition_count = 0
-    unsafe_key: Optional[tuple] = None
+    unsafe_key: Optional[object] = None
 
     if unsafe_state(init_values):
         unsafe_key = init_key
 
     while frontier and unsafe_key is None:
-        nxt: list[tuple] = []
+        nxt: list = []
         for state_key in frontier:
             values = snapshots[state_key]
-            inputs = _InputProduct(
-                branched, domains, fixed,
-                monitored_reads(cp, values, fixed, domains))
+            inputs, runs = step_state(values)
             counts: list[tuple[tuple, int]] = []
-            for combo, mon in inputs:
-                outcomes = enumerate_step_outcomes(cp, values, mon, ctl_enum)
+            for combo, valuation, mon in inputs.combos:
+                outcomes = runs[valuation]
+                if isinstance(outcomes, BaseException):
+                    raise outcomes
                 counts.append((combo, len(outcomes)))
                 for updates in outcomes:
                     succ = dict(values)
@@ -228,8 +262,8 @@ def exhaustive_safety_check(
                     succ_key = key_of(succ)
                     if succ_key in snapshots:
                         continue
+                    visit(succ_key, succ)
                     parents[succ_key] = (state_key, mon)
-                    snapshots[succ_key] = succ
                     nxt.append(succ_key)
                     if unsafe_state(succ):
                         unsafe_key = succ_key
@@ -248,7 +282,8 @@ def exhaustive_safety_check(
         k = unsafe_key
         while k != init_key:
             parent, mon = parents[k]
-            chain.append(WitnessStep(monitored=mon, state=snapshots[k]))
+            chain.append(WitnessStep(monitored=dict(mon),
+                                     state=snapshots[k]))
             k = parent
         chain.reverse()
         witness = chain
@@ -405,30 +440,41 @@ def clone_divergence_report(protected: ProtectedProgram,
     if len(original_ctl) < steps + 1:
         raise CasmError("original trace is shorter than the trial length")
 
-    program = protected.program
-    unsafe_fn = None
-    if not reads_location(program.unsafe, ctl_loc):
-        unsafe_fn = compiled(program)._term(program.unsafe)
-    empty: dict = {}
+    cp = compiled(protected.program)
+    unsafe = cp.unsafe_test(protected.decoded_values)
+    read_inputs = tuple(l for l, _ in cp.input_sorts if l in cp.unsafe_reads)
+    inputs_key = location_key(read_inputs) if read_inputs else None
+    # a choose-free run interns its states (interp._Graph): each distinct
+    # state is one dict, which the run's graph keeps alive, so its id
+    # names the state for the whole trial
+    interned = cp.choose_free
 
     def run_trial(device) -> tuple[int, int, int, Optional[int]]:
         """Steps, fallbacks, violating states and first divergence step
-        of one trial."""
+        of one trial.  The violation predicate is evaluated once per
+        distinct state, and inputs when it reads any."""
         runner = ProtectedRunner(protected, device, run_seed)
         total = fallbacks = violations = 0
         first_div: Optional[int] = None
+        verdicts: dict[object, bool] = {}
         for entry in runner.iter_entries(steps, oracle):
             if entry.step == 0:
                 continue
             total += 1
             fallbacks += entry.events.count(FALLBACK_TAKEN)
-            if unsafe_fn is not None:
-                if unsafe_fn(entry.state, entry.monitored, empty):
-                    violations += 1
-            elif protected.is_unsafe(entry.state, entry.monitored):
+            state = entry.state
+            if interned:
+                key = id(state) if inputs_key is None else \
+                    (id(state), inputs_key(entry.monitored))
+                hit = verdicts.get(key)
+                if hit is None:
+                    hit = verdicts[key] = unsafe(state, entry.monitored)
+            else:
+                hit = unsafe(state, entry.monitored)
+            if hit:
                 violations += 1
             if first_div is None:
-                decoded = enrollment.decode_stored(entry.state[ctl_loc])
+                decoded = enrollment.decode_stored(state[ctl_loc])
                 if decoded != original_ctl[entry.step]:
                     first_div = entry.step
         return total, fallbacks, violations, first_div

@@ -221,7 +221,9 @@ def clone_divergence_report(protected: ProtectedProgram,
             if unsafe_fn is not None:
                 if unsafe_fn(entry.state, entry.monitored, empty):
                     violations += 1
-            elif protected.is_unsafe(entry.state, entry.monitored):
+            elif eval_term(program.unsafe, State(
+                    values=protected.decoded_values(entry.state),
+                    monitored=entry.monitored)):
                 violations += 1
             if first_div is None:
                 decoded = enrollment.decode_stored(entry.state[ctl_loc])

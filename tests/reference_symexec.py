@@ -5,7 +5,7 @@ valuation of a formula's finite-sorted leaves.
 ``eval_fd`` evaluates a formula under one full valuation.
 ``transitions_by_enumeration`` finds a program's control-state
 transitions by running one step from every state the symbolic step
-ranges over.
+ranges over, under the inputs ``monitored_reads`` finds the step reads.
 ``install_checks`` (``conftest.py`` calls it for every test) wraps the
 three steps whose answers decide ``condx``, so that every
 simplification, feasibility answer and symbol elimination is checked
@@ -25,11 +25,11 @@ from typing import Optional
 
 from casmkit import symexec
 from casmkit.ast import (
-    And, App, CasmError, Const, Eq, FALSE, Ite, Member, Not, Or, Program,
-    State, Term, Value, Var, children, eval_term, free_vars,
+    And, App, CasmError, Const, Eq, FALSE, Ite, Location, Member, Not, Or,
+    Program, State, Term, Value, Var, children, eval_term, free_vars,
     locations_of_interest, or_all, rebuild,
 )
-from casmkit.interp import compiled, monitored_reads
+from casmkit.interp import CompiledProgram, _backtrack, _picker, compiled
 from casmkit.symexec import (
     DOMAIN_CAP, FormulaCache, SymRef, _cache, _domains, subst_symbol,
 )
@@ -116,6 +116,44 @@ def _bind_x(term: Term, value: Value) -> Term:
     if term == Var("x"):
         return Const(value)
     return rebuild(term, [_bind_x(c, value) for c in children(term)])
+
+
+class _LazyInputs(dict):
+    """Inputs of one discovery run: reading a location that has no value
+    yet is a choice point over its domain."""
+
+    __slots__ = ("domains", "choose", "read")
+
+    def __missing__(self, loc):
+        domain = self.domains[loc]
+        value = self[loc] = domain[self.choose(len(domain))]
+        self.read[loc] = None
+        return value
+
+
+def monitored_reads(cp: CompiledProgram, values: dict[Location, Value],
+                    fixed: dict[Location, Value],
+                    domains: dict[Location, tuple[Value, ...]]
+                    ) -> Optional[set[Location]]:
+    """The locations of ``domains`` that one step from ``values`` reads
+    under some valuation of them and some choose draw, the inputs of
+    ``fixed`` held at their values; ``None`` when a run raises.
+
+    The rule pass runs once per path: each read of an unset input and
+    each draw is a choice point of one backtracking search."""
+    read: dict[Location, None] = {}
+
+    def run(choose):
+        inputs = _LazyInputs(fixed)
+        inputs.domains, inputs.choose, inputs.read = domains, choose, read
+        cp.fire_rules(values, inputs, _picker(choose))
+
+    try:
+        _backtrack(run)
+    except (CasmError, KeyError):
+        # a valuation that fails here fails the full enumeration alike
+        return None
+    return set(read)
 
 
 def transitions_by_enumeration(program: Program) -> set[tuple[Value, Value]]:

@@ -146,6 +146,28 @@ rule s:
   endif
 """
 
+# Under Go the two rules write flag apart, so the step fails; without Go
+# it reaches the unsafe state, and Go's first value is false.
+FAILS_AFTER_UNSAFE = """\
+asm late
+enum Mode = { A, B }
+controlled mode : Mode init A
+controlled flag : Bool init false
+monitored Go : Bool
+ctlstate mode
+unsafe flag
+
+rule r:
+  if mode = A then
+    flag := true
+  endif
+
+rule s:
+  if mode = A and Go then
+    flag := false
+  endif
+"""
+
 def report_or_error(check, subject, **kwargs):
     try:
         return check(subject, **kwargs).to_json()
@@ -198,6 +220,14 @@ def test_step_failing_under_some_inputs_fails_alike():
     program = replace(program, main_rules=(rule, *program.main_rules[1:]))
     got, want = both_reports(program)
     assert got == want == "EmptyChooseSet: empty candidate set at r#0"
+
+
+def test_step_failing_after_an_unsafe_successor_reports_unsafe():
+    # the failing input combination comes after the one that reaches the
+    # unsafe state, so the search stops before it, as the eager one does
+    got, want = both_reports(parse_or_raise(FAILS_AFTER_UNSAFE))
+    assert got == want
+    assert '"unsafeReachable": true' in got
 
 
 def test_traffic_reports_equal_eager(traffic, faulty_traffic):

@@ -495,6 +495,30 @@ class TestVerifyCommand:
                         "--steps", "50")
         assert result.exit_code == 0
 
+    def test_protected_ring8_is_checked(self, ring8_protected):
+        # the bound counts the 33 states visited, not the 17 * 2**16
+        # stored states the controlled locations could hold
+        result = invoke("verify", ring8_protected)
+        assert result.exit_code == 0, result.output
+        assert result.output == \
+            "explored 33 states, 20086784 transitions: safe\n"
+
+
+@pytest.fixture(scope="module")
+def ring8_protected(tmp_path_factory):
+    """Protected ring-8 (device 42, 16/16 bits), written as an artifact.
+    Module scope: protected before the oracle cross-check is switched on,
+    under which protecting ring-8 takes minutes."""
+    from casmkit.parser import parse_or_raise
+    from casmkit.protect import protect
+    from casmkit.puf import make_device
+    from rings import ring_source
+    protected, _ = protect(parse_or_raise(ring_source(8)),
+                           make_device(42, 16, 16))
+    out = tmp_path_factory.mktemp("ring8") / "p"
+    protected.save(str(out))
+    return str(out)
+
 
 class TestTwoSitesInOneStep:
     """Sites that fire in one step share the challenge; it is resolved

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from casmkit.interp import ConstantOracle, RandomOracle, run
@@ -71,8 +73,20 @@ class TestExhaustive:
         assert report.unsafe_reachable is False
 
     def test_state_space_cap(self, traffic):
+        # the bound counts visited states: the traffic light reaches 4
         with pytest.raises(StateSpaceTooLarge):
-            exhaustive_safety_check(traffic, max_states=8)
+            exhaustive_safety_check(traffic, max_states=3)
+        assert exhaustive_safety_check(
+            traffic, max_states=4).explored_states == 4
+
+    def test_unsafe_that_cannot_be_evaluated_is_an_eval_error(self, traffic):
+        # the compiled predicate's KeyError surfaces as the EvalError
+        # evaluating over an ast.State gives, once a state reaches it
+        from casmkit.ast import And, App, Const, EvalError, Var
+        program = dataclasses.replace(
+            traffic, unsafe=And(App("GoLight", (Const(1),)), Var("zz")))
+        with pytest.raises(EvalError, match="^unbound variable zz$"):
+            exhaustive_safety_check(program)
 
     def test_report_serialization(self, faulty_traffic):
         report = exhaustive_safety_check(faulty_traffic)
