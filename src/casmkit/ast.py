@@ -1,9 +1,9 @@
 """Core data model for control-state ASM programs.
 
-Defines sorts, function declarations, terms, rules, programs, states and
-update sets, together with term evaluation, the consistency check of an
-update set and the locations-of-interest analysis that the symbolic
-engine builds on.
+Defines sorts, function declarations, terms, rules, programs and update
+sets, together with the term compiler (the one term evaluator), the
+consistency check of an update set and the locations-of-interest
+analysis that the symbolic engine builds on.
 
 All values are plain Python scalars: enumeration literals are strings,
 booleans are bools, bounded integers are ints.  A location is a
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 Value = Union[bool, int, str]
 Location = tuple[str, tuple[Value, ...]]
@@ -582,32 +582,18 @@ class Program:
                 out.extend(self.locations(f.name))
         return tuple(out)
 
-    def initial_state(self) -> "State":
+    def initial_values(self) -> dict[Location, Value]:
+        """The initial value of every controlled and static location."""
         values: dict[Location, Value] = {}
         for f in self.functions:
             if f.mode in ("controlled", "static"):
                 init = f.init_map()
                 for args in f.arg_tuples():
                     values[(f.name, args)] = init[args]
-        return State(values=values, monitored={})
+        return values
 
     def initial_ctl(self) -> Value:
-        return self.initial_state().values[self.ctl_loc]
-
-
-@dataclass
-class State:
-    """Valuation of controlled/static locations plus this step's inputs."""
-
-    values: dict[Location, Value]
-    monitored: dict[Location, Value]
-
-    def read(self, loc: Location) -> Value:
-        if loc in self.values:
-            return self.values[loc]
-        if loc in self.monitored:
-            return self.monitored[loc]
-        raise EvalError(f"unknown location {format_location(loc)}")
+        return self.initial_values()[self.ctl_loc]
 
 
 UpdateSet = Iterable[tuple[Location, Value]]
@@ -617,39 +603,57 @@ UpdateSet = Iterable[tuple[Location, Value]]
 # Evaluation and update consistency
 # ---------------------------------------------------------------------------
 
-def eval_term(term: Term, state: State,
-              env: Optional[Mapping[str, Value]] = None) -> Value:
-    """Value of a closed (or env-bound) term in the given state.
-
-    Pure: never mutates the state.  Static and controlled locations are
-    read from ``state.values``, monitored ones from ``state.monitored``.
-    """
+def compile_term(program: Program, term: Term) -> Callable:
+    """``term`` lowered to a closure over (values, monitored, env) dicts:
+    the one term evaluator.  Static and controlled locations are read
+    from ``values``, monitored ones from ``monitored``, variables from
+    ``env``; a location or variable the dicts lack raises ``KeyError``."""
     if isinstance(term, Const):
-        return term.value
+        v = term.value
+        return lambda vals, mon, env: v
     if isinstance(term, Var):
-        if env is None or term.name not in env:
-            raise EvalError(f"unbound variable {term.name}")
-        return env[term.name]
+        name = term.name
+        return lambda vals, mon, env: env[name]
     if isinstance(term, App):
-        args = tuple(eval_term(a, state, env) for a in term.args)
-        return state.read((term.fn, args))
+        monitored = program.function(term.fn).mode == "monitored"
+        if all(isinstance(a, Const) for a in term.args):
+            loc = (term.fn, tuple(a.value for a in term.args))
+            if monitored:
+                return lambda vals, mon, env: mon[loc]
+            return lambda vals, mon, env: vals[loc]
+        fn = term.fn
+        argfns = tuple(compile_term(program, a) for a in term.args)
+        if monitored:
+            return lambda vals, mon, env: mon[
+                (fn, tuple(f(vals, mon, env) for f in argfns))]
+        return lambda vals, mon, env: vals[
+            (fn, tuple(f(vals, mon, env) for f in argfns))]
     if isinstance(term, Not):
-        return not eval_term(term.operand, state, env)
+        f = compile_term(program, term.operand)
+        return lambda vals, mon, env: not f(vals, mon, env)
     if isinstance(term, And):
-        return bool(eval_term(term.left, state, env)
-                    and eval_term(term.right, state, env))
+        l, r = compile_term(program, term.left), compile_term(program, term.right)
+        return lambda vals, mon, env: bool(l(vals, mon, env)
+                                           and r(vals, mon, env))
     if isinstance(term, Or):
-        return bool(eval_term(term.left, state, env)
-                    or eval_term(term.right, state, env))
+        l, r = compile_term(program, term.left), compile_term(program, term.right)
+        return lambda vals, mon, env: bool(l(vals, mon, env)
+                                           or r(vals, mon, env))
     if isinstance(term, Eq):
-        return eval_term(term.left, state, env) == eval_term(term.right, state, env)
+        l, r = compile_term(program, term.left), compile_term(program, term.right)
+        return lambda vals, mon, env: l(vals, mon, env) == r(vals, mon, env)
     if isinstance(term, Member):
-        return eval_term(term.item, state, env) in term.values
+        f = compile_term(program, term.item)
+        values = frozenset(term.values)
+        return lambda vals, mon, env: f(vals, mon, env) in values
     if isinstance(term, Ite):
-        if eval_term(term.cond, state, env):
-            return eval_term(term.then, state, env)
-        return eval_term(term.other, state, env)
-    raise EvalError(f"cannot evaluate node {type(term).__name__}")
+        c = compile_term(program, term.cond)
+        t = compile_term(program, term.then)
+        o = compile_term(program, term.other)
+        return lambda vals, mon, env: (t(vals, mon, env)
+                                       if c(vals, mon, env)
+                                       else o(vals, mon, env))
+    raise CasmError(f"cannot compile {type(term).__name__}")
 
 
 def check_updates(updates: UpdateSet) -> dict[Location, Value]:
@@ -987,10 +991,11 @@ def _check_constraint(program: Program, c: Term, checker: "_SortChecker",
                 return
     checker.check_formula(c, {}, "initial constraint")
     try:
-        if eval_term(c, program.initial_state()) is not True:
+        if compile_term(program, c)(program.initial_values(), {}, {}) \
+                is not True:
             problems.append(
                 ("E-CONSTRAINT", "initial constraint does not hold initially"))
-    except CasmError:
+    except (CasmError, KeyError):
         pass  # already reported by the sort checker
 
 

@@ -23,10 +23,10 @@ from typing import Callable, Iterable, Iterator, Optional
 from weakref import WeakKeyDictionary
 
 from .ast import (
-    App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, InconsistentUpdate,
-    Ite, Let, Location, Member, Not, Or, And, Par, Program, Rule,
-    Sort, Term, Update, Value, Var, check_updates, format_location,
-    locations_of_interest, locations_read, parse_location_key, program_rules,
+    Call, CasmError, Choose, ChooseCtl, Cond, Const, InconsistentUpdate, Let,
+    Location, Par, Program, Rule, Sort, Update, Value, check_updates,
+    compile_term, format_location, locations_of_interest, locations_read,
+    parse_location_key, program_rules,
 )
 from .rng import derive_rng, first_picks
 
@@ -186,7 +186,7 @@ class CompiledProgram:
         for nr in program.main_rules:
             if len(nr.body) == 1 and isinstance(nr.body[0], Cond):
                 cond = nr.body[0]
-                guard = self._term(cond.guard)
+                guard = compile_term(program, cond.guard)
                 then = self._body(cond.then_rules, nr.name, [0])
                 other = self._body(cond.else_rules, nr.name, [1000])
                 self.mains.append((nr.name, guard, then, other))
@@ -204,7 +204,7 @@ class CompiledProgram:
 
     @cached_property
     def state_key(self) -> Callable[[dict], object]:
-        return location_key(tuple(self.program.initial_state().values))
+        return location_key(tuple(self.program.initial_values()))
 
     @cached_property
     def inputs_key(self) -> Callable[[dict], object]:
@@ -253,7 +253,7 @@ class CompiledProgram:
 
     @cached_property
     def _unsafe(self) -> Callable:
-        return self._term(self.program.unsafe)
+        return compile_term(self.program, self.program.unsafe)
 
     def unsafe_test(self, decode: Optional[Callable[[dict], dict]] = None
                     ) -> Callable[[dict, dict], bool]:
@@ -267,57 +267,6 @@ class CompiledProgram:
             return lambda values, monitored: bool(f(values, monitored, empty))
         return lambda values, monitored: bool(
             f(decode(values), monitored, empty))
-
-    # -- term compilation ---------------------------------------------------
-
-    def _term(self, term: Term) -> Callable:
-        program = self.program
-        if isinstance(term, Const):
-            v = term.value
-            return lambda vals, mon, env: v
-        if isinstance(term, Var):
-            name = term.name
-            return lambda vals, mon, env: env[name]
-        if isinstance(term, App):
-            decl = program.function(term.fn)
-            monitored = decl.mode == "monitored"
-            if all(isinstance(a, Const) for a in term.args):
-                loc = (term.fn, tuple(a.value for a in term.args))
-                if monitored:
-                    return lambda vals, mon, env: mon[loc]
-                return lambda vals, mon, env: vals[loc]
-            fn = term.fn
-            argfns = tuple(self._term(a) for a in term.args)
-            if monitored:
-                return lambda vals, mon, env: mon[
-                    (fn, tuple(f(vals, mon, env) for f in argfns))]
-            return lambda vals, mon, env: vals[
-                (fn, tuple(f(vals, mon, env) for f in argfns))]
-        if isinstance(term, Not):
-            f = self._term(term.operand)
-            return lambda vals, mon, env: not f(vals, mon, env)
-        if isinstance(term, And):
-            l, r = self._term(term.left), self._term(term.right)
-            return lambda vals, mon, env: bool(l(vals, mon, env)
-                                               and r(vals, mon, env))
-        if isinstance(term, Or):
-            l, r = self._term(term.left), self._term(term.right)
-            return lambda vals, mon, env: bool(l(vals, mon, env)
-                                               or r(vals, mon, env))
-        if isinstance(term, Eq):
-            l, r = self._term(term.left), self._term(term.right)
-            return lambda vals, mon, env: l(vals, mon, env) == r(vals, mon, env)
-        if isinstance(term, Member):
-            f = self._term(term.item)
-            values = frozenset(term.values)
-            return lambda vals, mon, env: f(vals, mon, env) in values
-        if isinstance(term, Ite):
-            c = self._term(term.cond)
-            t, o = self._term(term.then), self._term(term.other)
-            return lambda vals, mon, env: (t(vals, mon, env)
-                                           if c(vals, mon, env)
-                                           else o(vals, mon, env))
-        raise CasmError(f"cannot compile {type(term).__name__}")
 
     # -- rule compilation ---------------------------------------------------
 
@@ -338,21 +287,21 @@ class CompiledProgram:
         program = self.program
         if isinstance(rule, Update):
             fn = rule.fn
-            rhs = self._term(rule.rhs)
+            rhs = compile_term(program, rule.rhs)
             if all(isinstance(a, Const) for a in rule.args):
                 loc = (fn, tuple(a.value for a in rule.args))
 
                 def do_update(vals, mon, env, out):
                     out.updates.append((loc, rhs(vals, mon, env)))
                 return do_update
-            argfns = tuple(self._term(a) for a in rule.args)
+            argfns = tuple(compile_term(program, a) for a in rule.args)
 
             def do_update_dyn(vals, mon, env, out):
                 loc = (fn, tuple(f(vals, mon, env) for f in argfns))
                 out.updates.append((loc, rhs(vals, mon, env)))
             return do_update_dyn
         if isinstance(rule, Cond):
-            guard = self._term(rule.guard)
+            guard = compile_term(program, rule.guard)
             then = self._body(rule.then_rules, rule_name, counter)
             other = self._body(rule.else_rules, rule_name, counter)
 
@@ -380,7 +329,7 @@ class CompiledProgram:
                 body(vals, mon, inner, out)
             return do_choose
         if isinstance(rule, Let):
-            binding = self._term(rule.binding)
+            binding = compile_term(program, rule.binding)
             var = rule.var
             body = self._body(rule.body, rule_name, counter)
 
@@ -391,7 +340,7 @@ class CompiledProgram:
             return do_let
         if isinstance(rule, Call):
             target = program.named_rule(rule.name)
-            argfns = tuple(self._term(a) for a in rule.args)
+            argfns = tuple(compile_term(program, a) for a in rule.args)
             params = tuple(p for p, _ in target.params)
             name = rule.name
 
@@ -753,7 +702,7 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     :func:`run` gives every entry its own copies.
     """
     cp = compiled(program)
-    values = program.initial_state().values
+    values = program.initial_values()
     yield TraceEntry(0, values, {}, [], [])
     step_values = cp.step_values
     inputs_key = cp.inputs_key

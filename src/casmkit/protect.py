@@ -36,13 +36,13 @@ from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
     FunctionDecl, Ite, Let, Location, Member, NamedRule, Par,
     Program, ProgramError, Rule, Sort, Term, Update, Value, Var,
-    children, ctl_writes, format_value, free_vars,
+    children, compile_term, ctl_writes, format_value, free_vars,
     iter_rules, location_term, locations_read, make_init, or_all,
     program_rules, rebuild, rebuild_rule, rule_parts, validate_program,
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry, collect,
-    compiled, iter_run, location_key,
+    iter_run, location_key,
     _check_total,  # noqa: F401 -- the traced benchmark run wraps it here
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
@@ -473,12 +473,12 @@ class SiteDecider:
 
     def __init__(self, program: Program, enrollment: Enrollment,
                  safe_condition: SafeCondition):
-        cp = compiled(program)
         plain = safe_condition.plain_values
         self._decode = {t.response: t.target for t in enrollment.transitions}
         self._first_enc = {v: enrollment.encodings(v)[0] for v in plain
                            if enrollment.encodings(v)}
-        self._cond_fns = {v: cp._term(safe_condition.cond_for(v))
+        self._cond_fns = {v: compile_term(program,
+                                          safe_condition.cond_for(v))
                           for v in plain}
         self._safe_key = location_key(tuple(
             l for l in locations_read(program, safe_condition.cond_x)

@@ -185,9 +185,6 @@ class Enrollment:
             self._decode[t.response] = t.target
             self._encodings.setdefault(t.target, []).append(t.response)
 
-    def decode(self, response: int) -> Optional[Value]:
-        return self._decode.get(response)
-
     def decode_stored(self, value: int) -> Optional[Value]:
         """Plain state of a stored control value; the reserved token
         stands for the initial state."""

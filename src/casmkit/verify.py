@@ -11,15 +11,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .ast import (
-    CasmError, EvalError, Location, Program, State, Value, eval_term,
-    format_location,
+    CasmError, EvalError, Location, Program, Value, format_location,
 )
 from .interp import (
-    MonitoredOracle, Trace, check_step_count, compiled,
-    enumerate_step_outcomes, iter_run, location_key, rng_picker,
+    CompiledProgram, MonitoredOracle, RandomOracle, Trace, check_step_count,
+    compiled, enumerate_step_outcomes, iter_run, location_key, rng_picker,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -120,12 +119,38 @@ class _ReadInputs(dict):
 
 
 def _eval_error(exc: KeyError) -> EvalError:
-    """What evaluating over an ``ast.State`` raises where a compiled
-    term raised ``exc``."""
+    """The error for a compiled term that raised ``exc``: it read a
+    variable its environment does not bind or a location its state and
+    inputs lack."""
     (key,) = exc.args
     if isinstance(key, str):
         return EvalError(f"unbound variable {key}")
     return EvalError(f"unknown location {format_location(key)}")
+
+
+def _unsafe_verdict(cp: CompiledProgram,
+                    decode: Optional[Callable[[dict], dict]] = None
+                    ) -> Callable[[dict[Location, Value]], bool]:
+    """The checker's verdict on a state's values: the violation predicate
+    holds under some valuation of the inputs it reads, the other inputs
+    at their first value.  The predicate is tried first without inputs;
+    ``decode`` is as for :meth:`CompiledProgram.unsafe_test`.  A
+    predicate that no valuation can evaluate raises :class:`EvalError`."""
+    unsafe_test = cp.unsafe_test(decode)
+    inputs = _InputProduct(*cp.input_split, cp.unsafe_reads)
+    empty: dict = {}
+
+    def unsafe_state(values: dict[Location, Value]) -> bool:
+        try:
+            return unsafe_test(values, empty)
+        except KeyError:
+            pass
+        try:
+            return any(unsafe_test(values, mon)
+                       for _, _, mon in inputs.combos)
+        except KeyError as exc:
+            raise _eval_error(exc) from None
+    return unsafe_state
 
 
 def exhaustive_safety_check(
@@ -182,21 +207,8 @@ def exhaustive_safety_check(
                                                     fixed, read)
         return inputs
 
-    unsafe_test = cp.unsafe_test(
-        None if protected is None else protected.decoded_values)
-    unsafe_inputs = product(cp.unsafe_reads)
-    empty: dict = {}
-
-    def unsafe_state(values: dict[Location, Value]) -> bool:
-        try:
-            return unsafe_test(values, empty)
-        except KeyError:
-            pass
-        try:
-            return any(unsafe_test(values, mon)
-                       for _, _, mon in unsafe_inputs.combos)
-        except KeyError as exc:
-            raise _eval_error(exc) from None
+    unsafe_state = _unsafe_verdict(
+        cp, None if protected is None else protected.decoded_values)
 
     def step_state(values: dict[Location, Value]):
         """The product of the inputs the step reads, and each of its
@@ -235,7 +247,7 @@ def exhaustive_safety_check(
                 f"state space exceeds {max_states} states")
         snapshots[key] = values
 
-    init_values = program.initial_state().values
+    init_values = program.initial_values()
     init_key = key_of(init_values)
     visit(init_key, init_values)
     frontier = [init_key]
@@ -298,17 +310,16 @@ def exhaustive_safety_check(
 
 def replay_witness(program: Program, witness: list[WitnessStep]) -> bool:
     """Re-execute a witness through the concrete runtime; valid iff every
-    step reproduces the recorded state and the final state violates.
-    Only deterministic (choose-free) programs replay exactly."""
+    step reproduces the recorded state and the checker's verdict marks
+    the final state unsafe.  Only deterministic (choose-free) programs
+    replay exactly."""
     cp = compiled(program)
-    state = program.initial_state()
+    values = program.initial_values()
     for w in witness:
-        values, _, _ = cp.step_values(state.values, w.monitored,
-                                      rng_picker(0, 0))
+        values, _, _ = cp.step_values(values, w.monitored, rng_picker(0, 0))
         if values != w.state:
             return False
-        state = State(values=values, monitored=w.monitored)
-    return bool(eval_term(program.unsafe, state))
+    return _unsafe_verdict(cp)(values)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +380,7 @@ def compare_target_traces(original: Program, protected: ProtectedProgram,
     fallbacks = 0
     orig_iter = iter_run(original, steps, oracle, run_seed)
     prot_iter = runner.iter_entries(steps, oracle)
-    order = sorted(original.initial_state().values, key=str)
+    order = sorted(original.initial_values(), key=str)
     for orig_entry, prot_entry in zip(orig_iter, prot_iter):
         fallbacks += prot_entry.events.count(FALLBACK_TAKEN)
         decoded = protected.decoded_values(prot_entry.state)
@@ -528,14 +539,13 @@ def random_safety_search(program: Program, runs: int, steps: int,
                          base_seed: int) -> Optional[tuple[int, int]]:
     """Seeded random runs; returns (run seed, step) of the first unsafe
     state found, or None."""
-    from .interp import RandomOracle
+    unsafe = compiled(program).unsafe_test()
     for i in range(runs):
         oracle = RandomOracle(base_seed + i)
         for entry in iter_run(program, steps, oracle, base_seed + i):
-            state = State(values=entry.state, monitored=entry.monitored)
             try:
-                hit = eval_term(program.unsafe, state)
-            except EvalError:
+                hit = unsafe(entry.state, entry.monitored)
+            except KeyError:
                 hit = False
             if hit:
                 return (base_seed + i, entry.step)

@@ -54,6 +54,20 @@ UNREAD_WRITE = traffic_light_source().replace(
 guard and no ``unsafe`` reads."""
 
 
+CONSTRAINED = """asm constrained
+enum Phase = {{ A, B }}
+controlled phase : Phase init A
+ctlstate phase
+unsafe false
+{constraints}
+rule main:
+  if phase = A then
+    phase := B
+  endif
+"""
+"""Starts in ``A``; its initial constraints are filled in."""
+
+
 @pytest.fixture(scope="session")
 def faulty_traffic():
     """Variant that jumps Go1Stop2 -> Go2Stop1 without toggling the

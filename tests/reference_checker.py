@@ -9,12 +9,13 @@ import itertools
 from typing import Optional, Union
 
 from casmkit.ast import (
-    CasmError, EvalError, Location, Program, State, Value, eval_term,
-    locations_of_interest,
+    CasmError, EvalError, Location, Program, Value, locations_of_interest,
 )
 from casmkit.interp import compiled, enumerate_step_outcomes
 from casmkit.protect import ProtectedProgram
 from casmkit.verify import ReachabilityReport, StateSpaceTooLarge, WitnessStep
+
+from reference_walker import State, eval_term
 
 
 def _monitored_combos(program: Program, interest: set[Location]):
@@ -102,7 +103,7 @@ def exhaustive_safety_check(
         return tuple(values[l] for l in controlled)
 
     cp = compiled(program)
-    init_values = program.initial_state().values
+    init_values = program.initial_values()
     init_key = key_of(init_values)
     visited: dict[tuple, Optional[tuple]] = {init_key: None}
     parents: dict[tuple, tuple] = {}

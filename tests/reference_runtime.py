@@ -1,11 +1,11 @@
 """Reference runtime: one checked step, the challenge-site rule
 evaluated term by term, and the clone experiment run trial by trial.
 
-``choose_ctl_state`` decides a site by evaluating ``condx`` with
-``eval_term`` for each plain state, independently of the compiled,
-memoized :class:`casmkit.protect.SiteDecider`, so tests can hold the
-decider and protected runs against it.  ``step`` runs one step of the
-compiled engine from a :class:`~casmkit.ast.State` and checks the inputs
+``choose_ctl_state`` decides a site by evaluating ``condx`` with the
+reference ``eval_term`` for each plain state, independently of the
+compiled, memoized :class:`casmkit.protect.SiteDecider`, so tests can
+hold the decider and protected runs against it.  ``step`` runs one step
+of the compiled engine from a reference ``State`` and checks the inputs
 total first.  ``protected_run`` chains such steps, with no memo, and
 decides every site term by term at its step.  ``clone_divergence_report``
 runs every clone trial in full, with no trial sharing another's run.
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from casmkit.ast import (
-    CasmError, InconsistentUpdate, Location, Program, State, Value,
-    eval_term, format_location, reads_location,
+    CasmError, InconsistentUpdate, Location, Program, Value, compile_term,
+    format_location, reads_location,
 )
 from casmkit.interp import (
     CtlResolver, MonitoredOracle, StepError, Trace, TraceEntry, _check_total,
@@ -34,6 +34,8 @@ from casmkit.protect import (
 from casmkit.puf import Enrollment, make_device
 from casmkit.rng import derive_rng
 from casmkit.verify import DivergenceReport, TraceComparison
+
+from reference_walker import State, eval_term, initial_state
 
 
 @dataclass
@@ -79,7 +81,8 @@ def choose_ctl_state(challenge: int, post_values: dict[Location, Value],
     so an accepted value can never enable a violating successor step.
     """
     response = device.query(challenge, query_rng)
-    decoded = enrollment.decode(response)
+    decoded = None if response == enrollment.init_token \
+        else enrollment.decode_stored(response)
     state = State(values=post_values, monitored={})
     if decoded is not None and \
             not eval_term(safe_condition.cond_for(decoded), state):
@@ -131,7 +134,7 @@ def protected_run(protected: ProtectedProgram, device, steps: int,
     :func:`step` calls whose sites :func:`make_ctl_resolver` decides."""
     program = protected.program
     resolver = make_ctl_resolver(protected, device, seed)
-    state = program.initial_state()
+    state = initial_state(program)
     yield TraceEntry(0, dict(state.values), {}, [], [])
     for k in range(steps):
         monitored = oracle.valuation(program, k)
@@ -167,7 +170,7 @@ def compare_target_traces(original: Program, protected: ProtectedProgram,
                          enrollment.response_bits, noise)
     runner = ProtectedRunner(protected, device, run_seed)
     fallbacks = 0
-    order = sorted(original.initial_state().values, key=str)
+    order = sorted(original.initial_values(), key=str)
     for orig_entry, prot_entry in zip(
             iter_run(original, steps, make_oracle(), run_seed),
             runner.iter_entries(steps, make_oracle())):
@@ -196,7 +199,7 @@ def clone_divergence_report(protected: ProtectedProgram,
     program = protected.program
     unsafe_fn = None
     if not reads_location(program.unsafe, ctl_loc):
-        unsafe_fn = compiled(program)._term(program.unsafe)
+        unsafe_fn = compile_term(program, program.unsafe)
 
     violations = 0
     diverged = 0

@@ -26,15 +26,15 @@ from typing import Optional
 from casmkit import symexec
 from casmkit.ast import (
     And, App, CasmError, Const, Eq, FALSE, Ite, Location, Member, Not, Or,
-    Program, State, Term, Value, Var, children, eval_term, free_vars,
-    locations_of_interest, or_all, rebuild,
+    Program, Term, Value, Var, children, free_vars, locations_of_interest,
+    or_all, rebuild,
 )
 from casmkit.interp import CompiledProgram, _backtrack, _picker, compiled
 from casmkit.symexec import (
     DOMAIN_CAP, FormulaCache, SymRef, _cache, _domains, subst_symbol,
 )
 
-from reference_walker import enumerate_step_outcomes
+from reference_walker import State, enumerate_step_outcomes, eval_term
 
 _ORACLE_SKIP = 1 << 16
 
@@ -173,7 +173,7 @@ def transitions_by_enumeration(program: Program) -> set[tuple[Value, Value]]:
     first = {**fixed, **{l: d[0] for l, d in domains.items()}}
     cp = compiled(program)
     ctl_loc = program.ctl_loc
-    initial = program.initial_state().values
+    initial = program.initial_values()
     pairs = set()
     for combo in itertools.product(
             *(program.function(l[0]).result.values() for l in controlled)):

@@ -1,20 +1,79 @@
-"""Reference walker: enumerates every resolution of one step's
-nondeterminism by walking the rule tree with ``eval_term``.
+"""Reference evaluator and walker.
 
-It re-implements the step semantics independently of the compiled
+``eval_term`` evaluates a term over a :class:`State` by recursion on
+the term, independently of ``casmkit.ast.compile_term``, the term
+evaluator of the package.  ``enumerate_step_outcomes`` enumerates every
+resolution of one step's nondeterminism by walking the rule tree with
+it: it re-implements the step semantics independently of the compiled
 engine in ``casmkit.interp``, so tests can hold the engine's
 enumeration and its runs against it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from casmkit.ast import (
-    Call, CasmError, Choose, ChooseCtl, Cond, Let, Location, Par, Program,
-    State, Update, Value, check_updates, eval_term,
+    And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, EvalError,
+    Ite, Let, Location, Member, Not, Or, Par, Program, Term, Update, Value,
+    Var, check_updates, format_location,
 )
 from casmkit.interp import STALL, CtlEnumerator, EmptyChooseSet, StepError
+
+
+@dataclass
+class State:
+    """Valuation of controlled/static locations plus this step's inputs."""
+
+    values: dict[Location, Value]
+    monitored: dict[Location, Value]
+
+    def read(self, loc: Location) -> Value:
+        if loc in self.values:
+            return self.values[loc]
+        if loc in self.monitored:
+            return self.monitored[loc]
+        raise EvalError(f"unknown location {format_location(loc)}")
+
+
+def initial_state(program: Program) -> State:
+    """The program's initial values, with no inputs."""
+    return State(values=program.initial_values(), monitored={})
+
+
+def eval_term(term: Term, state: State,
+              env: Optional[Mapping[str, Value]] = None) -> Value:
+    """Value of a closed (or env-bound) term in the given state.
+
+    Pure: never mutates the state.  Static and controlled locations are
+    read from ``state.values``, monitored ones from ``state.monitored``.
+    """
+    if isinstance(term, Const):
+        return term.value
+    if isinstance(term, Var):
+        if env is None or term.name not in env:
+            raise EvalError(f"unbound variable {term.name}")
+        return env[term.name]
+    if isinstance(term, App):
+        args = tuple(eval_term(a, state, env) for a in term.args)
+        return state.read((term.fn, args))
+    if isinstance(term, Not):
+        return not eval_term(term.operand, state, env)
+    if isinstance(term, And):
+        return bool(eval_term(term.left, state, env)
+                    and eval_term(term.right, state, env))
+    if isinstance(term, Or):
+        return bool(eval_term(term.left, state, env)
+                    or eval_term(term.right, state, env))
+    if isinstance(term, Eq):
+        return eval_term(term.left, state, env) == eval_term(term.right, state, env)
+    if isinstance(term, Member):
+        return eval_term(term.item, state, env) in term.values
+    if isinstance(term, Ite):
+        if eval_term(term.cond, state, env):
+            return eval_term(term.then, state, env)
+        return eval_term(term.other, state, env)
+    raise EvalError(f"cannot evaluate node {type(term).__name__}")
 
 
 @dataclass

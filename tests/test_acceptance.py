@@ -13,8 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from casmkit.ast import (
-    And, App, Const, Eq, Ite, Member, Not, Or, State, Var, eval_term,
-    term_size, validate_program,
+    And, App, Const, Eq, Ite, Member, Not, Or, Var, term_size,
+    validate_program,
 )
 from casmkit.cli import main as cli_main
 from casmkit.interp import ConstantOracle, RandomOracle, ScriptedOracle, run
@@ -33,6 +33,7 @@ from casmkit.verify import (
 
 from fuzzing import formula_symbols, random_formula, random_program
 from reference_symexec import equivalent_on_finite_domains, eval_fd
+from reference_walker import State, eval_term, initial_state
 
 PHASE = ("phase", ())
 PHASES = ("Stop1Stop2", "Go1Stop2", "Stop2Stop1", "Go2Stop1")
@@ -152,7 +153,7 @@ def test_criterion_3_safety_condition_reproduction(traffic):
         published = Or(
             And(Member(x, ("Stop1Stop2", "Go1Stop2")), And(Not(gl1), gl2)),
             And(Member(x, ("Stop2Stop1", "Go2Stop1")), And(Not(gl2), gl1)))
-        base = traffic.initial_state().values
+        base = traffic.initial_values()
         checks = 0
         for xv, g1, g2 in itertools.product(PHASES, (False, True),
                                             (False, True)):
@@ -289,7 +290,7 @@ def test_criterion_9_property_suites(traffic):
             valuation = {init.sym_val[l]: v for l, v in concrete.items()}
             taken = [p for p in paths if eval_fd(p.path_cond, valuation)]
             assert len(taken) == 1
-            state = traffic.initial_state()
+            state = initial_state(traffic)
             state.values.update({l: concrete[l] for l in controlled})
             result = concrete_step(traffic, state,
                                    {l: concrete[l] for l in monitored})

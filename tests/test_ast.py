@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import pkgutil
 
 import pytest
@@ -7,14 +8,16 @@ from hypothesis import given, strategies as st
 
 import casmkit
 from casmkit.ast import (
-    And, App, Call, Choose, ChooseCtl, Const, Eq, InconsistentUpdate, Ite,
-    Let, Member, NamedRule, Not, Or, Par, Program, Rule, SetExpr, Sort,
-    State, Term, Update, Var, check_updates, children, eval_term,
+    And, App, Call, CasmError, Choose, ChooseCtl, Const, Eq, EvalError,
+    InconsistentUpdate, Ite, Let, Member, NamedRule, Not, Or, Par, Program,
+    Rule, SetExpr, Sort, Term, Update, Var, check_updates, children, compile_term,
     format_location, locations_of_interest, rebuild, rebuild_rule,
     rule_parts, validate_program, Cond, FunctionDecl, make_init, BOOL,
 )
-from casmkit.parser import _RawIdent
+from casmkit.parser import _RawIdent, parse_or_raise
 from casmkit.symexec import SymRef, Symbol, s_rebuild
+
+from reference_walker import State, eval_term, initial_state
 
 
 def phase_app():
@@ -23,35 +26,35 @@ def phase_app():
 
 class TestEvalTerm:
     def test_guard_equality_on_phase(self, traffic):
-        state = traffic.initial_state()
+        state = initial_state(traffic)
         assert eval_term(Eq(phase_app(), Const("Stop1Stop2")), state) is True
 
     def test_not_false(self, traffic):
-        assert eval_term(Not(Const(False)), traffic.initial_state()) is True
+        assert eval_term(Not(Const(False)), initial_state(traffic)) is True
 
     def test_membership_against_truth_table_oracle(self, traffic):
         # every phase value against both guard sets, cross-checked with
         # plain Python set membership
         guard_sets = [("Stop1Stop2", "Go1Stop2"), ("Stop2Stop1", "Go2Stop1")]
         for value in traffic.ctl_values():
-            state = traffic.initial_state()
+            state = initial_state(traffic)
             state.values[("phase", ())] = value
             for guard in guard_sets:
                 expected = value in set(guard)
                 got = eval_term(Member(phase_app(), tuple(guard)), state)
                 assert got == expected
-        state = traffic.initial_state()
+        state = initial_state(traffic)
         state.values[("phase", ())] = "Go1Stop2"
         assert eval_term(Member(phase_app(), ("Stop2Stop1", "Go2Stop1")),
                          state) is False
 
     def test_monitored_read(self, traffic):
-        state = State(values=traffic.initial_state().values, monitored={
+        state = State(values=traffic.initial_values(), monitored={
             loc: True for loc in traffic.monitored_locations()})
         assert eval_term(App("Passed", (Const("Stop1Stop2"),)), state) is True
 
     def test_repeated_evaluation_is_stable(self, traffic):
-        state = traffic.initial_state()
+        state = initial_state(traffic)
         term = And(Not(App("GoLight", (Const(1),))),
                    App("StopLight", (Const(2),)))
         assert eval_term(term, state) == eval_term(term, state)
@@ -120,6 +123,80 @@ class TestTermMap:
         assert s_rebuild(term, kids) == term
         fresh = tuple(Var(f"k{i}") for i in range(len(kids)))
         assert children(rebuild(term, fresh)) == fresh
+
+
+TERM_PROGRAM = """asm terms
+enum E = {{ X, Y }}
+{mode} f : E, E -> E{init}
+controlled phase : E init X
+ctlstate phase
+unsafe false
+
+rule main:
+  if phase = X then
+    phase := Y
+  endif
+"""
+"""Declares the ``f`` of ``TERM_SAMPLES``; its mode is filled in."""
+
+# node kinds of the symbolic engine and the parser: neither evaluator
+# takes them
+UNEVALUATED = {SymRef, _RawIdent}
+
+
+class TestCompileTerm:
+    """``compile_term`` against the reference ``eval_term`` on every term
+    kind, with each variable unbound or bound to each of a few values."""
+
+    @pytest.mark.parametrize("mode", ["controlled", "monitored"])
+    @pytest.mark.parametrize("term", TERM_SAMPLES.values(),
+                             ids=[k.__name__ for k in TERM_SAMPLES])
+    def test_agrees_with_the_reference(self, term, mode):
+        program = parse_or_raise(TERM_PROGRAM.format(
+            mode=mode, init=" init { _: X }" if mode == "controlled" else ""))
+        table = {("f", (a, b)): "X" if a == b else "Y"
+                 for a in ("X", "Y") for b in ("X", "Y")}
+        values, monitored = program.initial_values(), table
+        if mode == "controlled":
+            values, monitored = {**values, **table}, {}
+        state = State(values=values, monitored=monitored)
+        if type(term) in UNEVALUATED:
+            with pytest.raises(CasmError, match="^cannot compile"):
+                compile_term(program, term)
+            with pytest.raises(EvalError, match="^cannot evaluate"):
+                eval_term(term, state, {})
+            return
+        fn = compile_term(program, term)
+        checked = 0
+        for combo in itertools.product((None, True, False, "X", "Y", 1),
+                                       repeat=4):
+            env = {n: v for n, v in zip("abcv", combo) if v is not None}
+            try:
+                want = eval_term(term, state, env)
+            except EvalError:
+                with pytest.raises(KeyError):
+                    fn(values, monitored, env)
+                continue
+            got = fn(values, monitored, env)
+            assert (got, type(got)) == (want, type(want)), (term, env)
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("mode", ["controlled", "monitored"])
+    def test_ground_reads_agree_with_the_reference(self, mode):
+        program = parse_or_raise(TERM_PROGRAM.format(
+            mode=mode, init=" init { _: Y }" if mode == "controlled" else ""))
+        values = program.initial_values()
+        monitored = {loc: "Y" for loc in program.monitored_locations()}
+        state = State(values=values, monitored=monitored)
+        read = App("f", (Const("X"), Const("Y")))
+        assert compile_term(program, read)(values, monitored, {}) == \
+            eval_term(read, state) == "Y"
+        outside = App("f", (Const("X"), Const(True)))
+        with pytest.raises(EvalError):
+            eval_term(outside, state)
+        with pytest.raises(KeyError):
+            compile_term(program, outside)(values, monitored, {})
 
 
 # one rule of every kind, its terms distinct variables and every body

@@ -42,6 +42,16 @@ class TestParseCommand:
         result = invoke("parse", "bad.casm")
         assert_one_line_usage_error(result, "bad.casm:2:12: error[E-SYNTAX]")
 
+    def test_failing_initial_constraint_is_a_one_line_usage_error(
+            self, workspace):
+        from conftest import CONSTRAINED
+        (workspace / "c.casm").write_text(CONSTRAINED.format(
+            constraints="constraint phase = A\nconstraint phase = B\n"))
+        result = invoke("parse", "c.casm")
+        assert_one_line_usage_error(
+            result, "error[E-CONSTRAINT]: initial constraint does not hold "
+                    "initially")
+
     def test_input_file_is_not_modified(self, workspace):
         before = (workspace / "traffic.casm").read_bytes()
         invoke("parse", "traffic.casm")
@@ -494,6 +504,17 @@ class TestVerifyCommand:
         result = invoke("verify", "traffic.casm", "--runs", "5",
                         "--steps", "50")
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("faulty, code, output", [
+        (True, 1, "unsafe state reached (seed 1, step 3)\n"),
+        (False, 0, "no unsafe state in 50 randomized runs of 200 steps\n"),
+    ], ids=["faulty-ring4", "ring4"])
+    def test_randomized_ring4(self, workspace, faulty, code, output):
+        from rings import ring_source
+        (workspace / "ring4.casm").write_text(ring_source(4, faulty=faulty))
+        result = invoke("verify", "ring4.casm")
+        assert result.exit_code == code, result.output
+        assert result.output == output
 
     def test_protected_ring8_is_checked(self, ring8_protected):
         # the bound counts the 33 states visited, not the 17 * 2**16

@@ -13,7 +13,7 @@ from casmkit.parser import parse_or_raise
 
 from fuzzing import random_program
 from reference_runtime import step
-from reference_walker import enumerate_step_outcomes
+from reference_walker import enumerate_step_outcomes, initial_state
 
 PHASE = ("phase", ())
 
@@ -24,7 +24,7 @@ def all_passed(traffic, value=True):
 
 class TestStep:
     def test_first_transition_with_lights(self, traffic):
-        result = step(traffic, traffic.initial_state(), all_passed(traffic))
+        result = step(traffic, initial_state(traffic), all_passed(traffic))
         values = result.state.values
         assert values[PHASE] == "Go1Stop2"
         assert values[("GoLight", (1,))] is True
@@ -34,7 +34,7 @@ class TestStep:
         assert result.fired == ["lane1"]
 
     def test_stall_when_nothing_passes(self, traffic):
-        state = traffic.initial_state()
+        state = initial_state(traffic)
         result = step(traffic, state, all_passed(traffic, False))
         assert result.state.values == state.values
         assert result.events == [STALL]
@@ -49,7 +49,7 @@ class TestStep:
                           "Stop1Stop2"]
 
     def test_frame_property(self, traffic):
-        before = traffic.initial_state()
+        before = initial_state(traffic)
         result = step(traffic, before, all_passed(traffic))
         touched = {PHASE, ("GoLight", (1,)), ("StopLight", (1,))}
         for loc, value in before.values.items():
@@ -62,7 +62,7 @@ class TestRun:
         trace = run(traffic, 0, ConstantOracle.always_true(traffic), seed=3)
         assert len(trace.entries) == 1
         assert trace.entries[0].step == 0
-        assert trace.entries[0].state == traffic.initial_state().values
+        assert trace.entries[0].state == traffic.initial_values()
 
     def test_determinism_under_fixed_seed(self, traffic):
         oracle = ConstantOracle.always_true(traffic)
@@ -171,7 +171,7 @@ rule beat:
             NamedRule("pick", (), (Cond(rule.guard, (empty,)),)),),
             named_rules=())
         with pytest.raises(EmptyChooseSet):
-            step(bad, bad.initial_state(), {})
+            step(bad, initial_state(bad), {})
 
 
 class TestEngineAgreement:
@@ -186,7 +186,7 @@ class TestEngineAgreement:
                              for nr in program.main_rules
                              for r, _ in iter_rules(nr.body))
             oracle = RandomOracle(rng.randrange(1 << 30))
-            state = program.initial_state()
+            state = initial_state(program)
             for k in range(5):
                 monitored = oracle.valuation(program, k)
                 try:

@@ -13,6 +13,7 @@ from casmkit.programs import traffic_light_source
 from casmkit.protect import protect
 from casmkit.puf import make_device
 
+from conftest import CONSTRAINED
 from fuzzing import random_program
 from reference_parser import reference_tokenize
 
@@ -70,6 +71,21 @@ class TestParseTrafficLight:
         result = parse_program(src)
         assert not result.ok
         assert any(d.code == "E-NOINIT" for d in result.diagnostics)
+
+
+class TestInitialConstraints:
+    def test_a_constraint_that_holds_initially_is_accepted(self):
+        result = parse_program(
+            CONSTRAINED.format(constraints="constraint phase = A\n"))
+        assert result.ok, [d.render() for d in result.diagnostics]
+        assert len(result.program.init_constraints) == 1
+
+    def test_a_constraint_that_fails_initially_is_refused(self):
+        result = parse_program(CONSTRAINED.format(
+            constraints="constraint phase = A\nconstraint phase = B\n"))
+        assert not result.ok
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E-CONSTRAINT", "initial constraint does not hold initially")]
 
 
 class TestRoundTrip:

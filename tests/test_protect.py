@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from casmkit.ast import (
-    App, ChooseCtl, Cond, Const, Member, Program, State, Update, eval_term,
-    iter_rules, validate_program,
+    App, ChooseCtl, Cond, Const, Member, Program, Update, iter_rules,
+    validate_program,
 )
 from casmkit.interp import ConstantOracle, RandomOracle
 from casmkit.parser import parse_or_raise, parse_program
@@ -24,6 +24,7 @@ from fuzzing import random_program
 from reference_runtime import (
     choose_ctl_state, make_ctl_resolver, safe_states, step,
 )
+from reference_walker import State, eval_term, initial_state
 
 PHASE = ("phase", ())
 PHASES = ("Stop1Stop2", "Go1Stop2", "Stop2Stop1", "Go2Stop1")
@@ -80,7 +81,7 @@ rule r:
         # are contained in the computed set
         observed = set()
         for start in ("One", "Two", "Three"):
-            state = program.initial_state()
+            state = initial_state(program)
             state.values[("mode", ())] = start
             result = step(program, state, {})
             nxt = result.state.values[("mode", ())]
@@ -126,7 +127,7 @@ class TestSafeCondition:
             And(Member(x, ("Stop1Stop2", "Go1Stop2")), And(Not(gl1), gl2)),
             And(Member(x, ("Stop2Stop1", "Go2Stop1")), And(Not(gl2), gl1)))
         from casmkit.symexec import subst_term
-        base = traffic.initial_state().values
+        base = traffic.initial_values()
         for xv, g1, g2 in itertools.product(PHASES, (False, True),
                                             (False, True)):
             values = dict(base)
@@ -141,12 +142,12 @@ class TestSafeCondition:
 
     def test_all_red_admits_every_phase(self, traffic):
         cond = derive_safe_condition(traffic)
-        assert safe_states(cond, traffic.initial_state().values) == \
+        assert safe_states(cond, traffic.initial_values()) == \
             list(PHASES)
 
     def test_one_go_light_restricts_to_its_side(self, traffic):
         cond = derive_safe_condition(traffic)
-        values = dict(traffic.initial_state().values)
+        values = dict(traffic.initial_values())
         values[("GoLight", (1,))] = True
         values[("StopLight", (1,))] = False
         assert safe_states(cond, values) == ["Stop1Stop2", "Go1Stop2"]
@@ -161,7 +162,7 @@ class TestSafeCondition:
         for g1, g2 in itertools.product((False, True), repeat=2):
             if g1 and g2:
                 continue  # already violating: the gate never runs there
-            values = dict(traffic.initial_state().values)
+            values = dict(traffic.initial_values())
             values[("GoLight", (1,))] = g1
             values[("StopLight", (1,))] = not g1
             values[("GoLight", (2,))] = g2
@@ -303,7 +304,7 @@ class TestChooseCtlState:
         protected, enrollment, device = protected_traffic
         cond = protected.safe_condition
         site = enrollment.transitions[0]  # Stop1Stop2 -> Go1Stop2
-        post = dict(protected.program.initial_state().values)
+        post = dict(protected.program.initial_values())
         post[("GoLight", (1,))] = True
         post[("StopLight", (1,))] = False
         value, tag = choose_ctl_state(
@@ -313,7 +314,7 @@ class TestChooseCtlState:
                         enrollment.init_token) == (value, tag)
         assert tag == BOUND_OK
         assert value == site.response
-        assert enrollment.decode(value) == "Go1Stop2"
+        assert enrollment.decode_stored(value) == "Go1Stop2"
 
     def test_clone_device_falls_back_to_safe_state(self, traffic,
                                                    protected_traffic):
@@ -321,7 +322,7 @@ class TestChooseCtlState:
         clone = make_device(4711, 16, 16, 0.0)
         cond = protected.safe_condition
         site = enrollment.transitions[0]
-        post = dict(protected.program.initial_state().values)
+        post = dict(protected.program.initial_values())
         post[("GoLight", (1,))] = True
         post[("StopLight", (1,))] = False
         value, tag = choose_ctl_state(
@@ -330,7 +331,7 @@ class TestChooseCtlState:
         assert _decided(protected, cond, clone, site.challenge, post,
                         enrollment.init_token) == (value, tag)
         assert tag == FALLBACK_TAKEN
-        decoded = enrollment.decode(value)
+        decoded = enrollment.decode_stored(value)
         state = State(values=post, monitored={})
         assert eval_term(cond.cond_for(decoded), state) is False
         assert decoded in ("Stop1Stop2", "Go1Stop2")
@@ -340,7 +341,7 @@ class TestChooseCtlState:
         always_bad = SafeCondition(cond_x=Const(True), ctl_name="phase",
                                    plain_values=PHASES)
         site = enrollment.transitions[0]
-        post = dict(protected.program.initial_state().values)
+        post = dict(protected.program.initial_values())
         value, tag = choose_ctl_state(
             site.challenge, post, enrollment.init_token, device, enrollment,
             always_bad, derive_rng("t1"), derive_rng("t2"))
@@ -462,7 +463,7 @@ class TestProtectPipeline:
             device = make_device(device_seed, 16, 16, noise)
             fast = run_protected(protected, device, 120, oracle, seed=5)
             cp = compiled(protected.program)
-            values = protected.program.initial_state().values
+            values = protected.program.initial_values()
             for k in range(120):
                 monitored = oracle.valuation(protected.program, k)
                 resolver = make_ctl_resolver(protected, device, 5)

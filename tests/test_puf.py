@@ -115,7 +115,7 @@ class TestEnrollment:
         assert len(set(responses)) == 4
         assert e.init_token not in responses
         for t in e.transitions:
-            assert e.decode(t.response) == t.target
+            assert e.decode_stored(t.response) == t.target
             assert t.response in e.encodings(t.target)
         assert e.decode_stored(e.init_token) == "Stop1Stop2"
 

@@ -74,7 +74,7 @@ def stepwise(program, steps, oracle, seed, resolver_at=None):
     error the run loop would report; step ``k`` stages its sites with
     ``resolver_at(k)``."""
     cp = compiled(program)
-    values = program.initial_state().values
+    values = program.initial_values()
     out = [(0, dict(values), {}, [], [])]
     for k in range(steps):
         monitored = oracle.valuation(program, k)

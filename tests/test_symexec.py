@@ -16,6 +16,7 @@ from casmkit.symexec import (
 from fuzzing import formula_symbols, random_formula
 from reference_runtime import step
 from reference_symexec import equivalent_on_finite_domains, eval_fd
+from reference_walker import initial_state
 
 PHASE = ("phase", ())
 PHASES = ("Stop1Stop2", "Go1Stop2", "Stop2Stop1", "Go2Stop1")
@@ -163,7 +164,7 @@ rule never:
             valuation = {init.sym_val[l]: v for l, v in concrete.items()}
             taken = [p for p in paths if eval_fd(p.path_cond, valuation)]
             assert len(taken) == 1
-            state = traffic.initial_state()
+            state = initial_state(traffic)
             state.values.update({l: concrete[l] for l in controlled})
             result = step(traffic, state,
                           {l: concrete[l] for l in monitored})

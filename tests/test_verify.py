@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from casmkit.interp import ConstantOracle, RandomOracle, run
+from casmkit.parser import parse_or_raise
 from casmkit.protect import protect
 from casmkit.puf import make_device
 from casmkit.verify import (
@@ -49,8 +50,8 @@ class TestExhaustive:
         # breadth-first search finds a shortest run: no strictly shorter
         # prefix already violates
         report = exhaustive_safety_check(faulty_traffic)
-        from casmkit.ast import eval_term
-        state = faulty_traffic.initial_state()
+        from reference_walker import eval_term, initial_state
+        state = initial_state(faulty_traffic)
         from reference_runtime import step
         for w in report.witness[:-1]:
             state = step(faulty_traffic, state, w.monitored).state
@@ -80,8 +81,8 @@ class TestExhaustive:
             traffic, max_states=4).explored_states == 4
 
     def test_unsafe_that_cannot_be_evaluated_is_an_eval_error(self, traffic):
-        # the compiled predicate's KeyError surfaces as the EvalError
-        # evaluating over an ast.State gives, once a state reaches it
+        # the compiled predicate's KeyError surfaces as an EvalError
+        # naming the unbound variable, once a state reaches it
         from casmkit.ast import And, App, Const, EvalError, Var
         program = dataclasses.replace(
             traffic, unsafe=And(App("GoLight", (Const(1),)), Var("zz")))
@@ -94,6 +95,52 @@ class TestExhaustive:
         payload = json.loads(report.to_json())
         assert payload["unsafeReachable"] is True
         assert len(payload["witness"]) == len(report.witness)
+
+
+GATED = """asm gated
+enum Phase = {{ A, B }}
+controlled phase : Phase init A
+monitored go : Bool
+ctlstate phase
+unsafe {unsafe}
+
+rule main:
+  if phase = A and not go then
+    phase := B
+  endif
+"""
+"""Reaches B only when ``go`` is false; ``unsafe`` is filled in."""
+
+
+class TestReplayWitness:
+    """A witness replays when the checker's verdict marks its last state
+    unsafe: the violation predicate holds under some valuation of the
+    inputs it reads, not only under the last step's inputs."""
+
+    def test_unsafe_under_other_inputs_than_the_last_step(self):
+        program = parse_or_raise(GATED.format(unsafe="phase = B and go"))
+        report = exhaustive_safety_check(program)
+        assert report.unsafe_reachable is True
+        assert [(w.monitored, w.state) for w in report.witness] == \
+            [({("go", ()): False}, {PHASE: "B"})]
+        assert replay_witness(program, report.witness) is True
+
+    def test_initial_state_unsafe_under_some_input(self):
+        program = parse_or_raise(GATED.format(unsafe="go"))
+        report = exhaustive_safety_check(program)
+        assert report.unsafe_reachable is True
+        assert report.witness == []
+        assert replay_witness(program, report.witness) is True
+
+    def test_a_safe_or_unreproduced_end_does_not_replay(self,
+                                                        faulty_traffic):
+        witness = exhaustive_safety_check(faulty_traffic).witness
+        assert replay_witness(faulty_traffic, witness) is True
+        assert replay_witness(faulty_traffic, witness[:-1]) is False
+        last = witness[-1]
+        wrong = dataclasses.replace(
+            last, state={**last.state, ("GoLight", (2,)): False})
+        assert replay_witness(faulty_traffic, witness[:-1] + [wrong]) is False
 
 
 class TestCompareTargetTraces:
@@ -178,3 +225,10 @@ class TestRandomizedSearch:
     def test_faulty_program_is_caught(self, faulty_traffic):
         hit = random_safety_search(faulty_traffic, 10, 200, 1)
         assert hit is not None
+
+    def test_a_predicate_on_inputs_is_not_hit_before_the_first_step(self):
+        # the initial entry has no inputs, so ``unsafe go`` cannot be
+        # evaluated there and does not count as a hit
+        program = parse_or_raise(GATED.format(unsafe="go"))
+        hit = random_safety_search(program, 5, 10, 1)
+        assert hit == (1, 1)
