@@ -10,7 +10,8 @@ closures once per program.  Runs execute it with a seeded picker in one
 run loop (:func:`iter_run`), shared by plain runs and protected runs on
 any device; the model checker enumerates every resolution of the
 nondeterminism by re-running the same closures under a backtracking
-picker.
+picker.  Both turn a rule pass into successors through one step record
+(:class:`_Step`).
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ from weakref import WeakKeyDictionary
 
 from .ast import (
     Call, CasmError, Choose, ChooseCtl, Cond, Const, InconsistentUpdate, Let,
-    Location, Par, Program, Rule, Sort, Update, Value, check_updates,
-    compile_term, format_location, locations_of_interest, locations_read,
-    parse_location_key, program_rules,
+    Location, Par, Program, ProgramError, Rule, Sort, Update, Value,
+    check_updates, compile_term, format_location, locations_of_interest,
+    locations_read, parse_location_key, program_rules,
 )
 from .rng import derive_rng, first_picks
 
@@ -182,17 +183,16 @@ class CompiledProgram:
         self.program = program
         self.ctl_loc = program.ctl_loc
         self._named_cache: dict[str, Callable] = {}
-        self.mains: list[tuple[str, Optional[Callable], Callable, Callable]] = []
+        self.mains: list[tuple[str, Callable, Callable, Callable]] = []
         for nr in program.main_rules:
-            if len(nr.body) == 1 and isinstance(nr.body[0], Cond):
-                cond = nr.body[0]
-                guard = compile_term(program, cond.guard)
-                then = self._body(cond.then_rules, nr.name, [0])
-                other = self._body(cond.else_rules, nr.name, [1000])
-                self.mains.append((nr.name, guard, then, other))
-            else:
-                body = self._body(nr.body, nr.name, [0])
-                self.mains.append((nr.name, None, body, _noop))
+            if len(nr.body) != 1 or not isinstance(nr.body[0], Cond):
+                raise ProgramError(
+                    f"rule {nr.name} must be a single guarded conditional")
+            cond = nr.body[0]
+            guard = compile_term(program, cond.guard)
+            then = self._body(cond.then_rules, nr.name, [0])
+            other = self._body(cond.else_rules, nr.name, [1000])
+            self.mains.append((nr.name, guard, then, other))
 
     # -- run keys -------------------------------------------------------------
 
@@ -373,10 +373,7 @@ class CompiledProgram:
         fired: list[str] = []
         empty_env: dict = {}
         for name, guard, then, other in self.mains:
-            if guard is None:
-                fired.append(name)
-                then(values, monitored, empty_env, out)
-            elif guard(values, monitored, empty_env):
+            if guard(values, monitored, empty_env):
                 fired.append(name)
                 then(values, monitored, empty_env, out)
             else:
@@ -384,25 +381,18 @@ class CompiledProgram:
         return out, fired
 
     def step_values(self, values: dict, monitored: dict, pick,
-                    ctl_resolver: Optional[CtlResolver] = None,
-                    step_index: int = 0, node: Optional[_Node] = None,
-                    inputs=None) -> tuple[object, list[str], list[str]]:
-        """Step ``step_index`` of a run from ``values``: the next state,
-        the rules that fired and the events.
+                    ctl_resolver: Optional[CtlResolver], step_index: int,
+                    node: _Node, inputs) -> tuple[_Node, list[str], list[str]]:
+        """Step ``step_index`` of a run from ``node``, the run's node of
+        ``values`` (:func:`iter_run`): the next state's node, the rules
+        that fired and the events.
 
-        ``ctl_resolver`` stages each challenge site of a step once, and
-        each staged site resolves at ``step_index`` (:meth:`_Step.finish`).
-        Without ``node`` the rule pass fires and the next state is its
-        values.  With ``node``, the run's node of ``values``
-        (:func:`iter_run`), the step is looked up in the node's table by
-        ``inputs``, the input values in monitored-location order, and
-        fired only on a miss; the next state is its node.  The returned
-        values and lists may be shared with other steps of the run and
-        must not be mutated."""
-        if node is None:
-            return _Step(self.ctl_loc, values,
-                         *self.fire_rules(values, monitored, pick)).finish(
-                ctl_resolver, step_index)
+        The step is looked up in the node's table by ``inputs``, the
+        input values in monitored-location order, and fired only on a
+        miss.  ``ctl_resolver`` stages each challenge site of a step
+        once, and each staged site resolves at ``step_index``
+        (:meth:`_Step.finish`).  The returned values and lists may be
+        shared with other steps of the run and must not be mutated."""
         steps = node.steps
         step = steps.get(inputs)
         if step is None:
@@ -452,12 +442,12 @@ class _Step:
     """What a rule pass from one state under one input valuation fixes:
     its updates, the first site of each challenge (:func:`_first_sites`),
     the fired rules and the post-update view the sites are resolved on;
-    each site staged, once, by the first resolver to finish the step;
-    and, by what the sites resolve to, the successor, merged and checked
-    once: the next state's node in a run's graph, else its values.  A
-    step serves one run, so one resolver.  The key of ``after`` is the
-    resolved value of a one-site step, and the tuple of resolved values
-    otherwise."""
+    each site staged, once, by the first resolver to finish the step or
+    by the checker's enumerator (:func:`enumerate_step_outcomes`); and,
+    by what the sites resolve to, the successor, merged and checked
+    once: the next state's node in a run's graph.  A step serves one
+    run, so one resolver.  The key of ``after`` is the resolved value of
+    a one-site step, and the tuple of resolved values otherwise."""
 
     __slots__ = ("ctl_loc", "values", "updates", "sites", "fired", "post",
                  "current", "staged", "after")
@@ -479,8 +469,7 @@ class _Step:
         self.after: dict = {}
 
     def finish(self, ctl_resolver: Optional[CtlResolver], step_index: int,
-               graph: Optional[_Graph] = None
-               ) -> tuple[object, list[str], list[str]]:
+               graph: _Graph) -> tuple[_Node, list[str], list[str]]:
         """Resolve the sites at ``step_index`` and give the successor,
         the fired rules and the events."""
         if not self.sites:
@@ -507,8 +496,10 @@ class _Step:
                                                                graph)
         return successor, self.fired, events
 
-    def _stage(self, ctl_resolver: Optional[CtlResolver]
-               ) -> list[StagedSite]:
+    def _stage(self, ctl_resolver: Optional[CtlResolver | CtlEnumerator]
+               ) -> list:
+        """Each site staged by ``ctl_resolver`` on the post-update view:
+        a resolver's staged sites, or an enumerator's outcome lists."""
         if ctl_resolver is None:
             raise StepError("program has hardware-bound sites but no "
                             "device is attached")
@@ -517,10 +508,9 @@ class _Step:
                                 for site, challenge in self.sites]
         return staged
 
-    def _successor(self, resolved, graph: Optional[_Graph]) -> object:
-        """The state the updates and ``resolved``, the key of
-        ``after``, give: its node in ``graph``, or its values without
-        one."""
+    def _successor(self, resolved, graph: _Graph) -> _Node:
+        """The node in ``graph`` of the state the updates and
+        ``resolved``, the key of ``after``, give."""
         if len(self.sites) == 1:
             resolved = (resolved,)
         ctl_loc = self.ctl_loc
@@ -531,7 +521,7 @@ class _Step:
             values.update(merged)
         else:
             values = self.values
-        return values if graph is None else graph.node(values)
+        return graph.node(values)
 
 
 def _noop(vals, mon, env, out):
@@ -590,33 +580,25 @@ def enumerate_step_outcomes(cp: CompiledProgram, values: dict[Location, Value],
                             ctl_enum: Optional[CtlEnumerator] = None
                             ) -> list[dict[Location, Value]]:
     """The merged updates of every possible result of one step: choose
-    draws in depth-first order, then each run's challenge sites, one per
-    challenge as in a run (:func:`_first_sites`), as a product over the
-    enumerator's outcomes (the first site slowest).  The rule pass re-runs
-    once per sequence of draws; a ``choose``-free step runs it once."""
+    draws in depth-first order, then each run's challenge sites as a
+    product over the enumerator's outcomes (the first site slowest).
+    Each rule pass is a :class:`_Step`, as in a run: its sites, one per
+    challenge, are staged with ``ctl_enum`` on its post-update view, and
+    a step with sites and no enumerator raises as a run without a device
+    does.  The rule pass re-runs once per sequence of draws; a
+    ``choose``-free step runs it once."""
     results: list[dict[Location, Value]] = []
     ctl_loc = cp.ctl_loc
 
     def run(pick):
-        out, _ = cp.fire_rules(values, monitored, pick)
-        updates = out.updates
-        if not out.pending:
+        step = _Step(ctl_loc, values, *cp.fire_rules(values, monitored, pick))
+        updates = step.updates
+        if not step.sites:
             results.append(check_updates(updates))
-        elif ctl_enum is None:
-            raise StepError("program has hardware-bound sites but no "
-                            "device is attached")
-        else:
-            post = dict(values)
-            post.update(updates)
-            current = values[ctl_loc]
-            pending = out.pending
-            if len(pending) > 1:
-                pending = _first_sites(pending)
-            for combo in itertools.product(*(
-                    ctl_enum(site, challenge, post, current)
-                    for site, challenge in pending)):
-                results.append(check_updates(
-                    updates + [(ctl_loc, value) for value, _ in combo]))
+            return
+        for combo in itertools.product(*step._stage(ctl_enum)):
+            results.append(check_updates(
+                updates + [(ctl_loc, value) for value, _ in combo]))
 
     if cp.choose_free:
         run(None)

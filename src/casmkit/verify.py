@@ -18,7 +18,7 @@ from .ast import (
 )
 from .interp import (
     CompiledProgram, MonitoredOracle, RandomOracle, Trace, check_step_count,
-    compiled, enumerate_step_outcomes, iter_run, location_key, rng_picker,
+    compiled, enumerate_step_outcomes, iter_run, location_key,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -309,16 +309,19 @@ def exhaustive_safety_check(
 
 
 def replay_witness(program: Program, witness: list[WitnessStep]) -> bool:
-    """Re-execute a witness through the concrete runtime; valid iff every
-    step reproduces the recorded state and the checker's verdict marks
-    the final state unsafe.  Only deterministic (choose-free) programs
-    replay exactly."""
+    """Re-check a witness against the checker's own step: valid iff each
+    recorded state is the previous one (the initial state first) with
+    the updates of one outcome of :func:`enumerate_step_outcomes` under
+    the recorded inputs, and the checker's verdict marks the final state
+    unsafe.  The outcomes range over every ``choose`` draw, so a witness
+    of a program that draws replays too."""
     cp = compiled(program)
     values = program.initial_values()
     for w in witness:
-        values, _, _ = cp.step_values(values, w.monitored, rng_picker(0, 0))
-        if values != w.state:
+        if not any({**values, **updates} == w.state for updates in
+                   enumerate_step_outcomes(cp, values, w.monitored)):
             return False
+        values = w.state
     return _unsafe_verdict(cp)(values)
 
 

@@ -1,12 +1,14 @@
-"""Seeded generators for random valid programs and random formulas."""
+"""Seeded generators for random valid programs and random formulas, and
+a protected program with two challenges at each of its sites."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from casmkit.ast import (
-    And, App, Choose, Cond, Const, Eq, FunctionDecl, Ite, Let, Member,
-    NamedRule, Not, Or, Par, Program, SetExpr, Sort, Term, Update, Var,
-    make_init,
+    And, App, Choose, ChooseCtl, Cond, Const, Eq, FunctionDecl, Ite, Let,
+    Member, NamedRule, Not, Or, Par, Program, SetExpr, Sort, Term, Update,
+    Var, make_init,
 )
 from casmkit.symexec import Symbol, SymRef
 
@@ -232,3 +234,34 @@ def _reads_monitored(term: Term, monitored: dict) -> bool:
     if isinstance(term, App) and term.fn in monitored:
         return True
     return any(_reads_monitored(c, monitored) for c in children(term))
+
+
+def with_second_challenge(protected):
+    """``protected`` with a site of the program's next challenge beside
+    each site, so a step that reaches a site resolves two distinct
+    challenges."""
+    challenges = protected.challenges
+    following = dict(zip(challenges, challenges[1:] + challenges[:1]))
+
+    def doubled(rules):
+        out = []
+        for rule in rules:
+            if isinstance(rule, ChooseCtl):
+                rule = Par((rule, ChooseCtl(following[rule.challenge])))
+            elif isinstance(rule, Cond):
+                rule = replace(rule, then_rules=doubled(rule.then_rules),
+                               else_rules=doubled(rule.else_rules))
+            elif isinstance(rule, Par):
+                rule = replace(rule, rules=doubled(rule.rules))
+            elif isinstance(rule, (Choose, Let)):
+                rule = replace(rule, body=doubled(rule.body))
+            out.append(rule)
+        return tuple(out)
+
+    program = protected.program
+    return replace(protected, program=replace(
+        program,
+        main_rules=tuple(replace(nr, body=doubled(nr.body))
+                         for nr in program.main_rules),
+        named_rules=tuple(replace(nr, body=doubled(nr.body))
+                          for nr in program.named_rules)))

@@ -6,13 +6,14 @@ reference ``eval_term`` for each plain state, independently of the
 compiled, memoized :class:`casmkit.protect.SiteDecider`, so tests can
 hold the decider and protected runs against it.  ``step`` runs one step
 of the compiled engine from a reference ``State`` and checks the inputs
-total first.  ``protected_run`` chains such steps, with no memo, and
-decides every site term by term at its step.  ``clone_divergence_report``
-runs every clone trial in full, with no trial sharing another's run.
-``query_at`` gives a device's response at one site and step of a run.
-``random_valuation`` draws a random oracle's inputs from full named
-streams, and ``compare_target_traces`` gives each of its two runs an
-oracle of its own.
+total first; ``unmemoized_step`` is that step from a fresh node of its
+own, so nothing of an earlier step is reused.  ``protected_run`` chains
+such steps, with no memo, and decides every site term by term at its
+step.  ``clone_divergence_report`` runs every clone trial in full, with
+no trial sharing another's run.  ``query_at`` gives a device's response
+at one site and step of a run.  ``random_valuation`` draws a random
+oracle's inputs from full named streams, and ``compare_target_traces``
+gives each of its two runs an oracle of its own.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from casmkit.ast import (
     format_location, reads_location,
 )
 from casmkit.interp import (
-    CtlResolver, MonitoredOracle, StepError, Trace, TraceEntry, _check_total,
-    compiled, iter_run, rng_picker,
+    CompiledProgram, CtlResolver, MonitoredOracle, StepError, Trace,
+    TraceEntry, _check_total, _Graph, compiled, iter_run, rng_picker,
 )
 from casmkit.protect import (
     BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedProgram, ProtectedRunner,
@@ -45,16 +46,29 @@ class StepResult:
     events: list[str]
 
 
+def unmemoized_step(cp: CompiledProgram, values: dict[Location, Value],
+                    monitored: dict[Location, Value], pick,
+                    ctl_resolver: Optional[CtlResolver], step_index: int
+                    ) -> tuple[dict[Location, Value], list[str], list[str]]:
+    """Step ``step_index`` from ``values`` as a node of a fresh graph
+    with no state key: the rule pass fires and the sites are staged
+    anew.  Gives the next state's values, the fired rules and the
+    events."""
+    node, fired, events = cp.step_values(
+        values, monitored, pick, ctl_resolver, step_index,
+        _Graph(None).node(values), None)
+    return node.values, fired, events
+
+
 def step(program: Program, state: State, monitored: dict[Location, Value],
          seed: int = 0, step_index: int = 0,
          ctl_resolver: Optional[CtlResolver] = None) -> StepResult:
     """One synchronous step; the state is never partially updated."""
     _check_total(program, monitored, step_index)
-    cp = compiled(program)
     try:
-        values, fired, events = cp.step_values(
-            state.values, monitored, rng_picker(seed, step_index),
-            ctl_resolver, step_index)
+        values, fired, events = unmemoized_step(
+            compiled(program), state.values, monitored,
+            rng_picker(seed, step_index), ctl_resolver, step_index)
     except InconsistentUpdate as exc:
         raise StepError(str(exc), step_index) from exc
     return StepResult(State(values=values, monitored=monitored), fired, events)

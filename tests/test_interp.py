@@ -1,13 +1,14 @@
+import dataclasses
 import json
 import random
 from collections import Counter
 
 import pytest
 
-from casmkit.ast import Choose, SetExpr
+from casmkit.ast import Choose, NamedRule, ProgramError, SetExpr
 from casmkit.interp import (
     ConstantOracle, EmptyChooseSet, RandomOracle, ScriptedOracle, STALL,
-    iter_run, run,
+    compiled, iter_run, run,
 )
 from casmkit.parser import parse_or_raise
 
@@ -207,3 +208,19 @@ class TestEngineAgreement:
                 if not has_choice:
                     assert len(produced) == 1
                 state = result.state
+
+
+class TestMainRuleShape:
+    def test_compiling_a_main_rule_of_another_shape_is_refused(self,
+                                                               traffic):
+        # an unvalidated program whose main rule is not one guarded
+        # conditional: its rules, bare, or nothing at all
+        lane1 = traffic.main_rules[0]
+        (cond,) = lane1.body
+        for body in (cond.then_rules, (cond, cond), ()):
+            program = dataclasses.replace(traffic, main_rules=(
+                NamedRule(lane1.name, (), body), *traffic.main_rules[1:]))
+            with pytest.raises(ProgramError) as caught:
+                compiled(program)
+            assert str(caught.value) == \
+                "rule lane1 must be a single guarded conditional"

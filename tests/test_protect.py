@@ -22,7 +22,7 @@ from casmkit.verify import compare_target_traces, exhaustive_safety_check
 
 from fuzzing import random_program
 from reference_runtime import (
-    choose_ctl_state, make_ctl_resolver, safe_states, step,
+    choose_ctl_state, make_ctl_resolver, safe_states, step, unmemoized_step,
 )
 from reference_walker import State, eval_term, initial_state
 
@@ -467,8 +467,8 @@ class TestProtectPipeline:
             for k in range(120):
                 monitored = oracle.valuation(protected.program, k)
                 resolver = make_ctl_resolver(protected, device, 5)
-                values, _, _ = cp.step_values(values, monitored,
-                                              rng_picker(5, k), resolver, k)
+                values, _, _ = unmemoized_step(cp, values, monitored,
+                                               rng_picker(5, k), resolver, k)
                 assert values == fast.entries[k + 1].state, (device_seed,
                                                              noise, k)
 

@@ -1,7 +1,7 @@
 """The run loop interns the states of choose-free programs, so a rule
 pass fires once per state and inputs, and the site decider memoizes its
-safe states; these tests hold both against step-by-step ``step_values``
-chains that use neither."""
+safe states; these tests hold both against step-by-step
+``unmemoized_step`` chains that use neither."""
 import json
 import random
 
@@ -22,7 +22,7 @@ from casmkit.puf import make_device
 from casmkit.verify import compare_target_traces
 
 from fuzzing import random_program
-from reference_runtime import make_ctl_resolver, query_at
+from reference_runtime import make_ctl_resolver, query_at, unmemoized_step
 from rings import ring_source
 
 FUZZ_SEED = 4242
@@ -70,7 +70,7 @@ def collected(entries):
 
 
 def stepwise(program, steps, oracle, seed, resolver_at=None):
-    """The run as a chain of unmemoized ``step_values`` calls, with the
+    """The run as a chain of ``unmemoized_step`` calls, with the
     error the run loop would report; step ``k`` stages its sites with
     ``resolver_at(k)``."""
     cp = compiled(program)
@@ -80,8 +80,8 @@ def stepwise(program, steps, oracle, seed, resolver_at=None):
         monitored = oracle.valuation(program, k)
         resolver = None if resolver_at is None else resolver_at(k)
         try:
-            values, fired, events = cp.step_values(
-                values, monitored, rng_picker(seed, k), resolver, k)
+            values, fired, events = unmemoized_step(
+                cp, values, monitored, rng_picker(seed, k), resolver, k)
         except InconsistentUpdate as exc:
             return out, f"StepError: {StepError(str(exc), k)}"
         except CasmError as exc:

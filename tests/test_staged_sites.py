@@ -5,11 +5,10 @@ per-step reference chain (``reference_runtime.protected_run``), which
 decides every site term by term at its step."""
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
-from casmkit.ast import CasmError, Choose, ChooseCtl, Cond, Let, Par
+from casmkit.ast import CasmError
 from casmkit.interp import ConstantOracle, RandomOracle, ScriptedOracle
 from casmkit.parser import parse_or_raise
 from casmkit.programs import traffic_light_source
@@ -20,7 +19,7 @@ from casmkit.protect import (
 from casmkit.puf import make_device
 
 import reference_runtime
-from fuzzing import random_program
+from fuzzing import random_program, with_second_challenge
 from rings import ring_source
 
 STEPS = 120
@@ -34,37 +33,6 @@ INPUTS = ("always-true", "random", "scripted")
 SITE_TAGS = (BOUND_OK, FALLBACK_TAKEN, SAFE_STALL)
 FUZZ_SEED = 1717
 FUZZ_PROGRAMS = 5
-
-
-def with_second_challenge(protected):
-    """``protected`` with a site of the program's next challenge beside
-    each site, so a step that reaches a site resolves two distinct
-    challenges."""
-    challenges = protected.challenges
-    following = dict(zip(challenges, challenges[1:] + challenges[:1]))
-
-    def doubled(rules):
-        out = []
-        for rule in rules:
-            if isinstance(rule, ChooseCtl):
-                rule = Par((rule, ChooseCtl(following[rule.challenge])))
-            elif isinstance(rule, Cond):
-                rule = replace(rule, then_rules=doubled(rule.then_rules),
-                               else_rules=doubled(rule.else_rules))
-            elif isinstance(rule, Par):
-                rule = replace(rule, rules=doubled(rule.rules))
-            elif isinstance(rule, (Choose, Let)):
-                rule = replace(rule, body=doubled(rule.body))
-            out.append(rule)
-        return tuple(out)
-
-    program = protected.program
-    return replace(protected, program=replace(
-        program,
-        main_rules=tuple(replace(nr, body=doubled(nr.body))
-                         for nr in program.main_rules),
-        named_rules=tuple(replace(nr, body=doubled(nr.body))
-                          for nr in program.named_rules)))
 
 
 @pytest.fixture(scope="module")

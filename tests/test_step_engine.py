@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+import casmkit.interp as cinterp
 import casmkit.verify as cverify
-from casmkit.ast import CasmError, Choose, iter_rules
+from casmkit.ast import CasmError, Choose, InconsistentUpdate, iter_rules
 from casmkit.interp import enumerate_step_outcomes
 from casmkit.parser import parse_or_raise
 from casmkit.protect import protect
@@ -14,7 +15,7 @@ from casmkit.puf import make_device
 from casmkit.verify import exhaustive_safety_check
 
 import reference_walker
-from fuzzing import random_program
+from fuzzing import random_program, with_second_challenge
 from rings import ring_source
 
 FUZZ_SEED = 4242
@@ -111,3 +112,29 @@ def test_reports_equal_walker_reports(monkeypatch, traffic, faulty_traffic):
     walker = [report_or_error(s) for s in subjects]
     assert engine == walker
     assert any('"unsafeReachable": true' in r for r in engine)
+
+
+def test_two_staged_sites_match_walker(monkeypatch, protected_programs):
+    # traffic, ring-2 and ring-3 resolve one site a step; beside a second
+    # challenge each step that reaches a site stages two, and the checker
+    # takes the product of their outcome lists.  Two challenges write
+    # the control state apart, so both engines stop at the same conflict.
+    subject = with_second_challenge(protected_programs["traffic"])
+    staged = []
+    stage = cinterp._Step._stage
+
+    def counting(self, ctl_enum):
+        staged.append(len(self.sites))
+        return stage(self, ctl_enum)
+    monkeypatch.setattr(cinterp._Step, "_stage", counting)
+
+    def stop(enumerate_outcomes):
+        monkeypatch.setattr(cverify, "enumerate_step_outcomes",
+                            enumerate_outcomes)
+        with pytest.raises(InconsistentUpdate) as caught:
+            exhaustive_safety_check(subject, adversarial_puf=True)
+        return str(caught.value)
+
+    stop(checked_updates)
+    assert 2 in staged
+    assert stop(enumerate_step_outcomes) == stop(walker_updates)

@@ -1,7 +1,9 @@
 import dataclasses
+import random
 
 import pytest
 
+from casmkit.ast import CasmError
 from casmkit.interp import ConstantOracle, RandomOracle, run
 from casmkit.parser import parse_or_raise
 from casmkit.protect import protect
@@ -11,7 +13,10 @@ from casmkit.verify import (
     exhaustive_safety_check, random_safety_search, replay_witness,
 )
 
+from fuzzing import random_program
+
 PHASE = ("phase", ())
+MODE, COL = ("mode", ()), ("col", ())
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +117,25 @@ rule main:
 """Reaches B only when ``go`` is false; ``unsafe`` is filled in."""
 
 
+PAINTER = """asm painter
+enum Mode = { Idle, Busy }
+enum Col = { Red, Green, Blue }
+controlled mode : Mode init Idle
+controlled col : Col init Red
+ctlstate mode
+unsafe col = Blue
+
+rule main:
+  if mode = Idle then
+    choose c in Col do
+      col := c
+    endchoose
+    mode := Busy
+  endif
+"""
+"""Draws its colour once; the draw ``Blue`` is the violation."""
+
+
 class TestReplayWitness:
     """A witness replays when the checker's verdict marks its last state
     unsafe: the violation predicate holds under some valuation of the
@@ -141,6 +165,36 @@ class TestReplayWitness:
         wrong = dataclasses.replace(
             last, state={**last.state, ("GoLight", (2,)): False})
         assert replay_witness(faulty_traffic, witness[:-1] + [wrong]) is False
+
+    def test_a_witness_of_a_choose_program_replays(self):
+        # the witness records the state a draw led to, not the draw:
+        # replay accepts any draw of the step that gives that state
+        program = parse_or_raise(PAINTER)
+        witness = exhaustive_safety_check(program).witness
+        assert [(w.monitored, w.state) for w in witness] == \
+            [({}, {MODE: "Busy", COL: "Blue"})]
+        assert replay_witness(program, witness) is True
+        undrawn = dataclasses.replace(
+            witness[0], state={MODE: "Idle", COL: "Blue"})
+        assert replay_witness(program, [undrawn]) is False
+
+    def test_every_fuzz_witness_replays(self):
+        rng = random.Random(4242)
+        programs = [random_program(rng) for _ in range(200)]
+        replayed = 0
+        for program in programs:
+            try:
+                report = exhaustive_safety_check(program)
+            except CasmError:
+                continue
+            if report.unsafe_reachable:
+                assert replay_witness(program, report.witness) is True
+                replayed += 1
+        assert replayed >= 50
+        # program 128 draws with choose, and its witness is one step
+        witness = exhaustive_safety_check(programs[128]).witness
+        assert len(witness) == 1
+        assert replay_witness(programs[128], witness) is True
 
 
 class TestCompareTargetTraces:
