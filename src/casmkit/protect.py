@@ -565,6 +565,19 @@ class SiteDecider:
             return result
         return bound
 
+    def departs(self, response: int, flipped: int, post: dict,
+                current_ctl: Value) -> bool:
+        """Whether a site :meth:`stage` staged for the stable response
+        ``response`` gives otherwise, at a step where noise flips it to
+        ``flipped``, than the same site staged noise-free.  Where the
+        coin does not fire the two give alike; where it fires they
+        differ exactly when :meth:`_rule` does, since a fallback draws
+        ``word(step) % n`` over one tuple whichever response fell
+        back."""
+        safe = self._safe(post)
+        return (self._rule(flipped, safe, current_ctl)
+                != self._rule(response, safe, current_ctl))
+
     def outcomes(self, post: dict, current_ctl: Value
                  ) -> list[tuple[Value, str]]:
         """Every result :meth:`decide` can give at this site, over every
@@ -583,14 +596,12 @@ class SiteDecider:
                 found.update(others)
         return list(found)
 
-    def device_key(self, device, challenges: tuple[int, ...]
-                   ) -> Optional[tuple]:
+    def device_key(self, device, challenges: tuple[int, ...]) -> tuple:
         """What ``device`` can make a run observe at sites of
-        ``challenges``: each stable response that decodes, as itself, and
-        ``None`` for one that does not.  Noise-free devices with equal
-        keys decide every site alike; a noisy device has no key."""
-        if device.noise_rate > 0.0:
-            return None
+        ``challenges`` where noise leaves its response alone: each stable
+        response that decodes, as itself, and ``None`` for one that does
+        not.  Noise-free devices with equal keys decide every site alike;
+        a noisy device has the key of its noise-free twin."""
         return tuple(r if r in self._decode else None
                      for r in map(device.stable, challenges))
 
@@ -604,6 +615,20 @@ class SiteDecider:
                 device.query(challenge), post, current_ctl,
                 lambda n: derive_rng("bfs-fallback", site).randrange(n))]
         return enumerate_site
+
+
+class RunRecord:
+    """What a protected run resolved (:meth:`ProtectedRunner.iter_entries`):
+    each site it staged, once, as ``(site, challenge, post-update view,
+    current control value)``, and each site it resolved at each step, in
+    step order, as the step and the index of the staged site: two
+    entries of the flat list ``resolved``."""
+
+    __slots__ = ("sites", "resolved")
+
+    def __init__(self):
+        self.sites: list[tuple[str, int, dict, Value]] = []
+        self.resolved: list[int] = []
 
 
 class ProtectedRunner:
@@ -639,10 +664,63 @@ class ProtectedRunner:
         once."""
         return self._stage(site, challenge, post, current_ctl)(step)
 
-    def iter_entries(self, steps: int, oracle: MonitoredOracle
+    def iter_entries(self, steps: int, oracle: MonitoredOracle,
+                     record: Optional[RunRecord] = None
                      ) -> Iterator[TraceEntry]:
+        """The run's entries, with its sites noted in ``record``."""
+        stage = self._stage
+        if record is not None:
+            sites, resolved = record.sites, record.resolved
+
+            def stage(site, challenge, post, current_ctl):
+                index = len(sites)
+                sites.append((site, challenge, post, current_ctl))
+                staged = self._stage(site, challenge, post, current_ctl)
+
+                def recorded(step):
+                    resolved.append(step)
+                    resolved.append(index)
+                    return staged(step)
+                return recorded
         return iter_run(self.protected.program, steps, oracle, self.seed,
-                        self._stage)
+                        stage)
+
+    def follower(self, record: Optional[RunRecord]
+                 ) -> Callable[[], bool]:
+        """A check that this run takes the steps of its noise-free
+        twin's run so far, given the ``record`` that run is leaving.
+        The twin is a noise-free device with this device's
+        :meth:`~SiteDecider.device_key`, run with the same seed and
+        inputs; a noise-free device needs no record, and its check
+        always holds.  Both runs draw the same
+        fallbacks and inputs, so this run steps as the twin's until its
+        noise changes a site's result.  Each call draws this device's
+        coin at the sites resolved since the last call and checks each
+        flip with :meth:`SiteDecider.departs`: it is ``False`` at the
+        first flip that changes a result, after which the run departs
+        and the check is not called again."""
+        device, seed, departs = self.device, self.seed, self.decider.departs
+        if device.noise_rate <= 0.0:
+            return lambda: True
+        sites, resolved = record.sites, record.resolved
+        flips: list = []
+        checked = 0
+
+        def follows() -> bool:
+            nonlocal checked
+            for site, challenge, _, _ in sites[len(flips):]:
+                flips.append(device.flips_at(challenge, seed, site))
+            pairs = iter(resolved[checked:])
+            for step, index in zip(pairs, pairs):
+                flipped = flips[index](step)
+                if flipped is not None:
+                    _, challenge, post, current_ctl = sites[index]
+                    if departs(device.stable(challenge), flipped, post,
+                               current_ctl):
+                        return False
+            checked = len(resolved)
+            return True
+        return follows
 
 
 def run_protected(protected: ProtectedProgram, device, steps: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .ast import (
     CasmError, EvalError, Location, Program, Value, format_location,
@@ -20,7 +20,9 @@ from .interp import (
     CompiledProgram, MonitoredOracle, RandomOracle, Trace, check_step_count,
     compiled, enumerate_step_outcomes, iter_run, location_key,
 )
-from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
+from .protect import (
+    FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner, RunRecord,
+)
 from .puf import make_device
 
 
@@ -444,8 +446,19 @@ def clone_divergence_report(protected: ProtectedProgram,
     device reaches the run only through those responses, and every
     trial draws the same fallbacks and inputs, so these trials step
     alike.  The shared run's counts and first divergence are added once
-    per trial, in seed order, as if each trial had run; a trial on a
-    noisy device always runs.  A negative step count is refused.
+    per trial, in seed order, as if each trial had run.
+
+    A trial on a noisy device follows the run of its noise-free twin,
+    the device of the same seed at noise 0, shared as above: that run
+    records the sites it staged and the steps each resolved at.  Where
+    the trial's noise coin does not fire, a site gives what the twin's
+    gives; where it fires, the result changes only if the flipped
+    response changes the site's rule
+    (:meth:`~casmkit.protect.ProtectedRunner.follower`).  A trial whose
+    noise changes no result adds its twin's counts; any other trial
+    runs in full.  The twin's run is stepped only as far as a trial
+    follows it, in stretches that double, so a twin whose trials all
+    depart early costs little.  A negative step count is refused.
     """
     check_step_count(steps)
     enrollment = protected.enrollment
@@ -463,15 +476,19 @@ def clone_divergence_report(protected: ProtectedProgram,
     # names the state for the whole trial
     interned = cp.choose_free
 
-    def run_trial(device) -> tuple[int, int, int, Optional[int]]:
+    def run_trial(device, record: Optional[RunRecord] = None
+                  ) -> Iterator[tuple[int, int, int, Optional[int]]]:
         """Steps, fallbacks, violating states and first divergence step
-        of one trial.  The violation predicate is evaluated once per
-        distinct state, and inputs when it reads any."""
+        of one trial so far, after steps 8, 16, 32, ... and after its
+        last, with its sites noted in ``record``.  The violation
+        predicate is evaluated once per distinct state, and inputs when
+        it reads any."""
         runner = ProtectedRunner(protected, device, run_seed)
         total = fallbacks = violations = 0
         first_div: Optional[int] = None
         verdicts: dict[object, bool] = {}
-        for entry in runner.iter_entries(steps, oracle):
+        pause = 8
+        for entry in runner.iter_entries(steps, oracle, record):
             if entry.step == 0:
                 continue
             total += 1
@@ -491,11 +508,22 @@ def clone_divergence_report(protected: ProtectedProgram,
                 decoded = enrollment.decode_stored(state[ctl_loc])
                 if decoded != original_ctl[entry.step]:
                     first_div = entry.step
-        return total, fallbacks, violations, first_div
+            if total == pause:
+                yield total, fallbacks, violations, first_div
+                pause *= 2
+        yield total, fallbacks, violations, first_div
+
+    def outcome(trial) -> tuple[int, int, int, Optional[int]]:
+        for so_far in trial:
+            pass
+        return so_far
 
     decider = protected.decider
     challenges = protected.challenges
-    shared: dict[tuple, tuple[int, int, int, Optional[int]]] = {}
+    noisy = noise > 0.0
+    # device key -> the run on a noise-free device of that key, its
+    # outcome so far, and in a noisy report its record
+    shared: dict[tuple, list] = {}
     violations = 0
     diverged = 0
     hist: dict[int, int] = {}
@@ -509,18 +537,38 @@ def clone_divergence_report(protected: ProtectedProgram,
         if device.fingerprint() == enrollment.fingerprint:
             flagged.append(trial)
         key = decider.device_key(device, challenges)
-        outcome = shared.get(key)
-        if outcome is None:
-            outcome = run_trial(device)
-            if key is not None:
-                shared[key] = outcome
-        trial_steps, fallbacks, trial_violations, first_div = outcome
+        twin = shared.get(key)
+        if twin is None:
+            record = RunRecord() if noisy else None
+            twin_run = run_trial(make_device(
+                seed, enrollment.challenge_bits, enrollment.response_bits),
+                record)
+            twin = shared[key] = [twin_run, next(twin_run), record]
+        follows = ProtectedRunner(protected, device,
+                                  run_seed).follower(twin[2])
+        # the twin is stepped only as far as a trial follows it
+        while True:
+            if not follows():
+                result = outcome(run_trial(device))
+                break
+            if twin[1][0] == steps:
+                result = twin[1]
+                break
+            twin[1] = next(twin[0])
+        trial_steps, fallbacks, trial_violations, first_div = result
         total_steps += trial_steps
         fallback_events += fallbacks
         violations += trial_violations
         if first_div is not None:
             diverged += 1
             hist[first_div] = hist.get(first_div, 0) + 1
+
+    # a run's graph is cyclic, and its staged sites hold the record:
+    # free the records now, not at the next full collection
+    for _, _, record in shared.values():
+        if record is not None:
+            record.sites.clear()
+            record.resolved.clear()
 
     return DivergenceReport(
         trials=len(clone_seeds),

@@ -1,13 +1,15 @@
 """Noise-free clone trials whose devices decode the program's challenges
-alike share one run; these tests hold the shared reports against the
-reference that steps every trial, and count the runs."""
+alike share one run, and a noisy trial follows the run of its noise-free
+twin unless a flip changes a site's result; these tests hold the shared
+reports against the reference that steps every trial, count the runs,
+and check the rule by which a noisy trial follows its twin."""
 import pytest
 
 from casmkit import protect as cprotect
 from casmkit.interp import ConstantOracle, RandomOracle, run
 from casmkit.parser import parse_or_raise
 from casmkit.programs import traffic_light_source
-from casmkit.protect import protect
+from casmkit.protect import ProtectedRunner, RunRecord, protect, run_protected
 from casmkit.puf import make_device
 from casmkit.verify import clone_divergence_report
 
@@ -18,7 +20,41 @@ STEPS = 200
 ENROLLED = 42
 # the enrolled device, a duplicated seed, and clones
 SEEDS = [ENROLLED, 1000, 1001, 1000] + [2000 + i for i in range(26)]
-SOURCES = {"traffic": traffic_light_source(), "ring3": ring_source(3)}
+
+WANDER = """\
+asm wander
+enum Phase = { Shut, Open1, Open2 }
+int Lane = 1..2
+controlled phase : Phase init Shut
+controlled GoLight : Lane -> Bool init { _: false }
+monitored Passed : Phase -> Bool
+ctlstate phase
+unsafe GoLight(1) and GoLight(2)
+
+rule open:
+  if phase = Shut and Passed(phase) then
+    choose l in Lane do
+      if l = 1 then
+        GoLight(1) := true
+        phase := Open1
+      else
+        GoLight(2) := true
+        phase := Open2
+      endif
+    endchoose
+  endif
+
+rule close:
+  if phase in { Open1, Open2 } and Passed(phase) then
+    GoLight(1) := false
+    GoLight(2) := false
+    phase := Shut
+  endif
+"""
+"""A program that draws which lane opens: its runs are not interned."""
+
+SOURCES = {"traffic": traffic_light_source(), "ring3": ring_source(3),
+           "wander": WANDER}
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +70,29 @@ def subjects():
     return out
 
 
-def both_reports(protected, program, seeds, steps, noise):
+def counted_runs(monkeypatch) -> list:
+    """The arguments of each run the protected runtime starts from now
+    on."""
+    runs = []
+    iter_run = cprotect.iter_run
+
+    def counted(*args):
+        runs.append(args)
+        return iter_run(*args)
+
+    monkeypatch.setattr(cprotect, "iter_run", counted)
+    return runs
+
+
+def both_reports(protected, program, seeds, steps, noise, runs=()):
+    """The shared and the reference report, and how many of ``runs`` the
+    shared one started."""
     oracle = RandomOracle(5)
     original = run(program, steps, oracle, 7)
     args = (protected, original, seeds, steps, noise, oracle, 7)
-    return (clone_divergence_report(*args),
-            reference_runtime.clone_divergence_report(*args))
+    got = clone_divergence_report(*args)
+    started = len(runs)
+    return got, reference_runtime.clone_divergence_report(*args), started
 
 
 def device_keys(protected, seeds, noise=0.0):
@@ -49,26 +102,43 @@ def device_keys(protected, seeds, noise=0.0):
             for s in seeds}
 
 
-@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("bits", [3, 4, 16])
 @pytest.mark.parametrize("name", sorted(SOURCES))
-def test_shared_report_equals_the_unshared_one(subjects, name, bits, noise):
+def test_shared_report_equals_the_unshared_one(subjects, monkeypatch, name,
+                                               bits, noise):
     protected, program = subjects[name, bits]
-    got, want = both_reports(protected, program, SEEDS, STEPS, noise)
+    runs = counted_runs(monkeypatch)
+    got, want, started = both_reports(protected, program, SEEDS, STEPS,
+                                      noise, runs)
     assert got.to_json() == want.to_json()
-    assert got.flagged_control_trials == [0]
+    # at 30% noise majority voting misreads some fingerprint probe of the
+    # enrolled device
+    assert got.flagged_control_trials == ([] if noise == 0.3 else [0])
+    twins = len(device_keys(protected, SEEDS))
     if bits < 16:
         # clones decode some enrolled responses, so keys differ by device
-        assert len(device_keys(protected, SEEDS)) > 2
+        assert twins > 2
     if bits == 3:
         # and the trials of different keys diverge at different steps
         assert len(got.first_divergence_hist) > 1
+    if not noise:
+        assert started == twins
+    else:
+        # one run per twin, and one per trial that departs from its twin
+        assert twins <= started <= twins + len(SEEDS)
+    if (bits, noise) == (3, 0.3):
+        # flipped responses often decode: some trial departs
+        assert started > twins
+    if (bits, noise) == (16, 0.05):
+        # flipped responses almost never decode: some trial follows
+        assert started < twins + len(SEEDS)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_zero_steps(subjects, noise):
     protected, program = subjects["traffic", 16]
-    got, want = both_reports(protected, program, SEEDS, 0, noise)
+    got, want, _ = both_reports(protected, program, SEEDS, 0, noise)
     assert got.to_json() == want.to_json()
     assert got.fallback_rate == 0.0
 
@@ -79,30 +149,105 @@ def test_challenges_are_the_sites_of_the_enrollment(subjects):
             t.challenge for t in protected.enrollment.transitions))
 
 
-def test_noisy_device_has_no_key(subjects):
+def test_noisy_device_has_its_twins_key(subjects):
     protected, _ = subjects["traffic", 16]
-    assert device_keys(protected, [1000], noise=0.05) == {None}
-    assert device_keys(protected, [1000, 1001]) == {(None,) * 4}
+    assert device_keys(protected, [1000], noise=0.05) == \
+        device_keys(protected, [1000]) == {(None,) * 4}
+    protected, _ = subjects["traffic", 3]
+    for seed in SEEDS:
+        assert device_keys(protected, [seed], noise=0.3) == \
+            device_keys(protected, [seed])
+
+
+def test_a_twin_steps_only_as_far_as_its_trials_follow(subjects,
+                                                      monkeypatch):
+    """At 3-bit responses and 30% noise every trial soon departs from its
+    twin, so each twin's run stops early, and each trial runs in full."""
+    protected, program = subjects["traffic", 3]
+    lengths = []
+    iter_run = cprotect.iter_run
+
+    def measured(*args):
+        lengths.append(0)
+        run_index = len(lengths) - 1
+        for entry in iter_run(*args):
+            lengths[run_index] += 1
+            yield entry
+
+    monkeypatch.setattr(cprotect, "iter_run", measured)
+    oracle = RandomOracle(5)
+    clone_divergence_report(protected, run(program, 1000, oracle, 7), SEEDS,
+                            1000, 0.3, oracle, 7)
+    full = [n for n in lengths if n == 1001]
+    assert len(full) == len(SEEDS)
+    assert len(lengths) - len(full) == len(device_keys(protected, SEEDS))
+    assert max(n for n in lengths if n != 1001) < 200
+
+
+def trace_of(protected, seed, noise, oracle):
+    bits = protected.enrollment.response_bits
+    return [(e.state, e.events) for e in run_protected(
+        protected, make_device(seed, 16, bits, noise), 50, oracle, 7).entries]
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_one_run_per_key(subjects, traffic, monkeypatch, noise):
     protected, _ = subjects["traffic", 16]
-    runs = []
-    iter_run = cprotect.iter_run
-
-    def counted(*args):
-        runs.append(args)
-        return iter_run(*args)
-
-    monkeypatch.setattr(cprotect, "iter_run", counted)
     seeds = [ENROLLED] + [1000 + i for i in range(99)]
     oracle = ConstantOracle.always_true(traffic)
+    # a noisy trial departs from its twin where a flip changes a site's
+    # result, so where its trace differs from the noise-free one
+    departing = sum(trace_of(protected, s, noise, oracle)
+                    != trace_of(protected, s, 0.0, oracle) for s in seeds)
+    runs = counted_runs(monkeypatch)
     report = clone_divergence_report(
         protected, run(traffic, 50, oracle, 7), seeds, 50, noise, oracle, 7)
     assert report.trials == 100
+    # the enrolled device, and every clone alike
+    assert len(device_keys(protected, seeds)) == 2
+    assert len(runs) == 2 + departing
     if noise:
-        assert len(runs) == 100
+        # the enrolled device binds, so a flip at any site departs
+        assert 0 < departing < 100
     else:
-        # the enrolled device, and every clone alike
-        assert len(runs) == len(device_keys(protected, seeds)) == 2
+        assert departing == 0
+
+
+@pytest.mark.parametrize("noise", [0.05, 0.3])
+@pytest.mark.parametrize("bits", [3, 16])
+@pytest.mark.parametrize("name", ["ring3", "traffic"])
+def test_noise_changes_a_site_only_where_its_rule_changes(subjects, name,
+                                                          bits, noise):
+    """Each site a run stages gives on a noisy device what it gives on
+    the noise-free device of the same seed where the noise coin does not
+    fire; where it fires, the two differ exactly when the flipped
+    response changes the site's rule.  The enrolled device binds, so its
+    flips change the rule; a clone's mostly fall back either way."""
+    protected, _ = subjects[name, bits]
+    decider = protected.decider
+    fired = changed = 0
+    for seed in (ENROLLED, 1000):
+        twin = ProtectedRunner(protected, make_device(seed, 16, bits), 7)
+        noisy = ProtectedRunner(
+            protected, make_device(seed, 16, bits, noise), 7)
+        record = RunRecord()
+        for _ in twin.iter_entries(STEPS, RandomOracle(5), record):
+            pass
+        assert record.sites
+        for site, challenge, post, current in record.sites:
+            staged_twin = twin._stage(site, challenge, post, current)
+            staged_noisy = noisy._stage(site, challenge, post, current)
+            flip = noisy.device.flips_at(challenge, 7, site)
+            safe = decider._safe(post)
+            rule = decider._rule(twin.device.stable(challenge), safe, current)
+            for k in range(501):
+                flipped = flip(k)
+                same = staged_noisy(k) == staged_twin(k)
+                if flipped is None:
+                    assert same
+                else:
+                    fired += 1
+                    same_rule = decider._rule(flipped, safe, current) == rule
+                    changed += not same_rule
+                    assert same == same_rule
+    assert 0 < changed < fired

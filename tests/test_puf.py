@@ -7,7 +7,7 @@ import pytest
 from casmkit.ast import CasmError
 from casmkit.puf import (
     Enrollment, EnrollmentExhausted, NoisyReadout, PufParameterError,
-    enroll, make_device,
+    _majority_readout, enroll, make_device,
 )
 from casmkit.rng import derive_rng
 
@@ -102,6 +102,44 @@ class TestNoiseCoin:
         assert self.flip(rate, step) is None
         # one ulp above, the coin flips the response
         assert self.flip(math.nextafter(rate, 2.0), step) is not None
+
+
+def voted_readout(device, challenge, vote_rng):
+    """Majority of nine queries, voted: the readout on any device."""
+    votes = Counter(device.query(challenge, vote_rng) for _ in range(9))
+    best, count = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))
+    return best if count * 2 > 9 else None
+
+
+class TestMajorityReadout:
+    @pytest.mark.parametrize("bits", [(1, 1), (8, 3), (16, 16), (32, 32)])
+    def test_noise_free_readout_is_the_voted_one(self, bits):
+        for seed in (7, 42, 1000):
+            device = make_device(seed, *bits)
+            for c in range(min(device.challenge_count, 64)):
+                assert _majority_readout(
+                    device, c, derive_rng("readout", c)) == voted_readout(
+                    device, c, derive_rng("readout", c)) \
+                    == device.stable(c)
+
+    def test_noise_free_fingerprint_and_enrollment_are_the_voted_ones(
+            self, monkeypatch):
+        devices = [make_device(seed, 16, bits)
+                   for seed in (7, 42) for bits in (3, 16)]
+        fast = [(d.fingerprint(), enroll(d, TRAFFIC_A, "Stop1Stop2"))
+                for d in devices]
+        monkeypatch.setattr("casmkit.puf._majority_readout", voted_readout)
+        assert fast == [(d.fingerprint(),
+                         enroll(d, TRAFFIC_A, "Stop1Stop2"))
+                        for d in devices]
+
+    def test_noisy_readout_still_votes(self):
+        device = make_device(42, 16, 16, 0.3)
+        readouts = [(_majority_readout(device, c, derive_rng("readout", c)),
+                     voted_readout(device, c, derive_rng("readout", c)))
+                    for c in range(64)]
+        assert all(a == b for a, b in readouts)
+        assert any(a is None for a, _ in readouts)
 
 
 class TestEnrollment:
