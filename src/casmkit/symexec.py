@@ -10,10 +10,11 @@ formula.  The test suite checks every simplification, feasibility
 answer and symbol elimination against a brute-force enumeration of every
 valuation (``tests/reference_symexec.py``).
 
-Simplification and feasibility keep their work in a
+Simplification, feasibility and elimination keep their work in a
 :class:`FormulaCache`; inside an :func:`analysis` block (``protect``
 opens one) every call shares the block's cache, so each distinct
-subterm is simplified, sized and compiled once per analysis.
+subterm is simplified, sized, listed by its leaves and compiled once per
+analysis.
 
 Reads through a location whose argument is itself symbolic are grounded
 by expansion: ``f(x)`` with symbolic ``x`` becomes a conditional cascade
@@ -194,15 +195,17 @@ class SymInit:
 # ---------------------------------------------------------------------------
 
 class FormulaCache:
-    """Memos shared by the simplifications and feasibility queries of one
-    analysis.
+    """Memos shared by the formula work of one analysis.
 
     Each memo is a pure function of its key:
       * the one-pass simplification of a term, one memo per ``program``
         argument;
       * the node count of a term (``term_size``), for the simplifier's
         size guard;
-      * the leaves of a term in first-occurrence order (``leaves``);
+      * the leaves of a term in first-occurrence order (``leaves``): its
+        symbols, locations and free variables, a non-ground location
+        ahead of its arguments' leaves.  Feasibility, elimination and
+        ``free_symbols_in`` all read them;
       * the three-valued closure of a term (``_partial``).  Closures read
         one slot per leaf, numbered in the order the cache first met the
         leaves rather than per query, so a query compiles only the
@@ -231,16 +234,14 @@ class FormulaCache:
         out = self._leaves.get(term)
         if out is not None:
             return out
-        if isinstance(term, SymRef):
+        if _is_leaf(term) or isinstance(term, Var):
             out = (term,)
-        elif isinstance(term, App):
-            if not all(isinstance(a, Const) for a in term.args):
-                raise CasmError("formula reads a non-ground location")
-            out = (term,)
-        elif isinstance(term, Var):
-            raise CasmError(f"free variable {term.name}; substitute it first")
         else:
             parts = [p for p in map(self.leaves, children(term)) if p]
+            if isinstance(term, App):
+                # listed so that feasibility refuses it; its arguments'
+                # symbols still count as mentioned and free
+                parts.insert(0, (term,))
             if len(parts) == 1:
                 out = parts[0]
             else:
@@ -291,8 +292,8 @@ def _cache() -> FormulaCache:
 
 @contextmanager
 def analysis() -> Iterator[None]:
-    """Share one fresh :class:`FormulaCache` among every simplification
-    and feasibility query made inside the block, and drop it on exit."""
+    """Share one fresh :class:`FormulaCache` among all formula work done
+    inside the block, and drop it on exit."""
     token = _ACTIVE.set(FormulaCache())
     try:
         yield
@@ -305,9 +306,14 @@ def analysis() -> Iterator[None]:
 # ---------------------------------------------------------------------------
 
 def _leaf_sort(leaf: Term, program: Optional[Program]) -> Sort:
+    """The sort feasibility ranges a leaf over; refuses the rest."""
     if isinstance(leaf, SymRef):
         return leaf.symbol.sort
+    if isinstance(leaf, Var):
+        raise CasmError(f"free variable {leaf.name}; substitute it first")
     if isinstance(leaf, App):
+        if not _is_leaf(leaf):
+            raise CasmError("formula reads a non-ground location")
         if program is None:
             raise CasmError(
                 f"need the program signature to type location {leaf.fn}")
@@ -362,15 +368,13 @@ def _search(root, slots: list, order: list[int], domains: list,
 
 
 def _partial(term: Term, index: dict[Term, int], slots: list,
-             memo: Optional[dict[Term, Callable]] = None):
+             memo: dict[Term, Callable]):
     """Closure evaluating ``term`` over the leaf values in ``slots`` (leaf
     ``l`` in ``slots[index[l]]``), as ``eval_fd`` in
     ``tests/reference_symexec.py`` does over a full valuation; it returns
     ``None`` while the unassigned leaves (slots holding ``None``) can
     still change the result.  ``memo`` keeps the closure of each subterm
     built over the same ``index`` and ``slots``."""
-    if memo is None:
-        memo = {}
     fn = memo.get(term)
     if fn is None:
         fn = memo[term] = _partial_node(term, index, slots, memo)
@@ -1095,37 +1099,30 @@ def merge_successors(paths: list[PathedSymState]) -> list[PathedSymState]:
 
 def elim_symbol(f: Term, symbol: Symbol,
                 program: Optional[Program] = None) -> Term:
-    return simplify_formula(_elim(f, symbol, {}), program)
+    return simplify_formula(_elim(f, symbol), program)
 
 
-def _elim(f: Term, symbol: Symbol, mentions: dict[Term, bool]) -> Term:
+def _elim(f: Term, symbol: Symbol) -> Term:
     """Existential elimination, distributed over the formula structure:
     disjuncts are eliminated independently and conjuncts not mentioning
-    the symbol are kept outside the expansion.  ``mentions`` keeps, for
-    one elimination, whether a subterm mentions the symbol."""
-    if not _mentions(f, symbol, mentions):
-        return f
-    if isinstance(f, Or):
-        return or_all([_elim(d, symbol, mentions) for d in _flatten(f, Or)])
-    if isinstance(f, And):
-        parts = _flatten(f, And)
-        inside = [p for p in parts if _mentions(p, symbol, mentions)]
-        outside = [p for p in parts if not _mentions(p, symbol, mentions)]
-        if outside:
-            return and_all(outside + [_elim(and_all(inside), symbol,
-                                            mentions)])
-    return or_all([subst_symbol(f, symbol, Const(v))
-                   for v in symbol.sort.values()])
+    the symbol are kept outside the expansion."""
+    ref, leaves = SymRef(symbol), _cache().leaves
 
+    def elim(f: Term) -> Term:
+        if ref not in leaves(f):
+            return f
+        if isinstance(f, Or):
+            return or_all([elim(d) for d in _flatten(f, Or)])
+        if isinstance(f, And):
+            parts = _flatten(f, And)
+            inside = [p for p in parts if ref in leaves(p)]
+            outside = [p for p in parts if ref not in leaves(p)]
+            if outside:
+                return and_all(outside + [elim(and_all(inside))])
+        return or_all([subst_symbol(f, symbol, Const(v))
+                       for v in symbol.sort.values()])
 
-def _mentions(term: Term, symbol: Symbol, memo: dict[Term, bool]) -> bool:
-    if isinstance(term, SymRef):
-        return term.symbol == symbol
-    hit = memo.get(term)
-    if hit is None:
-        hit = memo[term] = any(_mentions(c, symbol, memo)
-                               for c in children(term))
-    return hit
+    return elim(f)
 
 
 def substitute_initial_terms(f: Term, init: SymInit,
@@ -1167,12 +1164,8 @@ def substitute_initial_terms(f: Term, init: SymInit,
 
 
 def free_symbols_in(term: Term) -> set[Symbol]:
-    if isinstance(term, SymRef):
-        return {term.symbol}
-    out: set[Symbol] = set()
-    for c in children(term):
-        out |= free_symbols_in(c)
-    return out
+    return {leaf.symbol for leaf in _cache().leaves(term)
+            if isinstance(leaf, SymRef)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reference for the symbolic step: brute-force enumeration of every
 valuation of a formula's finite-sorted leaves.
 
-``equivalent_on_finite_domains`` is a complete equivalence check, and
-``eval_fd`` evaluates a formula under one full valuation.
+``equivalent_on_finite_domains`` is a complete equivalence check,
+``eval_fd`` evaluates a formula under one full valuation, and
+``free_symbols`` lists the symbols a term reads.
 ``transitions_by_enumeration`` finds a program's control-state
 transitions by running one step from every state the symbolic step
 ranges over, under the inputs ``monitored_reads`` finds the step reads.
@@ -40,10 +41,23 @@ _ORACLE_SKIP = 1 << 16
 
 
 def free_leaves(*terms: Term) -> list[Term]:
-    """Symbols and ground locations, in first-occurrence order."""
+    """Symbols, locations and free variables, in first-occurrence order;
+    enumeration refuses any but symbols and ground locations."""
     cache = _cache()
     return list(dict.fromkeys(leaf for t in terms
                               for leaf in cache.leaves(t)))
+
+
+def free_symbols(term: Term) -> set[symexec.Symbol]:
+    """The symbols ``term`` reads, by a plain recursive walk: the
+    reference for ``free_symbols_in`` and for the mention test of symbol
+    elimination, which read the analysis's ``FormulaCache.leaves``."""
+    if isinstance(term, SymRef):
+        return {term.symbol}
+    out: set[symexec.Symbol] = set()
+    for c in children(term):
+        out |= free_symbols(c)
+    return out
 
 
 def eval_fd(term: Term, valuation: dict[Term, Value]) -> Value:

@@ -32,7 +32,7 @@ def test_known_partial_result_holds_under_every_completion():
         leaves = free_leaves(f)
         slots = [None] * len(leaves)
         evaluate = _partial(f, {leaf: i for i, leaf in enumerate(leaves)},
-                            slots)
+                            slots, {})
         domains = [leaf.symbol.sort.values() for leaf in leaves]
         for _ in range(4):
             assigned = [rng.random() < 0.5 for _ in leaves]
