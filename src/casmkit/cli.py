@@ -22,8 +22,8 @@ from .interp import (
 )
 from .parser import load_program, format_term
 from .protect import (
-    FALLBACK_TAKEN, derive_safe_condition, load_protected, protect,
-    run_protected,
+    FALLBACK_TAKEN, SAFE_STALL, derive_safe_condition, load_protected,
+    protect, run_protected,
 )
 from .puf import EnrollmentExhausted, NoisyReadout, make_device
 from .symexec import (
@@ -308,6 +308,8 @@ def cmd_compare(directory: str, target_seed: int, clone_seeds: str,
         baseline = run_protected(protected, target, steps, oracle, seed)
         target_fallbacks = sum(e.events.count(FALLBACK_TAKEN)
                                for e in baseline.entries)
+        target_stalls = sum(e.events.count(SAFE_STALL)
+                            for e in baseline.entries)
         decoded_baseline = Trace(entries=[
             TraceEntry(e.step, protected.decoded_values(e.state),
                        e.monitored, e.fired, e.events)
@@ -319,10 +321,11 @@ def cmd_compare(directory: str, target_seed: int, clone_seeds: str,
     if report_out is not None:
         _write_out(report.to_json(), report_out)
     click.echo(f"target fallbacks: {target_fallbacks}; "
+               f"target stalls: {target_stalls}; "
                f"{report.trials_diverged}/{report.trials} clones diverged; "
                f"{report.safety_violations} safety violations; "
                f"fallback rate {report.fallback_rate:.3f}")
-    if report.safety_violations > 0 or target_fallbacks > 0:
+    if report.safety_violations or target_fallbacks or target_stalls:
         sys.exit(EXIT_VIOLATION)
 
 

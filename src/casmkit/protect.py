@@ -617,20 +617,6 @@ class SiteDecider:
         return enumerate_site
 
 
-class RunRecord:
-    """What a protected run resolved (:meth:`ProtectedRunner.iter_entries`):
-    each site it staged, once, as ``(site, challenge, post-update view,
-    current control value)``, and each site it resolved at each step, in
-    step order, as the step and the index of the staged site: two
-    entries of the flat list ``resolved``."""
-
-    __slots__ = ("sites", "resolved")
-
-    def __init__(self):
-        self.sites: list[tuple[str, int, dict, Value]] = []
-        self.resolved: list[int] = []
-
-
 class ProtectedRunner:
     """Protected runtime on one device: the run loop of
     :func:`~casmkit.interp.iter_run` stages each site of a step once,
@@ -665,62 +651,45 @@ class ProtectedRunner:
         return self._stage(site, challenge, post, current_ctl)(step)
 
     def iter_entries(self, steps: int, oracle: MonitoredOracle,
-                     record: Optional[RunRecord] = None
+                     followers: Optional[dict] = None
                      ) -> Iterator[TraceEntry]:
-        """The run's entries, with its sites noted in ``record``."""
+        """The run's entries.  This run may lead ``followers``, a dict
+        from trial to a noisy device whose noise-free twin is this run's
+        device: a noise-free device of the same
+        :meth:`~SiteDecider.device_key`, run with the same seed and
+        inputs.  Both draw the same fallbacks and inputs, so a follower
+        steps as this run until its noise changes a site's result.  Each
+        follower's stable response and noise coin are staged once per
+        site, and each step that resolves the site draws the coin of
+        each follower still in the dict; a follower leaves it at its
+        first flip that :meth:`SiteDecider.departs`.  The coins are kept
+        by site, not by staged step, since the run's graph keeps its
+        staged steps until a full collection."""
         stage = self._stage
-        if record is not None:
-            sites, resolved = record.sites, record.resolved
+        if followers is not None:
+            seed, departs = self.seed, self.decider.departs
+            coins_at: dict[tuple[str, int], list] = {}
 
             def stage(site, challenge, post, current_ctl):
-                index = len(sites)
-                sites.append((site, challenge, post, current_ctl))
                 staged = self._stage(site, challenge, post, current_ctl)
+                coins = coins_at.get((site, challenge))
+                if coins is None:
+                    coins = coins_at[site, challenge] = [
+                        (trial, device.stable(challenge),
+                         device.flips_at(challenge, seed, site))
+                        for trial, device in followers.items()]
 
-                def recorded(step):
-                    resolved.append(step)
-                    resolved.append(index)
+                def led(step):
+                    for trial, response, flip in coins:
+                        if trial in followers:
+                            flipped = flip(step)
+                            if flipped is not None and departs(
+                                    response, flipped, post, current_ctl):
+                                del followers[trial]
                     return staged(step)
-                return recorded
+                return led
         return iter_run(self.protected.program, steps, oracle, self.seed,
                         stage)
-
-    def follower(self, record: Optional[RunRecord]
-                 ) -> Callable[[], bool]:
-        """A check that this run takes the steps of its noise-free
-        twin's run so far, given the ``record`` that run is leaving.
-        The twin is a noise-free device with this device's
-        :meth:`~SiteDecider.device_key`, run with the same seed and
-        inputs; a noise-free device needs no record, and its check
-        always holds.  Both runs draw the same
-        fallbacks and inputs, so this run steps as the twin's until its
-        noise changes a site's result.  Each call draws this device's
-        coin at the sites resolved since the last call and checks each
-        flip with :meth:`SiteDecider.departs`: it is ``False`` at the
-        first flip that changes a result, after which the run departs
-        and the check is not called again."""
-        device, seed, departs = self.device, self.seed, self.decider.departs
-        if device.noise_rate <= 0.0:
-            return lambda: True
-        sites, resolved = record.sites, record.resolved
-        flips: list = []
-        checked = 0
-
-        def follows() -> bool:
-            nonlocal checked
-            for site, challenge, _, _ in sites[len(flips):]:
-                flips.append(device.flips_at(challenge, seed, site))
-            pairs = iter(resolved[checked:])
-            for step, index in zip(pairs, pairs):
-                flipped = flips[index](step)
-                if flipped is not None:
-                    _, challenge, post, current_ctl = sites[index]
-                    if departs(device.stable(challenge), flipped, post,
-                               current_ctl):
-                        return False
-            checked = len(resolved)
-            return True
-        return follows
 
 
 def run_protected(protected: ProtectedProgram, device, steps: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .ast import (
     CasmError, EvalError, Location, Program, Value, format_location,
@@ -20,9 +20,7 @@ from .interp import (
     CompiledProgram, MonitoredOracle, RandomOracle, Trace, check_step_count,
     compiled, enumerate_step_outcomes, iter_run, location_key,
 )
-from .protect import (
-    FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner, RunRecord,
-)
+from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
 
 
@@ -446,19 +444,19 @@ def clone_divergence_report(protected: ProtectedProgram,
     device reaches the run only through those responses, and every
     trial draws the same fallbacks and inputs, so these trials step
     alike.  The shared run's counts and first divergence are added once
-    per trial, in seed order, as if each trial had run.
+    per trial, as if each trial had run.
 
     A trial on a noisy device follows the run of its noise-free twin,
-    the device of the same seed at noise 0, shared as above: that run
-    records the sites it staged and the steps each resolved at.  Where
-    the trial's noise coin does not fire, a site gives what the twin's
-    gives; where it fires, the result changes only if the flipped
-    response changes the site's rule
-    (:meth:`~casmkit.protect.ProtectedRunner.follower`).  A trial whose
-    noise changes no result adds its twin's counts; any other trial
-    runs in full.  The twin's run is stepped only as far as a trial
-    follows it, in stretches that double, so a twin whose trials all
-    depart early costs little.  A negative step count is refused.
+    the device of the same seed at noise 0, whose key is the trial's:
+    where the trial's noise coin does not fire, a site gives what the
+    twin's gives, and where it fires, the result changes only if the
+    flipped response changes the site's rule.  In a noisy report the
+    shared run leads all the trials of its key and draws their coins as
+    it resolves each site
+    (:meth:`~casmkit.protect.ProtectedRunner.iter_entries`); it stops
+    at the entry where its last trial departs.  A trial that follows
+    to the end adds the shared run's counts; any other trial runs in
+    full.  A negative step count is refused.
     """
     check_step_count(steps)
     enrollment = protected.enrollment
@@ -476,19 +474,17 @@ def clone_divergence_report(protected: ProtectedProgram,
     # names the state for the whole trial
     interned = cp.choose_free
 
-    def run_trial(device, record: Optional[RunRecord] = None
-                  ) -> Iterator[tuple[int, int, int, Optional[int]]]:
+    def run_trial(device, followers: Optional[dict] = None
+                  ) -> tuple[int, int, int, Optional[int]]:
         """Steps, fallbacks, violating states and first divergence step
-        of one trial so far, after steps 8, 16, 32, ... and after its
-        last, with its sites noted in ``record``.  The violation
-        predicate is evaluated once per distinct state, and inputs when
-        it reads any."""
+        of one trial, whose run leads ``followers`` and stops when none
+        is left.  The violation predicate is evaluated once per distinct
+        state, and inputs when it reads any."""
         runner = ProtectedRunner(protected, device, run_seed)
         total = fallbacks = violations = 0
         first_div: Optional[int] = None
         verdicts: dict[object, bool] = {}
-        pause = 8
-        for entry in runner.iter_entries(steps, oracle, record):
+        for entry in runner.iter_entries(steps, oracle, followers):
             if entry.step == 0:
                 continue
             total += 1
@@ -508,67 +504,43 @@ def clone_divergence_report(protected: ProtectedProgram,
                 decoded = enrollment.decode_stored(state[ctl_loc])
                 if decoded != original_ctl[entry.step]:
                     first_div = entry.step
-            if total == pause:
-                yield total, fallbacks, violations, first_div
-                pause *= 2
-        yield total, fallbacks, violations, first_div
-
-    def outcome(trial) -> tuple[int, int, int, Optional[int]]:
-        for so_far in trial:
-            pass
-        return so_far
+            if followers is not None and not followers:
+                break
+        return total, fallbacks, violations, first_div
 
     decider = protected.decider
     challenges = protected.challenges
-    noisy = noise > 0.0
-    # device key -> the run on a noise-free device of that key, its
-    # outcome so far, and in a noisy report its record
-    shared: dict[tuple, list] = {}
-    violations = 0
-    diverged = 0
-    hist: dict[int, int] = {}
-    fallback_events = 0
-    total_steps = 0
+    bits = enrollment.challenge_bits, enrollment.response_bits
+    # device key -> its trials, in seed order
+    groups: dict[tuple, list[int]] = {}
     flagged: list[int] = []
-
     for trial, seed in enumerate(clone_seeds):
-        device = make_device(seed, enrollment.challenge_bits,
-                             enrollment.response_bits, noise)
+        device = make_device(seed, *bits, noise)
         if device.fingerprint() == enrollment.fingerprint:
             flagged.append(trial)
-        key = decider.device_key(device, challenges)
-        twin = shared.get(key)
-        if twin is None:
-            record = RunRecord() if noisy else None
-            twin_run = run_trial(make_device(
-                seed, enrollment.challenge_bits, enrollment.response_bits),
-                record)
-            twin = shared[key] = [twin_run, next(twin_run), record]
-        follows = ProtectedRunner(protected, device,
-                                  run_seed).follower(twin[2])
-        # the twin is stepped only as far as a trial follows it
-        while True:
-            if not follows():
-                result = outcome(run_trial(device))
-                break
-            if twin[1][0] == steps:
-                result = twin[1]
-                break
-            twin[1] = next(twin[0])
-        trial_steps, fallbacks, trial_violations, first_div = result
-        total_steps += trial_steps
-        fallback_events += fallbacks
-        violations += trial_violations
-        if first_div is not None:
-            diverged += 1
-            hist[first_div] = hist.get(first_div, 0) + 1
+        groups.setdefault(decider.device_key(device, challenges),
+                          []).append(trial)
 
-    # a run's graph is cyclic, and its staged sites hold the record:
-    # free the records now, not at the next full collection
-    for _, _, record in shared.values():
-        if record is not None:
-            record.sites.clear()
-            record.resolved.clear()
+    violations = diverged = fallback_events = total_steps = 0
+    hist: dict[int, int] = {}
+    for trials in groups.values():
+        followers = {t: make_device(clone_seeds[t], *bits, noise)
+                     for t in trials} if noise > 0.0 else None
+        led = run_trial(make_device(clone_seeds[trials[0]], *bits),
+                        followers)
+        for trial in trials:
+            if followers is None or trial in followers:
+                result = led
+            else:
+                result = run_trial(make_device(clone_seeds[trial], *bits,
+                                               noise))
+            trial_steps, fallbacks, trial_violations, first_div = result
+            total_steps += trial_steps
+            fallback_events += fallbacks
+            violations += trial_violations
+            if first_div is not None:
+                diverged += 1
+                hist[first_div] = hist.get(first_div, 0) + 1
 
     return DivergenceReport(
         trials=len(clone_seeds),

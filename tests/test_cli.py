@@ -129,6 +129,24 @@ class TestProtectCommands:
         assert report["safetyViolations"] == 0
         assert report["trialsDiverged"] == 4
 
+    def test_stalling_target_fails_compare(self, workspace):
+        # with condx true every state is dangerous: the enrolled device's
+        # own run stalls at each site, and compare must say so
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        casm = workspace / "p" / "protected.casm"
+        lines = casm.read_text().splitlines(keepends=True)
+        condx = [i for i, line in enumerate(lines)
+                 if line.startswith("condx ")]
+        assert len(condx) == 1
+        lines[condx[0]] = "condx true\n"
+        casm.write_text("".join(lines))
+        result = invoke("compare", "p", "--target-seed", "42", "--steps",
+                        "2000", "--trials", "5", "--seed", "7")
+        assert result.exit_code == 1, result.output
+        assert "target fallbacks: 0; target stalls: 2000;" in result.output
+
     def test_protect_program_writing_an_unread_location(self, workspace):
         from conftest import UNREAD_WRITE
         (workspace / "served.casm").write_text(UNREAD_WRITE)

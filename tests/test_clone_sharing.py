@@ -9,7 +9,7 @@ from casmkit import protect as cprotect
 from casmkit.interp import ConstantOracle, RandomOracle, run
 from casmkit.parser import parse_or_raise
 from casmkit.programs import traffic_light_source
-from casmkit.protect import ProtectedRunner, RunRecord, protect, run_protected
+from casmkit.protect import ProtectedRunner, protect, run_protected
 from casmkit.puf import make_device
 from casmkit.verify import clone_divergence_report
 
@@ -159,10 +159,18 @@ def test_noisy_device_has_its_twins_key(subjects):
             device_keys(protected, [seed])
 
 
+def trace_of(protected, seed, noise, oracle, steps=50):
+    bits = protected.enrollment.response_bits
+    return [(e.state, e.events) for e in run_protected(
+        protected, make_device(seed, 16, bits, noise), steps, oracle,
+        7).entries]
+
+
 def test_a_twin_steps_only_as_far_as_its_trials_follow(subjects,
                                                       monkeypatch):
     """At 3-bit responses and 30% noise every trial soon departs from its
-    twin, so each twin's run stops early, and each trial runs in full."""
+    twin, so each twin's run stops at the entry where its last trial
+    departs, and each trial runs in full."""
     protected, program = subjects["traffic", 3]
     lengths = []
     iter_run = cprotect.iter_run
@@ -178,16 +186,23 @@ def test_a_twin_steps_only_as_far_as_its_trials_follow(subjects,
     oracle = RandomOracle(5)
     clone_divergence_report(protected, run(program, 1000, oracle, 7), SEEDS,
                             1000, 0.3, oracle, 7)
+    monkeypatch.undo()
     full = [n for n in lengths if n == 1001]
     assert len(full) == len(SEEDS)
     assert len(lengths) - len(full) == len(device_keys(protected, SEEDS))
     assert max(n for n in lengths if n != 1001) < 200
-
-
-def trace_of(protected, seed, noise, oracle):
-    bits = protected.enrollment.response_bits
-    return [(e.state, e.events) for e in run_protected(
-        protected, make_device(seed, 16, bits, noise), 50, oracle, 7).entries]
+    # a trial departs at the first entry where its run differs from its
+    # twin's; the twins run in the order their keys first appear
+    departures: dict = {}
+    for seed in SEEDS:
+        pairs = zip(trace_of(protected, seed, 0.3, oracle, 1000),
+                    trace_of(protected, seed, 0.0, oracle, 1000))
+        step = next(k for k, (a, b) in enumerate(pairs) if a != b)
+        key = protected.decider.device_key(make_device(seed, 16, 3),
+                                           protected.challenges)
+        departures.setdefault(key, []).append(step)
+    assert [n for n in lengths if n != 1001] == \
+        [1 + max(steps) for steps in departures.values()]
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
@@ -230,11 +245,19 @@ def test_noise_changes_a_site_only_where_its_rule_changes(subjects, name,
         twin = ProtectedRunner(protected, make_device(seed, 16, bits), 7)
         noisy = ProtectedRunner(
             protected, make_device(seed, 16, bits, noise), 7)
-        record = RunRecord()
-        for _ in twin.iter_entries(STEPS, RandomOracle(5), record):
+        sites = []
+        stage = twin._stage
+
+        def collecting(*site):
+            sites.append(site)
+            return stage(*site)
+
+        twin._stage = collecting
+        for _ in twin.iter_entries(STEPS, RandomOracle(5)):
             pass
-        assert record.sites
-        for site, challenge, post, current in record.sites:
+        del twin._stage
+        assert sites
+        for site, challenge, post, current in sites:
             staged_twin = twin._stage(site, challenge, post, current)
             staged_noisy = noisy._stage(site, challenge, post, current)
             flip = noisy.device.flips_at(challenge, 7, site)
