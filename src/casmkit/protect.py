@@ -520,11 +520,19 @@ class SiteDecider:
             return fallbacks, FALLBACK_TAKEN
         return (current_ctl,), SAFE_STALL
 
+    def resolutions(self, response: int, post: dict, current_ctl: Value
+                    ) -> tuple[tuple[Value, ...], str]:
+        """The values a site on the post-update values ``post`` can take
+        for the response ``response``, over every draw, and its tag: the
+        response when it binds, the safe encodings a fallback draws from,
+        or the current value when the site stalls."""
+        return self._rule(response, self._safe(post), current_ctl)
+
     def decide(self, response: int, post: dict, current_ctl: Value,
                draw: Callable[[int], int]) -> tuple[Value, str]:
         """Resolve one site; ``draw(n)`` picks one of ``n`` safe states
         and is called only when the site falls back."""
-        values, tag = self._rule(response, self._safe(post), current_ctl)
+        values, tag = self.resolutions(response, post, current_ctl)
         if tag is FALLBACK_TAKEN:
             return values[draw(len(values))], tag
         return values[0], tag
@@ -540,7 +548,7 @@ class SiteDecider:
         result, a fallback draws ``word(step) % n``.  On a noisy device
         ``flip(step)`` gives the response where noise flips it (else
         ``None``), and :meth:`decide` decides it at that step."""
-        values, tag = self._rule(response, self._safe(post), current_ctl)
+        values, tag = self.resolutions(response, post, current_ctl)
         n = len(values)
         result = values[0], tag
         if flip is not None:
@@ -621,28 +629,39 @@ class ProtectedRunner:
     """Protected runtime on one device: the run loop of
     :func:`~casmkit.interp.iter_run` stages each site of a step once,
     and the staged site gives the device's response at each step it runs,
-    decided by the program's :class:`SiteDecider`.  The device stages its
-    stable response and noise coin, and so owns its noise model; the
-    decider stages the rule's answer for the stable response, so a step
-    repeats only its draws."""
+    decided by the program's :class:`SiteDecider`.  The device gives its
+    stable response and noise coin, once per site of the run, and so owns
+    its noise model; the decider stages the rule's answer for the stable
+    response, so a step repeats only its draws."""
 
     def __init__(self, protected: ProtectedProgram, device, seed: int):
         self.protected = protected
         self.device = device
         self.seed = seed
         self.decider = protected.decider
+        # (site, challenge) -> the stable response, fallback word and
+        # noise of that site
+        self._draws: dict[tuple[str, int], tuple] = {}
 
     def _stage(self, site: str, challenge: int, post: dict,
                current_ctl: Value) -> StagedSite:
         """Stage one site of a step (:data:`~casmkit.interp.CtlResolver`):
         the device's stable response and noise, decided by the program's
         :class:`SiteDecider`.  A fallback draws once from the stream
-        ("fallback", seed, step, site)."""
-        device = self.device
-        return self.decider.stage(
-            device.stable(challenge), post, current_ctl,
-            step_words(("fallback", self.seed), site),
-            device.flips_at(challenge, self.seed, site))
+        ("fallback", seed, step, site).  The draws depend on the site
+        alone, so the fallback word and the device's
+        :meth:`~casmkit.puf.PufDevice.flips_at` are made once per
+        (site, challenge) of the run and serve every step staged
+        there."""
+        draws = self._draws.get((site, challenge))
+        if draws is None:
+            device = self.device
+            draws = self._draws[site, challenge] = (
+                device.stable(challenge),
+                step_words(("fallback", self.seed), site),
+                device.flips_at(challenge, self.seed, site))
+        response, word, flip = draws
+        return self.decider.stage(response, post, current_ctl, word, flip)
 
     def _resolver(self, step: int, site: str, challenge: int, post: dict,
                   current_ctl: Value) -> tuple[Value, str]:
@@ -660,11 +679,12 @@ class ProtectedRunner:
         inputs.  Both draw the same fallbacks and inputs, so a follower
         steps as this run until its noise changes a site's result.  Each
         follower's stable response and noise coin are staged once per
-        site, and each step that resolves the site draws the coin of
-        each follower still in the dict; a follower leaves it at its
-        first flip that :meth:`SiteDecider.departs`.  The coins are kept
-        by site, not by staged step, since the run's graph keeps its
-        staged steps until a full collection."""
+        (site, challenge), as the run's own draws are (:meth:`_stage`),
+        and each step that resolves the site draws the coin of each
+        follower still in the dict; a follower leaves it at its first
+        flip that :meth:`SiteDecider.departs`.  Draws are kept by site,
+        not by staged step, since the run's graph keeps its staged steps
+        until a full collection."""
         stage = self._stage
         if followers is not None:
             seed, departs = self.seed, self.decider.departs

@@ -98,19 +98,24 @@ class PufDevice:
         on a noise-free device, else ``flip(step)``.  That gives the
         response at ``step`` where :meth:`query` with the noise stream
         named after this device and (seed, step, site) flips it, and
-        ``None`` where that query gives the stable response.  The
-        stream's first draw, the noise coin, is taken on its own
-        (:func:`~casmkit.rng.step_words`); the stream is derived only
-        when the coin says the response flips."""
+        ``None`` where that query gives the stable response.  Each word
+        of the stream is hashed on its own (:func:`~casmkit.rng.step_words`):
+        the noise coin ``#0`` at every step, and ``#1``, which
+        :meth:`query`'s ``randrange`` reads for the flipped response,
+        only when the coin fires."""
         if self.noise_rate <= 0.0:
             return None
-        coin = step_words(("pufnoise", self.device_seed, seed), site)
+        prefix = ("pufnoise", self.device_seed, seed)
+        coin = step_words(prefix, site)
+        word = step_words(prefix, site, 1)
         rate = self.noise_rate
+        stable = self.stable(challenge)
+        others = self.response_count - 1
 
         def flip(step: int) -> Optional[int]:
             if coin(step) / 2.0 ** 64 < rate:
-                return self.query(challenge, derive_rng(
-                    "pufnoise", self.device_seed, seed, step, site))
+                flipped = word(step) % others
+                return flipped + 1 if flipped >= stable else flipped
             return None
         return flip
 

@@ -53,16 +53,18 @@ def derive_rng(*parts) -> HashStream:
     return HashStream(*parts)
 
 
-def step_words(prefix: Sequence, site) -> Callable[[object], int]:
-    """A function ``word(step)`` that gives the first 64-bit word of the
-    stream ``derive_rng(*prefix, step, site)`` without building the
-    stream.  That word ``w`` is what the stream's first draw reads:
-    ``w / 2 ** 64`` is its ``random()`` and ``w % n`` its
-    ``randrange(n)``.  The label head ``prefix|`` and tail ``|site#0``
-    are formatted once, here; a call puts the step between them and
-    hashes one block."""
+def step_words(prefix: Sequence, site, index: int = 0
+               ) -> Callable[[object], int]:
+    """A function ``word(step)`` that gives the 64-bit word ``#index``
+    of the stream ``derive_rng(*prefix, step, site)`` without building
+    the stream.  The first word ``w`` (``index`` 0) is what the stream's
+    first draw reads: ``w / 2 ** 64`` is its ``random()`` and ``w % n``
+    its ``randrange(n)``; word ``#1`` is what its second draw reads.
+    The label head ``prefix|`` and tail ``|site#index`` are formatted
+    once, here; a call puts the step between them and hashes one
+    block."""
     head = "".join(f"{p!s}|" for p in prefix)
-    tail = f"|{site!s}#0"
+    tail = f"|{site!s}#{index}"
 
     def word(step) -> int:
         return _unpack_word(_sha256(f"{head}{step!s}{tail}".encode())

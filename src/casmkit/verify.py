@@ -17,8 +17,9 @@ from .ast import (
     CasmError, EvalError, Location, Program, Value, format_location,
 )
 from .interp import (
-    CompiledProgram, MonitoredOracle, RandomOracle, Trace, check_step_count,
-    compiled, enumerate_step_outcomes, iter_run, location_key,
+    CompiledProgram, ConstantOracle, MonitoredOracle, RandomOracle, Trace,
+    _Graph, _Step, check_step_count, compiled, enumerate_step_outcomes,
+    iter_run, location_key,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -425,6 +426,61 @@ class DivergenceReport:
         }, indent=2, sort_keys=True) + "\n"
 
 
+def _settled_fallbacks(cp: CompiledProgram, decider, device,
+                       monitored: dict[Location, Value],
+                       values: dict[Location, Value],
+                       unsafe: Callable[[dict, dict], bool],
+                       budget: int) -> Optional[int]:
+    """The fallbacks each step resolves from ``values`` on, when a run of
+    the ``choose``-free ``cp`` on the noise-free ``device`` under the
+    constant inputs ``monitored`` has settled there; else ``None``.
+
+    The run has settled when every state it can reach from ``values``,
+    that state included, is safe, every step from those states resolves
+    one number of fallbacks, and no such step raises.  A step from a
+    state is the rule pass of :class:`~casmkit.interp._Step` and, for
+    each of its sites, every value the site can take for the device's
+    stable response (:meth:`~casmkit.protect.SiteDecider.resolutions`);
+    the run's draws pick among those, so its remaining steps give that
+    many fallbacks each and no violation.  ``None`` as well when more
+    than ``budget`` states are reachable."""
+    ctl_loc = cp.ctl_loc
+    stable = device.stable
+
+    def sites(site, challenge, post, current_ctl):
+        return decider.resolutions(stable(challenge), post, current_ctl)
+
+    graph = _Graph(cp.state_key)
+    todo = [graph.node(values)]
+    rate: Optional[int] = None
+    try:
+        while todo:
+            values = todo.pop().values
+            if unsafe(values, monitored):
+                return None
+            step = _Step(ctl_loc, values,
+                         *cp.fire_rules(values, monitored, None))
+            staged = step._stage(sites)
+            fallbacks = [tag for _, tag in staged].count(FALLBACK_TAKEN)
+            if rate is None:
+                rate = fallbacks
+            elif fallbacks != rate:
+                return None
+            for resolved in itertools.product(
+                    *(choices for choices, _ in staged)):
+                known = len(graph)
+                node = step._successor(
+                    resolved[0] if len(resolved) == 1 else resolved, graph)
+                if len(graph) > known:
+                    if len(graph) > budget:
+                        return None
+                    todo.append(node)
+    except Exception:
+        # the walk raises where it reaches such a step
+        return None
+    return rate
+
+
 def clone_divergence_report(protected: ProtectedProgram,
                             original_trace: Trace,
                             clone_seeds: list[int], steps: int,
@@ -456,7 +512,16 @@ def clone_divergence_report(protected: ProtectedProgram,
     (:meth:`~casmkit.protect.ProtectedRunner.iter_entries`); it stops
     at the entry where its last trial departs.  A trial that follows
     to the end adds the shared run's counts; any other trial runs in
-    full.  A negative step count is refused.
+    full.
+
+    A run stops early, too, once it has settled
+    (:func:`_settled_fallbacks`): every state it can still reach is
+    safe and every step from them takes the same number of fallbacks,
+    which it adds for each step left.  The check is made once, at the
+    run's first divergence, and only for a noise-free device whose run
+    leads no followers, a ``choose``-free program (whose run interns its
+    states) and inputs that are a :class:`~casmkit.interp.ConstantOracle`
+    (checked by type).  A negative step count is refused.
     """
     check_step_count(steps)
     enrollment = protected.enrollment
@@ -478,9 +543,12 @@ def clone_divergence_report(protected: ProtectedProgram,
                   ) -> tuple[int, int, int, Optional[int]]:
         """Steps, fallbacks, violating states and first divergence step
         of one trial, whose run leads ``followers`` and stops when none
-        is left.  The violation predicate is evaluated once per distinct
-        state, and inputs when it reads any."""
+        is left, or where it has settled.  The violation predicate is
+        evaluated once per distinct state, and inputs when it reads
+        any."""
         runner = ProtectedRunner(protected, device, run_seed)
+        settles = interned and type(oracle) is ConstantOracle \
+            and followers is None and device.noise_rate <= 0.0
         total = fallbacks = violations = 0
         first_div: Optional[int] = None
         verdicts: dict[object, bool] = {}
@@ -504,6 +572,15 @@ def clone_divergence_report(protected: ProtectedProgram,
                 decoded = enrollment.decode_stored(state[ctl_loc])
                 if decoded != original_ctl[entry.step]:
                     first_div = entry.step
+                    left = steps - first_div
+                    if settles and left:
+                        rate = _settled_fallbacks(
+                            cp, decider, device, entry.monitored, state,
+                            unsafe, left)
+                        if rate is not None:
+                            fallbacks += rate * left
+                            total = steps
+                            break
             if followers is not None and not followers:
                 break
         return total, fallbacks, violations, first_div

@@ -1,12 +1,18 @@
 """Noise-free clone trials whose devices decode the program's challenges
-alike share one run, and a noisy trial follows the run of its noise-free
-twin unless a flip changes a site's result; these tests hold the shared
-reports against the reference that steps every trial, count the runs,
-and check the rule by which a noisy trial follows its twin."""
+alike share one run, a noisy trial follows the run of its noise-free
+twin unless a flip changes a site's result, and a noise-free trial under
+constant inputs stops once it has settled; these tests hold the shared
+reports against the reference that steps every trial, count the runs
+and their steps, and check the rule by which a noisy trial follows its
+twin."""
+from dataclasses import replace
+
 import pytest
 
 from casmkit import protect as cprotect
-from casmkit.interp import ConstantOracle, RandomOracle, run
+from casmkit import verify as cverify
+from casmkit.ast import Const
+from casmkit.interp import ConstantOracle, RandomOracle, ScriptedOracle, run
 from casmkit.parser import parse_or_raise
 from casmkit.programs import traffic_light_source
 from casmkit.protect import ProtectedRunner, protect, run_protected
@@ -84,10 +90,46 @@ def counted_runs(monkeypatch) -> list:
     return runs
 
 
-def both_reports(protected, program, seeds, steps, noise, runs=()):
-    """The shared and the reference report, and how many of ``runs`` the
-    shared one started."""
-    oracle = RandomOracle(5)
+INPUTS = {"random:5": lambda program: RandomOracle(5),
+          "always-true": ConstantOracle.always_true}
+
+
+def run_lengths(monkeypatch) -> list:
+    """The number of entries each run the protected runtime starts from
+    now on yields."""
+    lengths = []
+    iter_run = cprotect.iter_run
+
+    def measured(*args):
+        lengths.append(0)
+        run_index = len(lengths) - 1
+        for entry in iter_run(*args):
+            lengths[run_index] += 1
+            yield entry
+
+    monkeypatch.setattr(cprotect, "iter_run", measured)
+    return lengths
+
+
+def settle_calls(monkeypatch) -> list:
+    """The steps left and the result of each settle check from now on."""
+    calls = []
+    settled = cverify._settled_fallbacks
+
+    def recorded(*args):
+        result = settled(*args)
+        calls.append((args[-1], result))
+        return result
+
+    monkeypatch.setattr(cverify, "_settled_fallbacks", recorded)
+    return calls
+
+
+def both_reports(protected, program, seeds, steps, noise, runs=(),
+                 inputs="random:5"):
+    """The shared and the reference report under ``inputs``, and how
+    many of ``runs`` the shared one started."""
+    oracle = INPUTS[inputs](program)
     original = run(program, steps, oracle, 7)
     args = (protected, original, seeds, steps, noise, oracle, 7)
     got = clone_divergence_report(*args)
@@ -102,15 +144,16 @@ def device_keys(protected, seeds, noise=0.0):
             for s in seeds}
 
 
+@pytest.mark.parametrize("inputs", sorted(INPUTS))
 @pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("bits", [3, 4, 16])
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_shared_report_equals_the_unshared_one(subjects, monkeypatch, name,
-                                               bits, noise):
+                                               bits, noise, inputs):
     protected, program = subjects[name, bits]
     runs = counted_runs(monkeypatch)
     got, want, started = both_reports(protected, program, SEEDS, STEPS,
-                                      noise, runs)
+                                      noise, runs, inputs)
     assert got.to_json() == want.to_json()
     # at 30% noise majority voting misreads some fingerprint probe of the
     # enrolled device
@@ -172,17 +215,7 @@ def test_a_twin_steps_only_as_far_as_its_trials_follow(subjects,
     twin, so each twin's run stops at the entry where its last trial
     departs, and each trial runs in full."""
     protected, program = subjects["traffic", 3]
-    lengths = []
-    iter_run = cprotect.iter_run
-
-    def measured(*args):
-        lengths.append(0)
-        run_index = len(lengths) - 1
-        for entry in iter_run(*args):
-            lengths[run_index] += 1
-            yield entry
-
-    monkeypatch.setattr(cprotect, "iter_run", measured)
+    lengths = run_lengths(monkeypatch)
     oracle = RandomOracle(5)
     clone_divergence_report(protected, run(program, 1000, oracle, 7), SEEDS,
                             1000, 0.3, oracle, 7)
@@ -274,3 +307,89 @@ def test_noise_changes_a_site_only_where_its_rule_changes(subjects, name,
                     changed += not same_rule
                     assert same == same_rule
     assert 0 < changed < fired
+
+
+CLONES = [1000 + i for i in range(10)]
+
+
+def test_a_settled_trial_stops_stepping(subjects, traffic, monkeypatch):
+    """Under always-true inputs the 16-bit clones share one noise-free
+    run, which diverges at once and from then on walks safe states,
+    falling back once a step.  The settle check, made once the run has
+    diverged, stops it after a handful of entries, and the report is
+    the reference's, which steps every trial in full."""
+    protected, _ = subjects["traffic", 16]
+    steps = 10_000
+    oracle = ConstantOracle.always_true(traffic)
+    original = run(traffic, steps, oracle, 7)
+    args = (protected, original, CLONES, steps, 0.0, oracle, 7)
+    want = reference_runtime.clone_divergence_report(*args)
+    lengths = run_lengths(monkeypatch)
+    calls = settle_calls(monkeypatch)
+    got = clone_divergence_report(*args)
+    assert got.to_json() == want.to_json()
+    assert got.fallback_rate == 1.0 and got.safety_violations == 0
+    (first_div,) = got.first_divergence_hist
+    # one run, one check at its first divergence, and no step after it
+    assert calls == [(steps - first_div, 1)]
+    assert lengths == [first_div + 1] and first_div <= 3
+
+
+def refused_case(subjects, case):
+    """The protected and plain program, trial seeds, noise and inputs of
+    a report whose trials must not settle."""
+    protected, program = subjects["wander" if case == "choose" else
+                                  "traffic", 16]
+    always = ConstantOracle.always_true(program)
+    seeds, noise, oracle = CLONES, 0.0, always
+    if case == "noisy":
+        noise = 0.05
+    elif case == "random inputs":
+        oracle = RandomOracle(5)
+    elif case == "scripted inputs":
+        # constant values, but not a ConstantOracle
+        oracle = ScriptedOracle([always.values] * (STEPS + 1))
+    elif case == "undiverged":
+        seeds = [ENROLLED, ENROLLED]
+    return protected, program, seeds, noise, oracle
+
+
+@pytest.mark.parametrize("case", ["noisy", "random inputs",
+                                  "scripted inputs", "choose", "undiverged"])
+def test_the_settle_check_refuses(subjects, monkeypatch, case):
+    """No settle check on a noisy device, under inputs that are not a
+    ConstantOracle, for a program that draws, or before a trial has
+    diverged (the enrolled device never does): every run walks all its
+    steps, and the report is the reference's."""
+    protected, program, seeds, noise, oracle = refused_case(subjects, case)
+    original = run(program, STEPS, oracle, 7)
+    args = (protected, original, seeds, STEPS, noise, oracle, 7)
+    want = reference_runtime.clone_divergence_report(*args)
+    lengths = run_lengths(monkeypatch)
+    calls = settle_calls(monkeypatch)
+    got = clone_divergence_report(*args)
+    assert got.to_json() == want.to_json()
+    assert calls == []
+    assert lengths and set(lengths) == {STEPS + 1}
+    assert (got.trials_diverged == 0) == (case == "undiverged")
+
+
+@pytest.mark.parametrize("inputs", sorted(INPUTS))
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_a_tampered_artifact_reaches_unsafe_states(subjects, monkeypatch,
+                                                   noise, inputs):
+    """With ``condx false`` no state is dangerous, so clones fall back
+    into unsafe states: a settle check finds one and refuses, and the
+    report counts every violation as the reference does."""
+    protected, program = subjects["traffic", 16]
+    tampered = replace(protected, safe_condition=replace(
+        protected.safe_condition, cond_x=Const(False)))
+    calls = settle_calls(monkeypatch)
+    got, want, _ = both_reports(tampered, program, SEEDS, STEPS, noise,
+                                inputs=inputs)
+    assert got.to_json() == want.to_json()
+    assert got.safety_violations > 0
+    if (noise, inputs) == (0.0, "always-true"):
+        assert calls and all(rate is None for _, rate in calls)
+    else:
+        assert calls == []

@@ -79,12 +79,15 @@ class TestStepWords:
 
 
 class TestQueryAt:
+    # 1-bit responses flip to the one other response, and 3-bit ones
+    # often to a response above the stable one
+    @pytest.mark.parametrize("bits", [1, 3, 16])
     @pytest.mark.parametrize("noise", [0.0, 0.05, 1.0])
-    def test_equals_a_query_on_the_noise_stream(self, noise):
+    def test_equals_a_query_on_the_noise_stream(self, noise, bits):
         rnd = random.Random(5)
         flips = 0
         for device_seed in (42, 999, -3):
-            device = make_device(device_seed, 16, 16, noise)
+            device = make_device(device_seed, 16, bits, noise)
             for _ in range(400):
                 challenge = rnd.randrange(1 << 16)
                 seed = rnd.choice([0, 5, -1, 1 << 40])

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from casmkit import protect as cprotect
 from casmkit.ast import CasmError
 from casmkit.interp import ConstantOracle, RandomOracle, ScriptedOracle
 from casmkit.parser import parse_or_raise
@@ -16,7 +17,7 @@ from casmkit.protect import (
     BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedRunner, protect,
     run_protected,
 )
-from casmkit.puf import make_device
+from casmkit.puf import PufDevice, make_device
 
 import reference_runtime
 from fuzzing import random_program, with_second_challenge
@@ -156,3 +157,41 @@ def test_one_site_at_one_step_is_the_reference_decision(subjects):
             args = (site, challenge, post, post[ctl_loc])
             assert runner._resolver(step, *args) == \
                 reference(*args)(step), (noise, step, site)
+
+
+@pytest.mark.parametrize("kind", ["always-true", "random"])
+def test_a_site_draws_are_made_once_per_run(subjects, monkeypatch, kind):
+    """A noisy run stages some sites at many steps; the fallback word and
+    the noise of a site are made once per (site, challenge) and serve
+    every step staged there."""
+    protected = subjects["traffic/16"]
+    words, flips = [], []
+    step_words = cprotect.step_words
+    flips_at = PufDevice.flips_at
+
+    def counted_words(prefix, site, *rest):
+        words.append(site)
+        return step_words(prefix, site, *rest)
+
+    def counted_flips(self, challenge, seed, site):
+        flips.append((site, challenge))
+        return flips_at(self, challenge, seed, site)
+
+    monkeypatch.setattr(cprotect, "step_words", counted_words)
+    monkeypatch.setattr(PufDevice, "flips_at", counted_flips)
+    runner = ProtectedRunner(protected, device(protected, CLONE, 0.05), SEED)
+    staged = []
+    stage = runner._stage
+
+    def collecting(site, challenge, *rest):
+        staged.append((site, challenge))
+        return stage(site, challenge, *rest)
+
+    runner._stage = collecting
+    for _ in runner.iter_entries(2000, make_inputs(kind, protected.program,
+                                                   3)):
+        pass
+    sites = set(staged)
+    assert len(staged) > len(sites)
+    assert sorted(flips) == sorted(sites)
+    assert sorted(words) == sorted(site for site, _ in sites)
