@@ -664,7 +664,10 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     The one run loop, for plain and protected programs alike:
     ``ctl_resolver`` stages the challenge sites of a step, and step ``k``
     calls each staged site with ``k``.  Looking up a step's inputs in
-    monitored-location order checks them total.
+    monitored-location order checks them total.  A
+    :class:`ConstantOracle` (checked by type: a subclass may vary) gives
+    every step its one dict, so its valuation and inputs key are taken
+    once, at step 0; every step still calls ``step_values``.
 
     The run walks a graph of its states (:class:`_Graph`).  A node holds
     a state's values and, by inputs key, the step taken from it; a step
@@ -691,13 +694,15 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     draws = not cp.choose_free
     node = _Graph(None if draws else cp.state_key).node(values)
     pick = None
+    varies = type(oracle) is not ConstantOracle
     for k in range(steps):
-        monitored = oracle.valuation(program, k)
-        try:
-            inputs = inputs_key(monitored)
-        except KeyError:
-            _check_total(program, monitored, k)
-            raise
+        if varies or not k:
+            monitored = oracle.valuation(program, k)
+            try:
+                inputs = inputs_key(monitored)
+            except KeyError:
+                _check_total(program, monitored, k)
+                raise
         if draws:
             pick = rng_picker(seed, k)
         try:

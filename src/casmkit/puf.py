@@ -18,10 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .ast import CasmError, Value, format_value
-from .rng import derive_rng, step_words
+from .rng import derive_rng, step_below, step_words
 
 ENROLLMENT_VERSION = 1
 _MAJORITY_ROUNDS = 9
@@ -92,28 +93,47 @@ class PufDevice:
             flipped += 1
         return flipped
 
+    @cached_property
+    def _coin_bound(self) -> int:
+        """The least word ``w`` for which ``w / 2.0 ** 64 < noise_rate``
+        is false: :meth:`query`'s noise coin fires exactly on the words
+        below it.  The word is rounded to a float before it is compared,
+        and rounding keeps the test monotone in ``w``, so bisection on
+        that same test finds the bound; it is false at ``2 ** 64``, and
+        so the bound is below it."""
+        rate = self.noise_rate
+        lo, hi = 0, 1 << 64
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid / 2.0 ** 64 < rate:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     def flips_at(self, challenge: int, seed: int, site: str
                  ) -> Optional[Callable[[int], Optional[int]]]:
         """The noise at a site of a run, staged once per site: ``None``
         on a noise-free device, else ``flip(step)``.  That gives the
         response at ``step`` where :meth:`query` with the noise stream
         named after this device and (seed, step, site) flips it, and
-        ``None`` where that query gives the stable response.  Each word
-        of the stream is hashed on its own (:func:`~casmkit.rng.step_words`):
-        the noise coin ``#0`` at every step, and ``#1``, which
-        :meth:`query`'s ``randrange`` reads for the flipped response,
-        only when the coin fires."""
+        ``None`` where that query gives the stable response.  The noise
+        coin is one block of the stream compared with a bound found once
+        per device (:func:`~casmkit.rng.step_below`): its word ``#0``
+        is below the bound exactly where ``random() < noise_rate``.
+        Word ``#1``, which :meth:`query`'s ``randrange`` reads for the
+        flipped response, is hashed on its own
+        (:func:`~casmkit.rng.step_words`), only when the coin fires."""
         if self.noise_rate <= 0.0:
             return None
         prefix = ("pufnoise", self.device_seed, seed)
-        coin = step_words(prefix, site)
+        fires = step_below(prefix, site, self._coin_bound)
         word = step_words(prefix, site, 1)
-        rate = self.noise_rate
         stable = self.stable(challenge)
         others = self.response_count - 1
 
         def flip(step: int) -> Optional[int]:
-            if coin(step) / 2.0 ** 64 < rate:
+            if fires(step):
                 flipped = word(step) % others
                 return flipped + 1 if flipped >= stable else flipped
             return None

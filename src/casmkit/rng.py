@@ -5,8 +5,10 @@ path, so runs are reproducible bit-for-bit across platforms and adding
 one draw site never perturbs another site's stream.  Streams are
 counter-mode SHA-256: cheap to create, cheap to draw from.  A draw site
 of a run that takes one word per step, as a challenge site's fallback
-pick and noise coin do, uses :func:`step_words`, which encodes the
-site's label head and tail once.  A draw site that picks one value from
+pick does, uses :func:`step_words`, which encodes the site's label head
+and tail once; a coin that fires below a bound, as a device's noise
+coin does, uses :func:`step_below`, which compares the hashed block with
+the bound and reads no word.  A draw site that picks one value from
 each of a fixed set of streams at a time, as a step's monitored inputs
 do, uses :func:`first_picks`, which encodes each stream's label tail once
 and hashes the shared head once a pick.
@@ -70,6 +72,26 @@ def step_words(prefix: Sequence, site, index: int = 0
         return _unpack_word(_sha256(f"{head}{step!s}{tail}".encode())
                             .digest())[0]
     return word
+
+
+def step_below(prefix: Sequence, site, bound: int
+               ) -> Callable[[object], bool]:
+    """A function ``fires(step)`` that tells whether the first word of
+    the stream ``derive_rng(*prefix, step, site)`` (word ``#0`` of
+    :func:`step_words`) is below ``bound``, an integer in
+    ``[0, 2 ** 64)``.  The label head and tail and the bound's eight
+    big-endian bytes are formatted once, here; a call hashes one block
+    and compares its digest with those bytes.  A 32-byte digest sorts
+    below the 8-byte bound exactly when its first eight bytes, read
+    big-endian, are below ``bound``: where they equal the bound, the
+    longer string sorts after it."""
+    head = "".join(f"{p!s}|" for p in prefix)
+    tail = f"|{site!s}#0"
+    limit = bound.to_bytes(8, "big")
+
+    def fires(step) -> bool:
+        return _sha256(f"{head}{step!s}{tail}".encode()).digest() < limit
+    return fires
 
 
 def first_picks(choices: Iterable[tuple[Hashable, object, Sequence]],

@@ -372,13 +372,17 @@ def compare_target_traces(original: Program, protected: ProtectedProgram,
     When both programs have the same monitored locations and sorts, as
     every artifact :func:`~casmkit.protect.protect` writes does, each
     step's inputs are drawn once and given to both runs; otherwise each
-    run draws its own.  A negative step count is refused."""
+    run draws its own.  A :class:`~casmkit.interp.ConstantOracle` gives
+    both runs its one dict either way, and goes to them as it is, so
+    each run reads it once (:func:`~casmkit.interp.iter_run`).  A
+    negative step count is refused."""
     check_step_count(steps)
     enrollment = protected.enrollment
     device = make_device(device_seed, enrollment.challenge_bits,
                          enrollment.response_bits, noise)
     runner = ProtectedRunner(protected, device, run_seed)
-    if compiled(original).input_sorts == \
+    if type(oracle) is not ConstantOracle and \
+            compiled(original).input_sorts == \
             compiled(protected.program).input_sorts:
         oracle = _StepInputs(oracle, original)
     fallbacks = 0
@@ -518,16 +522,20 @@ def clone_divergence_report(protected: ProtectedProgram,
     (:func:`_settled_fallbacks`): every state it can still reach is
     safe and every step from them takes the same number of fallbacks,
     which it adds for each step left.  The check is made once, at the
-    run's first divergence, and only for a noise-free device whose run
-    leads no followers, a ``choose``-free program (whose run interns its
-    states) and inputs that are a :class:`~casmkit.interp.ConstantOracle`
-    (checked by type).  A negative step count is refused.
+    run's first divergence, and only for a noise-free device, a
+    ``choose``-free program (whose run interns its states) and inputs
+    that are a :class:`~casmkit.interp.ConstantOracle` (checked by
+    type).  A noisy report's shared run is its twin's, on a noise-free
+    device, so it settles too: its counts are then fixed, and it steps
+    on only to draw its trials' coins, until the last trial departs or
+    the run ends.  The reference run's control value is read only up to
+    each trial's first divergence.  A negative step count is refused.
     """
     check_step_count(steps)
     enrollment = protected.enrollment
     ctl_loc = (enrollment.ctl_name, ())
-    original_ctl = [e.state[ctl_loc] for e in original_trace.entries]
-    if len(original_ctl) < steps + 1:
+    reference = original_trace.entries
+    if len(reference) < steps + 1:
         raise CasmError("original trace is shorter than the trial length")
 
     cp = compiled(protected.program)
@@ -538,21 +546,24 @@ def clone_divergence_report(protected: ProtectedProgram,
     # state is one dict, which the run's graph keeps alive, so its id
     # names the state for the whole trial
     interned = cp.choose_free
+    settles = interned and type(oracle) is ConstantOracle
 
     def run_trial(device, followers: Optional[dict] = None
                   ) -> tuple[int, int, int, Optional[int]]:
         """Steps, fallbacks, violating states and first divergence step
         of one trial, whose run leads ``followers`` and stops when none
-        is left, or where it has settled.  The violation predicate is
-        evaluated once per distinct state, and inputs when it reads
-        any."""
-        runner = ProtectedRunner(protected, device, run_seed)
-        settles = interned and type(oracle) is ConstantOracle \
-            and followers is None and device.noise_rate <= 0.0
+        is left.  On a noise-free device the run stops, too, where it
+        has settled; a run that leads followers then steps on without
+        counting, as long as one follows, so that their coins are
+        drawn.  The violation predicate is evaluated once per distinct
+        state, and inputs when it reads any."""
+        entries = ProtectedRunner(protected, device, run_seed).iter_entries(
+            steps, oracle, followers)
+        may_settle = settles and device.noise_rate <= 0.0
         total = fallbacks = violations = 0
         first_div: Optional[int] = None
         verdicts: dict[object, bool] = {}
-        for entry in runner.iter_entries(steps, oracle, followers):
+        for entry in entries:
             if entry.step == 0:
                 continue
             total += 1
@@ -570,16 +581,20 @@ def clone_divergence_report(protected: ProtectedProgram,
                 violations += 1
             if first_div is None:
                 decoded = enrollment.decode_stored(state[ctl_loc])
-                if decoded != original_ctl[entry.step]:
+                if decoded != reference[entry.step].state[ctl_loc]:
                     first_div = entry.step
                     left = steps - first_div
-                    if settles and left:
+                    if may_settle and left:
                         rate = _settled_fallbacks(
                             cp, decider, device, entry.monitored, state,
                             unsafe, left)
                         if rate is not None:
                             fallbacks += rate * left
                             total = steps
+                            if followers:
+                                for _ in entries:
+                                    if not followers:
+                                        break
                             break
             if followers is not None and not followers:
                 break

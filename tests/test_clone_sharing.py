@@ -1,10 +1,10 @@
 """Noise-free clone trials whose devices decode the program's challenges
 alike share one run, a noisy trial follows the run of its noise-free
-twin unless a flip changes a site's result, and a noise-free trial under
-constant inputs stops once it has settled; these tests hold the shared
-reports against the reference that steps every trial, count the runs
-and their steps, and check the rule by which a noisy trial follows its
-twin."""
+twin unless a flip changes a site's result, and a noise-free run under
+constant inputs, a noisy report's twin included, stops counting once it
+has settled; these tests hold the shared reports against the reference
+that steps every trial, count the runs and their steps, and check the
+rule by which a noisy trial follows its twin."""
 from dataclasses import replace
 
 import pytest
@@ -342,9 +342,7 @@ def refused_case(subjects, case):
                                   "traffic", 16]
     always = ConstantOracle.always_true(program)
     seeds, noise, oracle = CLONES, 0.0, always
-    if case == "noisy":
-        noise = 0.05
-    elif case == "random inputs":
+    if case == "random inputs":
         oracle = RandomOracle(5)
     elif case == "scripted inputs":
         # constant values, but not a ConstantOracle
@@ -354,13 +352,13 @@ def refused_case(subjects, case):
     return protected, program, seeds, noise, oracle
 
 
-@pytest.mark.parametrize("case", ["noisy", "random inputs",
-                                  "scripted inputs", "choose", "undiverged"])
+@pytest.mark.parametrize("case", ["random inputs", "scripted inputs",
+                                  "choose", "undiverged"])
 def test_the_settle_check_refuses(subjects, monkeypatch, case):
-    """No settle check on a noisy device, under inputs that are not a
-    ConstantOracle, for a program that draws, or before a trial has
-    diverged (the enrolled device never does): every run walks all its
-    steps, and the report is the reference's."""
+    """No settle check under inputs that are not a ConstantOracle, for a
+    program that draws, or before a trial has diverged (the enrolled
+    device never does): every run walks all its steps, and the report is
+    the reference's."""
     protected, program, seeds, noise, oracle = refused_case(subjects, case)
     original = run(program, STEPS, oracle, 7)
     args = (protected, original, seeds, STEPS, noise, oracle, 7)
@@ -372,6 +370,38 @@ def test_the_settle_check_refuses(subjects, monkeypatch, case):
     assert calls == []
     assert lengths and set(lengths) == {STEPS + 1}
     assert (got.trials_diverged == 0) == (case == "undiverged")
+
+
+@pytest.mark.parametrize("noise", [0.05, 0.3])
+@pytest.mark.parametrize("name", ["ring3", "traffic"])
+def test_a_led_twin_settles_while_its_trials_follow(subjects, monkeypatch,
+                                                    name, noise):
+    """A noisy report's shared run is its noise-free twin's, so under
+    always-true inputs it settles as a noise-free trial does: the 16-bit
+    clones share one run, which makes one settle check, at its first
+    divergence, and settles.  Its counts are then fixed, but it walks
+    every entry while a trial follows, drawing the trials' coins, and
+    the report is the reference's."""
+    protected, program = subjects[name, 16]
+    oracle = ConstantOracle.always_true(program)
+    original = run(program, STEPS, oracle, 7)
+    args = (protected, original, CLONES, STEPS, noise, oracle, 7)
+    want = reference_runtime.clone_divergence_report(*args)
+    (first_div,) = clone_divergence_report(
+        protected, original, CLONES, STEPS, 0.0, oracle,
+        7).first_divergence_hist
+    lengths = run_lengths(monkeypatch)
+    calls = settle_calls(monkeypatch)
+    got = clone_divergence_report(*args)
+    assert got.to_json() == want.to_json()
+    assert len(device_keys(protected, CLONES)) == 1
+    (left, rate), = calls
+    assert left == STEPS - first_div and rate is not None
+    # the led run, then each departed trial, walks every entry; some
+    # trial follows to the end
+    assert set(lengths) == {STEPS + 1}
+    assert 1 <= len(lengths) < 1 + len(CLONES)
+    assert got.trials_diverged == len(CLONES)
 
 
 @pytest.mark.parametrize("inputs", sorted(INPUTS))
@@ -389,7 +419,8 @@ def test_a_tampered_artifact_reaches_unsafe_states(subjects, monkeypatch,
                                 inputs=inputs)
     assert got.to_json() == want.to_json()
     assert got.safety_violations > 0
-    if (noise, inputs) == (0.0, "always-true"):
+    if inputs == "always-true":
+        # noise-free trials, and a noisy report's twins, check and refuse
         assert calls and all(rate is None for _, rate in calls)
     else:
         assert calls == []

@@ -1,13 +1,15 @@
 """One-shot draws: ``step_words`` gives the first word of the stream
-``derive_rng`` names at each step of a site, and the noise coin of
-``PufDevice.flips_at`` draws as the full noise stream does."""
+``derive_rng`` names at each step of a site, ``step_below`` tells whether
+that word is below a bound, and the noise coin of ``PufDevice.flips_at``
+draws as the full noise stream does."""
 import itertools
+import math
 import random
 
 import pytest
 
 from casmkit.puf import make_device
-from casmkit.rng import derive_rng, step_words
+from casmkit.rng import derive_rng, step_below, step_words
 
 from reference_runtime import query_at
 
@@ -29,6 +31,10 @@ def random_parts(rnd):
 
 
 PARTS = ["main#0", "", "a|b", 7, 0, -12, True, False, 1 << 64]
+
+# the rates of the noise coin held against ``word / 2.0 ** 64 < rate``:
+# the smallest, a power of two, common ones, and the largest below 1
+RATES = [1e-300, 2 ** -40, 0.001, 0.05, 1 / 3, 0.5, 1 - 2 ** -53, 1.0]
 
 
 class TestStepWords:
@@ -78,11 +84,40 @@ class TestStepWords:
             step_words((), "c|d")("a|b")
 
 
+class TestStepBelow:
+    def test_fires_where_the_first_word_is_below_the_bound(self):
+        # bounds at the word itself and beside it: a digest whose first
+        # eight bytes equal the bound's does not sort below them
+        rnd = random.Random(13)
+        for _ in range(2000):
+            prefix = random_parts(rnd)
+            step, site = random_part(rnd), random_part(rnd)
+            word = step_words(prefix, site)(step)
+            for bound in (0, word - 1, word, word + 1, (1 << 64) - 1,
+                          rnd.randrange(1 << 64)):
+                if 0 <= bound < 1 << 64:
+                    assert step_below(prefix, site, bound)(step) == \
+                        (word < bound), (prefix, step, site, bound)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_the_device_bound_splits_the_words_as_the_rate_does(self, rate):
+        bound = make_device(42, 16, 16, rate)._coin_bound
+        assert 0 < bound < 1 << 64
+        rnd = random.Random(str(rate))
+        words = [bound - 1, bound, bound + 1, 0, (1 << 64) - 1]
+        words += [rnd.randrange(1 << 64) for _ in range(10_000)]
+        # words whose float rounds near the bound's
+        words += [min(max(0, bound + rnd.randrange(-1 << 12, 1 << 12)),
+                      (1 << 64) - 1) for _ in range(1000)]
+        for word in words:
+            assert (word < bound) == (word / 2.0 ** 64 < rate), word
+
+
 class TestQueryAt:
     # 1-bit responses flip to the one other response, and 3-bit ones
     # often to a response above the stable one
     @pytest.mark.parametrize("bits", [1, 3, 16])
-    @pytest.mark.parametrize("noise", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("noise", [0.0, *RATES])
     def test_equals_a_query_on_the_noise_stream(self, noise, bits):
         rnd = random.Random(5)
         flips = 0
@@ -102,5 +137,9 @@ class TestQueryAt:
             assert flips == 0
         elif noise == 1.0:
             assert flips == 1200
-        else:
+        elif noise == 0.05:
             assert 20 <= flips <= 110
+        else:
+            # within five standard deviations of 1200 coins' mean
+            mean = 1200 * noise
+            assert abs(flips - mean) <= 5 * math.sqrt(mean * (1 - noise)) + 1

@@ -322,6 +322,29 @@ class TestTotality:
             # the memo was serving the steps before the missing input
             assert all(n < self.MISSING_AT for n in rule_passes.values())
 
+    def test_constant_inputs_that_miss_one_stop_at_step_0(self, traffic):
+        """A ConstantOracle is read once per run, at step 0, so a
+        location its dict lacks stops the run there."""
+        values = dict(ConstantOracle.always_true(traffic).values)
+        del values[("Passed", ("Go1Stop2",))]
+        oracle = ConstantOracle(values)
+        protected, _ = protect(traffic, make_device(42, 16, 16, 0.0))
+        calls = [
+            lambda: run(traffic, 20, oracle, 1),
+            lambda: run_protected(protected, make_device(7, 16, 16, 0.05),
+                                  20, oracle, 1),
+            lambda: compare_target_traces(traffic, protected, 42, 20,
+                                          oracle, 1),
+        ]
+        for call in calls:
+            with pytest.raises(StepError) as info:
+                call()
+            assert str(info.value) == self.expected().replace(
+                f"step {self.MISSING_AT}", "step 0")
+            assert info.value.step_index == 0
+        # a run of no steps reads no inputs
+        assert len(run(traffic, 0, oracle, 1).entries) == 1
+
     def test_runner_entries_stop_at_the_missing_step(self, traffic):
         protected, _ = protect(traffic, make_device(42, 16, 16, 0.0))
         runner = ProtectedRunner(protected, make_device(42, 16, 16, 0.0), 1)

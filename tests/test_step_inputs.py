@@ -1,7 +1,8 @@
 """Monitored inputs: a random oracle's valuation is the first pick of
 each input's named stream, and a target comparison draws each step's
-inputs once and gives them to both runs, with the verdict of runs that
-each ask an oracle of their own."""
+inputs once and gives them to both runs (a constant oracle is read once
+per run), with the verdict of runs that each ask an oracle of their
+own."""
 import random
 from collections import Counter
 
@@ -139,6 +140,32 @@ class TestOneDrawPerStep:
             list(range(steps_drawn(got)))
         assert all(program is traffic for program, _ in counted.calls)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("device_seed", [42, 999])
+    def test_constant_inputs_are_read_once_per_run(
+            self, traffic, protected_traffic, monkeypatch, device_seed,
+            noise):
+        """An always-true oracle goes to both runs as it is, and each run
+        reads it once, at step 0, with the verdict and fallback count of
+        runs that each ask an oracle of their own at every step."""
+        make = oracle_maker("always-true", traffic)
+        want = reference_runtime.compare_target_traces(
+            traffic, protected_traffic, device_seed, STEPS, make, 7, noise)
+        calls = []
+        valuation = ConstantOracle.valuation
+
+        def counted(oracle, program, step_index):
+            calls.append((program, step_index))
+            return valuation(oracle, program, step_index)
+
+        monkeypatch.setattr(ConstantOracle, "valuation", counted)
+        got = compare_target_traces(traffic, protected_traffic, device_seed,
+                                    STEPS, make(), 7, noise)
+        assert got == want
+        if noise == 0.0:
+            assert got.equal == (device_seed == 42)
+        assert calls == [(traffic, 0), (protected_traffic.program, 0)]
+
     @pytest.mark.parametrize("device_seed", [42, 999])
     @pytest.mark.parametrize("policy", POLICIES)
     def test_programs_with_other_inputs_each_draw_their_own(
@@ -155,6 +182,36 @@ class TestOneDrawPerStep:
         assert Counter(counted.calls) == Counter(
             {(program, step): 1 for step in range(drawn)
              for program in (spare, protected_traffic.program)})
+
+
+class TestConstantInputs:
+    def test_a_constant_oracle_is_read_once_per_run(self, traffic,
+                                                    monkeypatch):
+        """Every step of a run is given the ConstantOracle's one dict, so
+        the run reads it at step 0 alone; a subclass, which may vary, is
+        read at every step.  Both give the same trace."""
+        calls = []
+        valuation = ConstantOracle.valuation
+
+        def counted(oracle, program, step_index):
+            calls.append(step_index)
+            return valuation(oracle, program, step_index)
+
+        class Subclass(ConstantOracle):
+            pass
+
+        monkeypatch.setattr(ConstantOracle, "valuation", counted)
+        values = ConstantOracle.always_true(traffic).values
+        traces = []
+        for oracle in (ConstantOracle(values), Subclass(values)):
+            calls.clear()
+            traces.append(run(traffic, 50, oracle, 7).to_jsonl())
+            traces.append(calls[:])
+        assert traces[0] == traces[2]
+        assert traces[1] == [0] and traces[3] == list(range(50))
+        calls.clear()
+        run(traffic, 0, ConstantOracle(values), 7)
+        assert calls == []
 
 
 class TestNegativeStepCounts:
