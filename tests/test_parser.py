@@ -16,6 +16,7 @@ from casmkit.puf import make_device
 from conftest import CONSTRAINED
 from fuzzing import random_program
 from reference_parser import reference_tokenize
+from rings import ring_source
 
 
 class TestParseTrafficLight:
@@ -337,3 +338,91 @@ class TestScannerAgainstReference:
     def test_parse_never_raises(self, text):
         result = parse_program(text)
         assert result.ok == (result.program is not None)
+
+
+def _ring2(*edits, tail=""):
+    """Ring-2 with each ``(old, new)`` edit made once, and ``tail``
+    appended."""
+    text = ring_source(2)
+    for old, new in edits:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return text + tail
+
+
+_RING2_UNSAFE = "unsafe (GoLight(1) and GoLight(2))\n"
+_RING2_CONSTRAINTS = ("constraint GoLight(1) = not StopLight(1)\n"
+                      "constraint GoLight(2) = not StopLight(2)\n")
+
+
+class TestResolutionOrder:
+    """Which diagnostic a file with several faults reports: a syntax
+    error wins; otherwise the first unresolved name in the order
+    ``unsafe``, constraints, ``condx``, helper rules, main rules, each in
+    token order, with an update's target before its arguments."""
+
+    def test_a_syntax_error_wins_over_an_earlier_unknown_identifier(self):
+        text = _ring2(("phase := G1", "phase := Nope"),
+                      ("phase := G2", "phase := := G2"))
+        assert [d.render("p.casm") for d in parse_program(text).diagnostics] \
+            == ["p.casm:30:16: error[E-SYNTAX]: expected a term, found :="]
+
+    def test_a_helper_rule_is_resolved_before_the_main_rules(self):
+        text = _ring2(("phase := G1", "phase := Nope"),
+                      tail="\nrule reset():\n  GoLight(1) := Bad\n")
+        assert _only_diagnostic(text) == (
+            "p.casm:37:17: error[E-UNKNOWN-LITERAL]: "
+            "unknown literal or identifier Bad")
+
+    def test_unsafe_is_resolved_before_an_earlier_constraint(self):
+        text = _ring2(
+            (_RING2_UNSAFE, ""),
+            (_RING2_CONSTRAINTS,
+             "constraint GoLight(1) = not StopLite(1)\n"
+             "unsafe (GoLite(1) and GoLight(2))\n"))
+        assert _only_diagnostic(text) == \
+            "p.casm:11:9: error[E-UNKNOWN-IDENT]: unknown function GoLite"
+
+    def test_an_update_target_is_resolved_before_its_value(self):
+        text = _ring2(("StopLight(1) := not StopLight(1)",
+                       "StopLite(1) := Nope"))
+        assert _only_diagnostic(text) == (
+            "p.casm:16:5: error[E-UNKNOWN-IDENT]: "
+            "update to unknown function StopLite")
+
+    def test_formulas_may_read_functions_declared_after_them(self):
+        first = "asm ring2\n"
+        moved = _ring2((_RING2_UNSAFE, ""), (_RING2_CONSTRAINTS, ""),
+                       (first, first + _RING2_UNSAFE + _RING2_CONSTRAINTS))
+        assert moved.index("unsafe") < moved.index("enum")
+        assert parse_or_raise(moved) == parse_or_raise(ring_source(2))
+
+    def test_condx_may_read_functions_and_literals_declared_after_it(self):
+        protected, _ = protect(parse_or_raise(ring_source(2)),
+                               make_device(42, 16, 16))
+        text = protected.source_text()
+        lines = text.splitlines(keepends=True)
+        formulas = [ln for ln in lines
+                    if ln.startswith(("unsafe ", "constraint ", "condx "))]
+        assert len(formulas) == 4
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("asm "))
+        rest = [ln for ln in lines if ln not in formulas]
+        moved = "".join(rest[:at + 1] + formulas + rest[at + 1:])
+        assert moved.index("condx") < moved.index("enum")
+        want, got = parse_program(text), parse_program(moved)
+        assert got.ok, [d.render() for d in got.diagnostics]
+        assert (got.program, got.extras) == (want.program, want.extras)
+
+    def test_a_literal_declared_later_outranks_a_function(self):
+        text = _ring2((_RING2_UNSAFE, ""),
+                      ("enum Phase", "controlled a : Bool init false\n"
+                       "unsafe a\nenum Q = { a }\nenum Phase"))
+        assert _only_diagnostic(text) == \
+            "p.casm:1:1: error[E-SORT]: violation predicate must be boolean"
+
+    def test_a_call_may_name_a_rule_defined_after_it(self):
+        call = ("    StopLight(1) := not StopLight(1)\n", "    Passed(phase)\n")
+        assert _only_diagnostic(_ring2(call)) == \
+            "p.casm:16:5: error[E-SYNTAX]: Passed is a function, not a rule"
+        helper = "\nrule Passed(p : Phase):\n  GoLight(1) := false\n"
+        assert parse_program(_ring2(call, tail=helper)).ok
