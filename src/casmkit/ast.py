@@ -12,6 +12,7 @@ dataclass, so programs, states-as-values and terms can be shared freely.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -901,8 +902,10 @@ def validate_program(program: Program, protected: bool = False,
         _SortChecker(program, problems, plain_sort).check_formula(
             program.unsafe, {}, "violation predicate")
 
+    # built at most once, for the first constraint that is evaluated
+    initial = functools.cache(program.initial_values)
     for c in program.init_constraints:
-        _check_constraint(program, c, checker, problems)
+        _check_constraint(program, c, checker, problems, initial)
 
     return problems
 
@@ -966,7 +969,8 @@ def _constrains_ctl(literal: Term, ctl_name: str) -> bool:
 
 
 def _check_constraint(program: Program, c: Term, checker: "_SortChecker",
-                      problems: list) -> None:
+                      problems: list,
+                      initial: Callable[[], dict[Location, Value]]) -> None:
     ok_shape = (isinstance(c, Eq) and isinstance(c.left, App)
                 and all(isinstance(a, Const) for a in c.left.args))
     if not ok_shape:
@@ -991,8 +995,7 @@ def _check_constraint(program: Program, c: Term, checker: "_SortChecker",
                 return
     checker.check_formula(c, {}, "initial constraint")
     try:
-        if compile_term(program, c)(program.initial_values(), {}, {}) \
-                is not True:
+        if compile_term(program, c)(initial(), {}, {}) is not True:
             problems.append(
                 ("E-CONSTRAINT", "initial constraint does not hold initially"))
     except (CasmError, KeyError):

@@ -30,6 +30,8 @@ Rules without a parameter list are top-level machine rules and run on
 every step; rules with a (possibly empty) parameter list are helpers and
 run only when called.  A ``let`` binding term cannot use an unparenthesized
 ``in`` membership at top level, since ``in`` terminates the binding.
+An ``unsafe``, ``constraint`` or ``condx`` formula may read functions
+and literals declared after it.
 
 Blanks are space, tab and carriage return.  Any other character outside a
 token or comment, a non-ASCII digit included, is an E-SYNTAX error, and so
@@ -45,7 +47,7 @@ from .ast import (
     BOOL, And, App, Call, Choose, ChooseCtl, Cond, Const, Eq, FunctionDecl,
     Ite, Let, Member, NamedRule, Not, Or, Par, Program, Rule, SetExpr, Sort,
     Term, Update, Value, Var, children, format_value, make_init,
-    program_rules, rebuild, rebuild_rule, rule_parts, validate_program,
+    program_rules, validate_program,
 )
 
 KEYWORDS = {
@@ -123,6 +125,10 @@ class Token(NamedTuple):
         return SourceSpan(self.line, self.column, max(1, len(self.value)))
 
 
+_new_tuple = tuple.__new__
+"""Builds a ``Token`` without the named tuple's Python-level ``__new__``."""
+
+
 class _SyntaxAbort(Exception):
     pass
 
@@ -158,12 +164,13 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
         value = m.group()
         column = m.start() - line_start + 1
         if kind == "WORD":
-            tokens.append(Token(value if value in KEYWORDS else "IDENT",
-                                value, line, column))
+            tokens.append(_new_tuple(Token, (
+                value if value in KEYWORDS else "IDENT", value, line, column)))
         elif kind == "PUNCT":
-            tokens.append(Token(_PUNCT[value], value, line, column))
+            tokens.append(_new_tuple(Token, (_PUNCT[value], value, line,
+                                             column)))
         elif kind == "NUMBER":
-            tokens.append(Token("NUMBER", value, line, column))
+            tokens.append(_new_tuple(Token, ("NUMBER", value, line, column)))
         elif kind == "COMMENT":
             if m.end() == len(text):
                 end = m.start()  # end of input sits before a trailing comment
@@ -181,6 +188,32 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
 
 _STMT_END = {"else", "endif", "endpar", "endchoose", "endlet", "rule", "EOF"}
 
+# Where a name that does not resolve is reported: of several such names
+# the first is reported, by section in this order, then by token.
+_UNSAFE, _CONSTRAINT, _CONDX, _HELPER, _MAIN = range(5)
+_FORMULA_SCOPE = {_UNSAFE: frozenset(), _CONSTRAINT: frozenset(),
+                  _CONDX: frozenset({"x"})}
+
+
+class _Failure(NamedTuple):
+    """A name that did not resolve, at token ``at`` of ``section``."""
+
+    section: int
+    at: int
+    diagnostic: Diagnostic
+
+
+class _Formula(NamedTuple):
+    """An ``unsafe``, ``constraint`` or ``condx`` formula as read, with
+    the failures of its names and the declarations they were resolved
+    against."""
+
+    term: Term
+    failures: list[_Failure]
+    section: int
+    start: int
+    declared: tuple[int, int]
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
@@ -193,15 +226,22 @@ class _Parser:
         self.fn_names: dict[str, FunctionDecl] = {}
         self.literals: dict[str, Sort] = {}
         self.ctl_name: Optional[str] = None
-        self.unsafe: Optional[Term] = None
-        self.constraints: list[Term] = []
-        self.condx: Optional[Term] = None
+        self.unsafe: Optional[_Formula] = None
+        self.constraints: list[_Formula] = []
+        self.condx: Optional[_Formula] = None
         self.enc_sort: Optional[str] = None
-        # token of each parsed identifier, application, update and call,
-        # by id(); its span is built only for a diagnostic
-        self.spans: dict[int, Token] = {}
         self.enc_entries: list[tuple[Value, tuple[int, ...]]] = []
         self.rule_spans: dict[str, SourceSpan] = {}
+        # names are resolved as they are read: against the variables in
+        # scope, then the literals, then the functions; a name that does
+        # not resolve is recorded here, and parsing goes on, so that a
+        # later syntax error is still the one reported
+        self.scope: frozenset = frozenset()
+        self.section = _MAIN
+        self.failures: list[_Failure] = []
+        # calls that name a function; they fail unless a rule of the
+        # same name is defined, before or after them
+        self.calls: list[_Failure] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -240,6 +280,14 @@ class _Parser:
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diags.append(Diagnostic("error", code, message, span))
 
+    def failure(self, at: int, code: str, message: str) -> _Failure:
+        return _Failure(self.section, at, Diagnostic(
+            "error", code, message, self.tokens[at].span))
+
+    def fail(self, at: int, code: str, message: str) -> None:
+        """Records that the name at token ``at`` did not resolve."""
+        self.failures.append(self.failure(at, code, message))
+
     def number(self, tok: Token) -> int:
         """Value of a NUMBER token.  A literal longer than Python's
         int-string digit limit is a syntax error at the token."""
@@ -260,6 +308,11 @@ class _Parser:
                                    "static", "ctlstate", "unsafe",
                                    "constraint", "enc", "condx"):
             self.parse_decl()
+        if self.unsafe is not None:
+            self.unsafe = self.settle(self.unsafe)
+        self.constraints = [self.settle(c) for c in self.constraints]
+        if self.condx is not None:
+            self.condx = self.settle(self.condx)
         named: list[NamedRule] = []
         mains: list[NamedRule] = []
         if not self.at("rule"):
@@ -273,6 +326,8 @@ class _Parser:
             self.error("E-SYNTAX", f"unexpected trailing input {tail.value!r}",
                        tail.span)
             raise _SyntaxAbort()
+        self.failures += [f for f in self.calls
+                          if self.tokens[f.at].value not in self.rule_spans]
         return name, named, mains
 
     def parse_decl(self) -> None:
@@ -307,13 +362,39 @@ class _Parser:
         elif tok.type == "unsafe":
             if self.unsafe is not None:
                 self.error("E-DUP-DECL", "more than one unsafe declaration", tok.span)
-            self.unsafe = self.parse_formula()
+            self.unsafe = self.read_formula(_UNSAFE)
         elif tok.type == "constraint":
-            self.constraints.append(self.parse_formula())
+            self.constraints.append(self.read_formula(_CONSTRAINT))
         elif tok.type == "condx":
-            self.condx = self.parse_formula()
+            self.condx = self.read_formula(_CONDX)
         elif tok.type == "enc":
             self.parse_enc_block()
+
+    def read_formula(self, section: int) -> _Formula:
+        """Reads an ``unsafe``, ``constraint`` or ``condx`` formula, its
+        names resolved against the declarations so far.  Its failures are
+        kept with it, since later declarations can still resolve them."""
+        start, mark = self.pos, len(self.failures)
+        self.section, self.scope = section, _FORMULA_SCOPE[section]
+        term = self.parse_formula()
+        failures = self.failures[mark:]
+        del self.failures[mark:]
+        return _Formula(term, failures, section, start, self.declared())
+
+    def declared(self) -> tuple[int, int]:
+        # literals and functions are only ever added to
+        return len(self.literals), len(self.fn_names)
+
+    def settle(self, formula: _Formula) -> _Formula:
+        """``formula`` resolved against all declarations, its failures
+        recorded: read once more from its first token if literals or
+        functions were declared after it."""
+        if formula.declared != self.declared():
+            resume, self.pos = self.pos, formula.start
+            formula = self.read_formula(formula.section)
+            self.pos = resume
+        self.failures += formula.failures
+        return formula
 
     def declare_sort(self, sort: Sort, tok: Token) -> None:
         if sort.name in self.sort_names or sort.name == "Bool":
@@ -455,9 +536,9 @@ class _Parser:
                        name_tok.span)
         self.rule_spans[name_tok.value] = name_tok.span
         params: list[tuple[str, Sort]] = []
-        is_named = False
+        self.section = _MAIN
         if self.accept("LPAREN"):
-            is_named = True
+            self.section = _HELPER
             if not self.at("RPAREN"):
                 while True:
                     pname = self.expect("IDENT", "parameter name").value
@@ -467,12 +548,14 @@ class _Parser:
                         break
             self.expect("RPAREN", "')'")
         self.expect("COLON", "':'")
+        self.scope = frozenset(p for p, _ in params)
         body = self.parse_stmts()
         if not body:
             self.error("E-SYNTAX", f"rule {name_tok.value} has an empty body",
                        name_tok.span)
             raise _SyntaxAbort()
-        return NamedRule(name_tok.value, tuple(params), tuple(body)), is_named
+        return (NamedRule(name_tok.value, tuple(params), tuple(body)),
+                self.section == _HELPER)
 
     def parse_stmts(self) -> list[Rule]:
         out: list[Rule] = []
@@ -503,46 +586,60 @@ class _Parser:
             self.expect("in", "'in'")
             cands = self.parse_set_expr()
             self.expect("do", "'do'")
-            body = self.parse_stmts()
+            body = self.parse_scoped_stmts(var)
             self.expect("endchoose", "'endchoose'")
-            return Choose(var, cands, tuple(body))
+            return Choose(var, cands, body)
         if tok.type == "let":
             self.next()
             var = self.expect("IDENT", "variable").value
             self.expect("EQ", "'='")
             binding = self.parse_formula(stop_at_in=True)
             self.expect("in", "'in'")
-            body = self.parse_stmts()
+            body = self.parse_scoped_stmts(var)
             self.expect("endlet", "'endlet'")
-            return Let(var, binding, tuple(body))
+            return Let(var, binding, body)
         if tok.type == "challenge":
             self.next()
             return ChooseCtl(self.number(self.expect("NUMBER",
                                                      "challenge value")))
         if tok.type == "IDENT":
+            at = self.pos
             name = self.next().value
-            args: list[Term] = []
-            had_parens = False
-            if self.accept("LPAREN"):
-                had_parens = True
-                if not self.at("RPAREN"):
-                    args.append(self.parse_formula())
-                    while self.accept("COMMA"):
-                        args.append(self.parse_formula())
-                self.expect("RPAREN", "')'")
+            had_parens = self.accept("LPAREN") is not None
+            args = self.parse_args() if had_parens else ()
             if self.accept("ASSIGN"):
-                node = Update(name, tuple(args), self.parse_formula())
-            elif had_parens:
-                node = Call(name, tuple(args))
-            else:
-                self.error("E-SYNTAX", f"expected ':=' after {name}",
-                           tok.span)
-                raise _SyntaxAbort()
-            self.spans[id(node)] = tok
-            return node
+                if name not in self.fn_names:
+                    self.fail(at, "E-UNKNOWN-IDENT",
+                              f"update to unknown function {name}")
+                return Update(name, args, self.parse_formula())
+            if had_parens:
+                if name in self.fn_names:
+                    self.calls.append(self.failure(
+                        at, "E-SYNTAX", f"{name} is a function, not a rule"))
+                return Call(name, args)
+            self.error("E-SYNTAX", f"expected ':=' after {name}", tok.span)
+            raise _SyntaxAbort()
         self.error("E-SYNTAX", f"expected a statement, found {tok.value!r}",
                    tok.span)
         raise _SyntaxAbort()
+
+    def parse_scoped_stmts(self, var: str) -> tuple[Rule, ...]:
+        """The body of a ``choose`` or ``let``, with ``var`` in scope."""
+        outer = self.scope
+        self.scope = outer | {var}
+        body = tuple(self.parse_stmts())
+        self.scope = outer
+        return body
+
+    def parse_args(self) -> tuple[Term, ...]:
+        """Arguments after an opening parenthesis, through the closing one."""
+        args: list[Term] = []
+        if not self.at("RPAREN"):
+            args.append(self.parse_formula())
+            while self.accept("COMMA"):
+                args.append(self.parse_formula())
+        self.expect("RPAREN", "')'")
+        return tuple(args)
 
     def parse_set_expr(self) -> SetExpr:
         if self.accept("LBRACE"):
@@ -622,82 +719,41 @@ class _Parser:
             self.expect("RPAREN", "')'")
             return inner
         if tok.type == "IDENT":
-            if self.accept("LPAREN"):
-                args: list[Term] = []
-                if not self.at("RPAREN"):
-                    args.append(self.parse_formula())
-                    while self.accept("COMMA"):
-                        args.append(self.parse_formula())
-                self.expect("RPAREN", "')'")
-                node = App(tok.value, tuple(args))
-            else:
-                node = _RawIdent(tok.value)
-            self.spans[id(node)] = tok
-            return node
+            return self.resolve(self.pos - 1, self.parse_args()
+                                if self.accept("LPAREN") else None)
         self.error("E-SYNTAX", f"expected a term, found {tok.value or 'end of input'}",
                    tok.span)
         raise _SyntaxAbort()
 
+    def resolve(self, at: int, args: Optional[tuple[Term, ...]]) -> Term:
+        """The term that the identifier at token ``at`` stands for.  A
+        bare name (``args`` None) is a variable in scope, else a literal,
+        else a nullary function; a name with arguments applies a
+        function.  A name that does not resolve is recorded as a failure
+        and read as a placeholder."""
+        name = self.tokens[at].value
+        if args is not None:
+            if name not in self.fn_names:
+                self.fail(at, "E-UNKNOWN-IDENT", f"unknown function {name}")
+            return App(name, args)
+        if name in self.scope:
+            return Var(name)
+        if name in self.literals:
+            return Const(name)
+        if name in self.fn_names:
+            return App(name, ())
+        self.fail(at, "E-UNKNOWN-LITERAL",
+                  f"unknown literal or identifier {name}")
+        return _RawIdent(name)
+
 
 @dataclass(frozen=True)
 class _RawIdent(Term):
-    """Bare identifier whose meaning (literal, function, variable) is
-    resolved after all declarations are known."""
+    """Bare identifier that did not resolve: it stands only in a file
+    that is refused, or in a declaration formula that is read again once
+    all declarations are known."""
 
     name: str
-
-
-# ---------------------------------------------------------------------------
-# Identifier resolution
-# ---------------------------------------------------------------------------
-
-class _Resolver:
-    def __init__(self, parser: _Parser):
-        self.p = parser
-        self.diags = parser.diags
-
-    def span(self, node: Term | Rule) -> SourceSpan:
-        tok = self.p.spans.get(id(node))
-        return tok.span if tok is not None else SourceSpan(1, 1)
-
-    def term(self, node: Term, scope: frozenset) -> Term:
-        if isinstance(node, _RawIdent):
-            if node.name in scope:
-                return Var(node.name)
-            if node.name in self.p.literals:
-                return Const(node.name)
-            decl = self.p.fn_names.get(node.name)
-            if decl is not None:
-                return App(node.name, ())
-            self.diags.append(Diagnostic(
-                "error", "E-UNKNOWN-LITERAL",
-                f"unknown literal or identifier {node.name}", self.span(node)))
-            raise _SyntaxAbort()
-        if isinstance(node, App) and node.fn not in self.p.fn_names:
-            self.diags.append(Diagnostic(
-                "error", "E-UNKNOWN-IDENT",
-                f"unknown function {node.fn}", self.span(node)))
-            raise _SyntaxAbort()
-        return rebuild(node, [self.term(c, scope) for c in children(node)])
-
-    def rule(self, node: Rule, scope: frozenset) -> Rule:
-        if isinstance(node, Update) and node.fn not in self.p.fn_names:
-            self.diags.append(Diagnostic(
-                "error", "E-UNKNOWN-IDENT",
-                f"update to unknown function {node.fn}", self.span(node)))
-            raise _SyntaxAbort()
-        if isinstance(node, Call) and node.name in self.p.fn_names \
-                and node.name not in self.p.rule_spans:
-            self.diags.append(Diagnostic(
-                "error", "E-SYNTAX",
-                f"{node.name} is a function, not a rule", self.span(node)))
-            raise _SyntaxAbort()
-        terms, bodies = rule_parts(node)
-        inner = scope | {node.var} \
-            if isinstance(node, (Choose, Let)) else scope
-        return rebuild_rule(
-            node, [self.term(t, scope) for t in terms],
-            [[self.rule(r, inner) for r in body] for body in bodies])
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +775,9 @@ def parse_program(text: str, filename: str = "<input>") -> ParseResult:
         return ParseResult(None, diags)
     parser = _Parser(tokens, diags)
     try:
-        parsed = parser.parse_program()
+        name, named, mains = parser.parse_program()
     except _SyntaxAbort:
         return ParseResult(None, diags)
-    name, named_raw, mains_raw = parsed
 
     if parser.ctl_name is None:
         diags.append(Diagnostic("error", "E-NO-CTL",
@@ -732,37 +787,22 @@ def parse_program(text: str, filename: str = "<input>") -> ParseResult:
                                 "missing unsafe declaration", SourceSpan(1, 1)))
     if any(d.severity == "error" for d in diags):
         return ParseResult(None, diags)
-
-    resolver = _Resolver(parser)
-    try:
-        unsafe = resolver.term(parser.unsafe, frozenset())
-        constraints = tuple(resolver.term(c, frozenset())
-                            for c in parser.constraints)
-        condx = None
-        if parser.condx is not None:
-            condx = resolver.term(parser.condx, frozenset({"x"}))
-        named = tuple(
-            NamedRule(nr.name, nr.params,
-                      tuple(resolver.rule(r, frozenset(p for p, _ in nr.params))
-                            for r in nr.body))
-            for nr in named_raw)
-        mains = tuple(
-            NamedRule(nr.name, nr.params,
-                      tuple(resolver.rule(r, frozenset()) for r in nr.body))
-            for nr in mains_raw)
-    except _SyntaxAbort:
+    if parser.failures:
+        first = min(parser.failures, key=lambda f: (f.section, f.at))
+        diags.append(first.diagnostic)
         return ParseResult(None, diags)
 
     program = Program(
         name=name,
         sorts=tuple(parser.sorts),
         functions=tuple(parser.functions),
-        named_rules=named,
-        main_rules=mains,
+        named_rules=tuple(named),
+        main_rules=tuple(mains),
         ctl_name=parser.ctl_name,
-        unsafe=unsafe,
-        init_constraints=constraints,
+        unsafe=parser.unsafe.term,
+        init_constraints=tuple(c.term for c in parser.constraints),
     )
+    condx = parser.condx.term if parser.condx is not None else None
 
     extras = None
     is_protected = (parser.enc_sort is not None or condx is not None

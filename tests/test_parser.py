@@ -425,4 +425,5 @@ class TestResolutionOrder:
         assert _only_diagnostic(_ring2(call)) == \
             "p.casm:16:5: error[E-SYNTAX]: Passed is a function, not a rule"
         helper = "\nrule Passed(p : Phase):\n  GoLight(1) := false\n"
-        assert parse_program(_ring2(call, tail=helper)).ok
+        result = parse_program(_ring2(call, tail=helper))
+        assert result.ok and result.program.name == "ring2"
