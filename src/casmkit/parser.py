@@ -382,7 +382,7 @@ class _Parser:
         return _Formula(term, failures, section, start, self.declared())
 
     def declared(self) -> tuple[int, int]:
-        # literals and functions are only ever added to
+        # both tables only grow, so equal sizes mean equal tables
         return len(self.literals), len(self.fn_names)
 
     def settle(self, formula: _Formula) -> _Formula:
