@@ -44,6 +44,13 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
+def _message(exc: Exception) -> str:
+    """``exc`` as a one-line diagnostic."""
+    if isinstance(exc, RecursionError):
+        return f"terms nest too deeply to analyse ({exc})"
+    return str(exc)
+
+
 def _load(path: str) -> Program:
     result = load_program(path)
     for d in result.diagnostics:
@@ -146,8 +153,8 @@ def cmd_symexec(file: str, out: str | None, no_ctl_abstraction: bool) -> None:
             if not no_ctl_abstraction:
                 cond_x = derive_safe_condition(program, (init, paths)).cond_x
             paths = merge_successors(paths)
-    except CasmError as exc:
-        _fail(str(exc), EXIT_USAGE)
+    except (CasmError, RecursionError) as exc:
+        _fail(_message(exc), EXIT_USAGE)
     report = {
         "program": program.name,
         "symbols": {format_symexpr(expr): format_location(loc)
@@ -186,8 +193,8 @@ def cmd_protect(file: str, device_seed: int, challenge_bits: int,
         protected, enrollment = protect(program, device, attempt_budget)
     except (EnrollmentExhausted, NoisyReadout) as exc:
         _fail(str(exc), EXIT_ENROLLMENT)
-    except CasmError as exc:
-        _fail(str(exc), EXIT_USAGE)
+    except (CasmError, RecursionError) as exc:
+        _fail(_message(exc), EXIT_USAGE)
     try:
         protected.save(out_dir)
     except OSError as exc:
@@ -227,8 +234,8 @@ def cmd_run_protected(directory: str, device_seed: int, noise: float,
 @click.option("--exhaustive", is_flag=True)
 @click.option("--adversarial-puf", is_flag=True)
 @click.option("--device-seed", type=int,
-              help="Device for checking a protected artifact without the "
-                   "adversarial response model.")
+              help="Check a protected artifact on this device: each site "
+                   "branches over every result of its stable response.")
 @click.option("--runs", type=int, default=50, show_default=True,
               help="Randomized runs when not exhaustive.")
 @click.option("--steps", type=int, default=200, show_default=True)
@@ -262,8 +269,8 @@ def cmd_verify(path: str, exhaustive: bool, adversarial_puf: bool,
             click.echo(f"no unsafe state in {runs} randomized runs of "
                        f"{steps} steps")
             return
-    except CasmError as exc:
-        _fail(str(exc), EXIT_USAGE)
+    except (CasmError, RecursionError) as exc:
+        _fail(_message(exc), EXIT_USAGE)
     if out is not None:
         _write_out(report.to_json(), out)
     click.echo(f"explored {report.explored_states} states, "

@@ -336,11 +336,17 @@ class _Parser:
             name_tok = self.expect("IDENT", "sort name")
             self.expect("EQ", "'='")
             self.expect("LBRACE", "'{'")
-            lits = [self.expect("IDENT", "literal").value]
+            lits = [self.expect("IDENT", "literal")]
             while self.accept("COMMA"):
-                lits.append(self.expect("IDENT", "literal").value)
+                lits.append(self.expect("IDENT", "literal"))
             self.expect("RBRACE", "'}'")
-            self.declare_sort(Sort(name_tok.value, "enum", tuple(lits)), name_tok)
+            names: dict[str, None] = {}
+            for lit in lits:
+                if lit.value in names:
+                    self.error("E-DUP-LITERAL", f"literal {lit.value} repeated "
+                               f"in enum {name_tok.value}", lit.span)
+                names[lit.value] = None
+            self.declare_sort(Sort(name_tok.value, "enum", tuple(names)), name_tok)
         elif tok.type == "int":
             name_tok = self.expect("IDENT", "sort name")
             self.expect("EQ", "'='")

@@ -30,7 +30,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
@@ -47,7 +47,8 @@ from .interp import (
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
 from .puf import Enrollment, enroll
-from .rng import derive_rng, step_words
+from .rng import step_words
+from .rng import derive_rng  # noqa: F401 -- the traced benchmark wraps it
 from . import symexec
 from .symexec import (
     PathedSymState, SymInit, elim_symbol, free_symbols_in,
@@ -461,8 +462,8 @@ def _subst_rule(rule: Rule, mapping: dict[Term, Term]) -> Rule:
 # ---------------------------------------------------------------------------
 
 class SiteDecider:
-    """The challenge-site rule, shared by the runtime and both model
-    checking modes: accept a response that decodes to a state ``condx``
+    """The challenge-site rule, shared by the runtime and every walk over
+    a site's results: accept a response that decodes to a state ``condx``
     does not mark dangerous in the post-update values, else fall back to a
     uniformly drawn safe encodable state (as its first encoding), else
     stall on the current value.  ``condx`` is compiled once per plain
@@ -484,11 +485,11 @@ class SiteDecider:
             l for l in locations_read(program, safe_condition.cond_x)
             if program.function(l[0]).mode != "monitored"))
         self._safe_memo: dict[object, tuple[tuple[Value, ...], frozenset]] = {}
-        # every unenrolled response decides like this representative
+        # every response: the enrolled, and one the unenrolled decide like
         rep = 0
         while rep in self._decode or rep == enrollment.init_token:
             rep += 1
-        self._responses = [*self._decode, rep]
+        self.responses = (*self._decode, rep)
         self._empty: dict = {}
 
     def _safe(self, post: dict) -> tuple[tuple[Value, ...], frozenset]:
@@ -520,19 +521,11 @@ class SiteDecider:
             return fallbacks, FALLBACK_TAKEN
         return (current_ctl,), SAFE_STALL
 
-    def resolutions(self, response: int, post: dict, current_ctl: Value
-                    ) -> tuple[tuple[Value, ...], str]:
-        """The values a site on the post-update values ``post`` can take
-        for the response ``response``, over every draw, and its tag: the
-        response when it binds, the safe encodings a fallback draws from,
-        or the current value when the site stalls."""
-        return self._rule(response, self._safe(post), current_ctl)
-
     def decide(self, response: int, post: dict, current_ctl: Value,
                draw: Callable[[int], int]) -> tuple[Value, str]:
         """Resolve one site; ``draw(n)`` picks one of ``n`` safe states
         and is called only when the site falls back."""
-        values, tag = self.resolutions(response, post, current_ctl)
+        values, tag = self._rule(response, self._safe(post), current_ctl)
         if tag is FALLBACK_TAKEN:
             return values[draw(len(values))], tag
         return values[0], tag
@@ -548,7 +541,7 @@ class SiteDecider:
         result, a fallback draws ``word(step) % n``.  On a noisy device
         ``flip(step)`` gives the response where noise flips it (else
         ``None``), and :meth:`decide` decides it at that step."""
-        values, tag = self.resolutions(response, post, current_ctl)
+        values, tag = self._rule(response, self._safe(post), current_ctl)
         n = len(values)
         result = values[0], tag
         if flip is not None:
@@ -586,21 +579,20 @@ class SiteDecider:
         return (self._rule(flipped, safe, current_ctl)
                 != self._rule(response, safe, current_ctl))
 
-    def outcomes(self, post: dict, current_ctl: Value
-                 ) -> list[tuple[Value, str]]:
-        """Every result :meth:`decide` can give at this site, over every
-        device response and every draw, in first-seen order."""
+    def outcomes(self, responses: Iterable[int], post: dict,
+                 current_ctl: Value) -> list[tuple[Value, str]]:
+        """Every result :meth:`decide` can give at this site, over each
+        of ``responses`` and every draw, in first-seen order."""
         safe = self._safe(post)
         found: dict[tuple[Value, str], None] = {}
         others = None
-        for response in self._responses:
+        for response in responses:
             values, tag = self._rule(response, safe, current_ctl)
             if tag is BOUND_OK:
                 found.setdefault((response, tag))
-            else:
+            elif others is None:
                 # every response that does not bind decides alike
-                if others is None:
-                    others = dict.fromkeys([(v, tag) for v in values])
+                others = dict.fromkeys([(v, tag) for v in values])
                 found.update(others)
         return list(found)
 
@@ -614,14 +606,13 @@ class SiteDecider:
                      for r in map(device.stable, challenges))
 
     def enumerator(self, device) -> CtlEnumerator:
-        """Site enumerator for the model checker: every outcome, or with a
-        device the outcome of its noiseless response."""
+        """Site enumerator for a walk over every result of a site: its
+        :meth:`outcomes` over :attr:`responses`, or with a device over
+        its stable response alone."""
         def enumerate_site(site, challenge, post, current_ctl):
-            if device is None:
-                return self.outcomes(post, current_ctl)
-            return [self.decide(
-                device.query(challenge), post, current_ctl,
-                lambda n: derive_rng("bfs-fallback", site).randrange(n))]
+            responses = self.responses if device is None \
+                else (device.stable(challenge),)
+            return self.outcomes(responses, post, current_ctl)
         return enumerate_site
 
 

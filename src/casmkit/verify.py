@@ -17,9 +17,9 @@ from .ast import (
     CasmError, EvalError, Location, Program, Value, format_location,
 )
 from .interp import (
-    CompiledProgram, ConstantOracle, MonitoredOracle, RandomOracle, Trace,
-    _Graph, _Step, check_step_count, compiled, enumerate_step_outcomes,
-    iter_run, location_key,
+    CompiledProgram, ConstantOracle, CtlEnumerator, MonitoredOracle,
+    RandomOracle, Trace, _Graph, _Step, check_step_count, compiled,
+    enumerate_step_outcomes, iter_run, location_key,
 )
 from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
 from .puf import make_device
@@ -430,30 +430,24 @@ class DivergenceReport:
         }, indent=2, sort_keys=True) + "\n"
 
 
-def _settled_fallbacks(cp: CompiledProgram, decider, device,
+def _settled_fallbacks(cp: CompiledProgram, sites: CtlEnumerator,
                        monitored: dict[Location, Value],
                        values: dict[Location, Value],
                        unsafe: Callable[[dict, dict], bool],
                        budget: int) -> Optional[int]:
     """The fallbacks each step resolves from ``values`` on, when a run of
-    the ``choose``-free ``cp`` on the noise-free ``device`` under the
-    constant inputs ``monitored`` has settled there; else ``None``.
+    the ``choose``-free ``cp`` on a noise-free device under the constant
+    inputs ``monitored`` has settled there; else ``None``.
 
     The run has settled when every state it can reach from ``values``,
     that state included, is safe, every step from those states resolves
     one number of fallbacks, and no such step raises.  A step from a
     state is the rule pass of :class:`~casmkit.interp._Step` and, for
-    each of its sites, every value the site can take for the device's
-    stable response (:meth:`~casmkit.protect.SiteDecider.resolutions`);
-    the run's draws pick among those, so its remaining steps give that
-    many fallbacks each and no violation.  ``None`` as well when more
-    than ``budget`` states are reachable."""
-    ctl_loc = cp.ctl_loc
-    stable = device.stable
-
-    def sites(site, challenge, post, current_ctl):
-        return decider.resolutions(stable(challenge), post, current_ctl)
-
+    each of its sites, every value ``sites``, the device's
+    :meth:`~casmkit.protect.SiteDecider.enumerator`, gives it, all with
+    one tag; the run's draws pick among those, so its remaining steps
+    give that many fallbacks each and no violation.  ``None`` as well
+    when more than ``budget`` states are reachable."""
     graph = _Graph(cp.state_key)
     todo = [graph.node(values)]
     rate: Optional[int] = None
@@ -462,16 +456,16 @@ def _settled_fallbacks(cp: CompiledProgram, decider, device,
             values = todo.pop().values
             if unsafe(values, monitored):
                 return None
-            step = _Step(ctl_loc, values,
+            step = _Step(cp.ctl_loc, values,
                          *cp.fire_rules(values, monitored, None))
             staged = step._stage(sites)
-            fallbacks = [tag for _, tag in staged].count(FALLBACK_TAKEN)
+            fallbacks = [o[0][1] for o in staged].count(FALLBACK_TAKEN)
             if rate is None:
                 rate = fallbacks
             elif fallbacks != rate:
                 return None
             for resolved in itertools.product(
-                    *(choices for choices, _ in staged)):
+                    *([value for value, _ in o] for o in staged)):
                 known = len(graph)
                 node = step._successor(
                     resolved[0] if len(resolved) == 1 else resolved, graph)
@@ -586,8 +580,8 @@ def clone_divergence_report(protected: ProtectedProgram,
                     left = steps - first_div
                     if may_settle and left:
                         rate = _settled_fallbacks(
-                            cp, decider, device, entry.monitored, state,
-                            unsafe, left)
+                            cp, decider.enumerator(device), entry.monitored,
+                            state, unsafe, left)
                         if rate is not None:
                             fallbacks += rate * left
                             total = steps

@@ -2,7 +2,9 @@
 step reads: every state is stepped under the whole product of the
 monitored inputs of interest.  Kept as the test oracle for
 :func:`casmkit.verify.exhaustive_safety_check`; its space bound still
-multiplies states by input valuations."""
+multiplies states by input valuations, and its challenge sites are
+enumerated term by term (``reference_runtime.make_ctl_enumerator``), not
+by the engine's :class:`~casmkit.protect.SiteDecider`."""
 from __future__ import annotations
 
 import itertools
@@ -15,6 +17,7 @@ from casmkit.interp import compiled, enumerate_step_outcomes
 from casmkit.protect import ProtectedProgram
 from casmkit.verify import ReachabilityReport, StateSpaceTooLarge, WitnessStep
 
+from reference_runtime import make_ctl_enumerator
 from reference_walker import State, eval_term
 
 
@@ -81,8 +84,8 @@ def exhaustive_safety_check(
         if not adversarial_puf and device is None:
             raise CasmError("checking a protected program without the "
                             "adversarial model needs a device")
-        ctl_enum = protected.decider.enumerator(
-            None if adversarial_puf else device)
+        ctl_enum = make_ctl_enumerator(protected,
+                                       None if adversarial_puf else device)
 
     def unsafe_state(values: dict[Location, Value]) -> bool:
         check_values = values

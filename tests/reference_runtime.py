@@ -4,13 +4,14 @@ evaluated term by term, and the clone experiment run trial by trial.
 ``choose_ctl_state`` decides a site by evaluating ``condx`` with the
 reference ``eval_term`` for each plain state, independently of the
 compiled, memoized :class:`casmkit.protect.SiteDecider`, so tests can
-hold the decider and protected runs against it.  ``step`` runs one step
-of the compiled engine from a reference ``State`` and checks the inputs
-total first; ``unmemoized_step`` is that step from a fresh node of its
-own, so nothing of an earlier step is reused.  ``protected_run`` chains
-such steps, with no memo, and decides every site term by term at its
-step.  ``clone_divergence_report`` runs every clone trial in full, with
-no trial sharing another's run.  ``query_at`` gives a device's response
+hold the decider and protected runs against it; ``make_ctl_enumerator``
+gives every result it can give at a site, for the model checker.
+``step`` runs one step of the compiled engine from a reference ``State``
+and checks the inputs total first; ``unmemoized_step`` is that step from
+a fresh node of its own, so nothing of an earlier step is reused.
+``protected_run`` chains such steps, with no memo, and decides every
+site term by term at its step.  ``clone_divergence_report`` runs every
+clone trial in full, with no trial sharing another's run.  ``query_at`` gives a device's response
 at one site and step of a run.  ``random_valuation`` draws a random
 oracle's inputs from full named streams, and ``compare_target_traces``
 gives each of its two runs an oracle of its own.
@@ -25,8 +26,8 @@ from casmkit.ast import (
     format_location, reads_location,
 )
 from casmkit.interp import (
-    CompiledProgram, CtlResolver, MonitoredOracle, StepError, Trace,
-    TraceEntry, _check_total, _Graph, compiled, iter_run, rng_picker,
+    CompiledProgram, CtlEnumerator, CtlResolver, MonitoredOracle, StepError,
+    Trace, TraceEntry, _check_total, _Graph, compiled, iter_run, rng_picker,
 )
 from casmkit.protect import (
     BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedProgram, ProtectedRunner,
@@ -84,6 +85,22 @@ def safe_states(cond: SafeCondition,
             if not eval_term(cond.cond_for(v), state)]
 
 
+def site_results(response: int, safe: list[Value], current_ctl: Value,
+                 enrollment: Enrollment) -> tuple[list[Value], str]:
+    """The values a challenge site can take for ``response``, over every
+    fallback pick, and its tag, given the site's :func:`safe_states`:
+    the response when it decodes to a safe state, else the first
+    encodings of the safe encodable states, else the current value."""
+    decoded = None if response == enrollment.init_token \
+        else enrollment.decode_stored(response)
+    if decoded is not None and decoded in safe:
+        return [response], BOUND_OK
+    candidates = [v for v in safe if enrollment.encodings(v)]
+    if not candidates:
+        return [current_ctl], SAFE_STALL
+    return [enrollment.encodings(v)[0] for v in candidates], FALLBACK_TAKEN
+
+
 def choose_ctl_state(challenge: int, post_values: dict[Location, Value],
                      current_ctl: Value, device, enrollment: Enrollment,
                      safe_condition: SafeCondition, fallback_rng,
@@ -94,20 +111,48 @@ def choose_ctl_state(challenge: int, post_values: dict[Location, Value],
     about to commit (the state the chosen control value will inhabit),
     so an accepted value can never enable a violating successor step.
     """
-    response = device.query(challenge, query_rng)
-    decoded = None if response == enrollment.init_token \
-        else enrollment.decode_stored(response)
-    state = State(values=post_values, monitored={})
-    if decoded is not None and \
-            not eval_term(safe_condition.cond_for(decoded), state):
-        return response, BOUND_OK
-    candidates = [v for v in safe_condition.plain_values
-                  if enrollment.encodings(v)
-                  and not eval_term(safe_condition.cond_for(v), state)]
-    if not candidates:
-        return current_ctl, SAFE_STALL
-    chosen = candidates[fallback_rng.randrange(len(candidates))]
-    return enrollment.encodings(chosen)[0], FALLBACK_TAKEN
+    values, tag = site_results(device.query(challenge, query_rng),
+                               safe_states(safe_condition, post_values),
+                               current_ctl, enrollment)
+    if tag == FALLBACK_TAKEN:
+        return values[fallback_rng.randrange(len(values))], tag
+    return values[0], tag
+
+
+def make_ctl_enumerator(protected: ProtectedProgram, device=None
+                        ) -> CtlEnumerator:
+    """The model checker's site enumeration, built term by term: every
+    result :func:`choose_ctl_state` can give at a site, over every
+    fallback pick, for the device's stable response, or with no device
+    for each enrolled response and one unenrolled response.  Each (value,
+    tag) comes once, in first-seen order, the responses in enrollment
+    order."""
+    enrollment = protected.enrollment
+    cond = protected.safe_condition
+    everyone = [t.response for t in enrollment.transitions]
+    everyone.append(next(
+        r for r in reversed(range(1 << enrollment.response_bits))
+        if r != enrollment.init_token and enrollment.decode_stored(r) is None))
+
+    # the safe states of each whole post-update state
+    memo: dict[tuple, list[Value]] = {}
+
+    def enumerate_site(site: str, challenge: int, post: dict,
+                       current_ctl: Value) -> list[tuple[Value, str]]:
+        responses = everyone if device is None \
+            else [device.stable_response(challenge)]
+        key = tuple(sorted(post.items(), key=repr))
+        safe = memo.get(key)
+        if safe is None:
+            safe = memo[key] = safe_states(cond, post)
+        found: dict[tuple[Value, str], None] = {}
+        for response in responses:
+            values, tag = site_results(response, safe, current_ctl,
+                                       enrollment)
+            found.update(dict.fromkeys((v, tag) for v in values))
+        return list(found)
+
+    return enumerate_site
 
 
 def make_ctl_resolver(protected: ProtectedProgram, device, seed: int

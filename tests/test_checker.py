@@ -255,9 +255,9 @@ def protected_rings(traffic):
 
 
 @pytest.mark.parametrize("name", ["traffic", "ring2", "ring3", "ring4"])
-@pytest.mark.parametrize("device_seed", [None, 42, 7])
+@pytest.mark.parametrize("device_seed", [None, 42, 7, 999])
 def test_protected_reports_equal_eager(protected_rings, name, device_seed):
-    # None: the adversarial model; 42: the enrolled device; 7: a clone
+    # None: the adversarial model; 42: the enrolled device; 7, 999: clones
     device = None if device_seed is None else make_device(device_seed, 16, 16)
     got, want = both_reports(protected_rings[name],
                              adversarial_puf=device is None, device=device)
@@ -272,6 +272,28 @@ def test_protected_ring5_and_ring6_counts(protected_rings, n, states,
     # the eager checker's figures, taken with its space bound lifted
     report = exhaustive_safety_check(protected_rings[f"ring{n}"],
                                      adversarial_puf=True)
+    assert (report.explored_states, report.transition_count,
+            report.unsafe_reachable) == (states, transitions, False)
+
+
+@pytest.mark.parametrize("device_seed", [42, 7, 999])
+def test_protected_ring5_device_reports_equal_eager(protected_rings,
+                                                    device_seed):
+    got, want = both_reports(protected_rings["ring5"],
+                             device=make_device(device_seed, 16, 16))
+    assert got == want
+
+
+@pytest.mark.parametrize("n, device_seed, states, transitions", [
+    (5, 42, 11, 11264), (5, 7, 21, 73216), (5, 999, 21, 73216),
+    (6, 42, 13, 53248), (6, 7, 25, 399360), (6, 999, 25, 399360)])
+def test_protected_ring5_and_ring6_device_counts(protected_rings, n,
+                                                 device_seed, states,
+                                                 transitions):
+    # the eager checker's figures, taken with its space bound lifted; a
+    # clone reaches every state of the adversarial model
+    report = exhaustive_safety_check(protected_rings[f"ring{n}"],
+                                     device=make_device(device_seed, 16, 16))
     assert (report.explored_states, report.transition_count,
             report.unsafe_reachable) == (states, transitions, False)
 

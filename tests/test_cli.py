@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -51,6 +53,16 @@ class TestParseCommand:
         assert_one_line_usage_error(
             result, "error[E-CONSTRAINT]: initial constraint does not hold "
                     "initially")
+
+    def test_repeated_enum_literal_is_a_one_line_usage_error(self,
+                                                             workspace):
+        (workspace / "dup.casm").write_text(
+            "asm s\nenum S = { A, B, A }\ncontrolled c : S init A\n"
+            "ctlstate c\nunsafe false\nrule r:\n  c := B\n")
+        result = invoke("parse", "dup.casm")
+        assert_one_line_usage_error(
+            result, "dup.casm:2:18: error[E-DUP-LITERAL]: literal A repeated "
+                    "in enum S")
 
     def test_input_file_is_not_modified(self, workspace):
         before = (workspace / "traffic.casm").read_bytes()
@@ -604,3 +616,55 @@ class TestVersion:
         result = invoke("--version")
         assert result.exit_code == 0
         assert "formula dialect" in result.output
+
+
+def independent_rules(r):
+    """A two-phase toggle beside ``r`` rules that each flip their own
+    flag; ``unsafe not ok``, and nothing writes ``ok``.  Its ``condx``
+    disjoins 2 ** (r + 1) paths, nested as deep."""
+    rules = "".join(
+        f"rule r{i}:\n  if phase in {{ A, B }} and go{i} then\n"
+        f"    x{i} := not x{i}\n  endif\n" for i in range(r))
+    return ("asm indep\nenum Phase = { A, B }\n"
+            "controlled phase : Phase init A\ncontrolled ok : Bool init true\n"
+            + "".join(f"controlled x{i} : Bool init false\n"
+                      f"monitored go{i} : Bool\n" for i in range(r))
+            + "ctlstate phase\nunsafe not ok\nrule toggle:\n"
+              "  if phase = A then\n    phase := B\n  else\n"
+              "    phase := A\n  endif\n" + rules)
+
+
+class TestTooDeep:
+    """Terms nested past the recursion limit end in a one-line usage
+    error, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["protect", "--device-seed", "42", "--challenge-bits", "16",
+         "--response-bits", "16", "--out", "out"],
+        ["symexec"],
+    ], ids=["protect", "symexec"])
+    def test_nine_independent_rules(self, tmp_path, command):
+        # run in a process of its own: the suite's oracle checks would
+        # re-verify each of the 1,024 disjuncts
+        (tmp_path / "indep.casm").write_text(independent_rules(9))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "casmkit.cli", command[0], "indep.casm",
+             *command[1:]], cwd=tmp_path, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            timeout=120)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("terms nest too deeply to analyse (maximum "
+                               "recursion depth exceeded")
+        assert not (tmp_path / "out").exists()
+
+    def test_verify(self, workspace, monkeypatch):
+        import casmkit.cli as cli
+
+        def deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(cli, "exhaustive_safety_check", deep)
+        result = invoke("verify", "traffic.casm", "--exhaustive")
+        assert_one_line_usage_error(result, "terms nest too deeply")

@@ -65,6 +65,19 @@ class TestParseTrafficLight:
         assert not result.ok
         assert any(d.code == "E-DUP-DECL" for d in result.diagnostics)
 
+    def test_repeated_enum_literal_is_reported_where_it_repeats(self):
+        src = traffic_light_source().replace(
+            "enum Phase = { Stop1Stop2,", "enum Phase = { Go1Stop2,", 1)
+        assert src != traffic_light_source()
+        result = parse_program(src)
+        assert not result.ok
+        hits = [d for d in result.diagnostics if d.code == "E-DUP-LITERAL"]
+        assert [d.message for d in hits] == \
+            ["literal Go1Stop2 repeated in enum Phase"]
+        # at the second Go1Stop2 of the enum
+        assert (hits[0].span.line, hits[0].span.column) == \
+            _position(src, "Go1Stop2, Stop2Stop1")
+
     def test_uninitialized_controlled_function(self):
         src = traffic_light_source().replace(
             "controlled phase : Phase init Stop1Stop2",

@@ -355,7 +355,9 @@ class TestSiteDecider:
     def test_runtime_never_leaves_what_the_checker_explores(
             self, protected_traffic):
         """At every post-state of a random run, the results ``decide``
-        gives over every response and draw are exactly ``outcomes``."""
+        gives over every response and draw are exactly ``outcomes`` over
+        every device response, and over one response those it gives for
+        that response."""
         protected, enrollment, device = protected_traffic
         trace = run_protected(protected, device, 200, RandomOracle(11),
                               seed=3)
@@ -372,12 +374,18 @@ class TestSiteDecider:
         for decider in deciders:
             for post in posts.values():
                 current = post[PHASE]
-                outcomes = decider.outcomes(post, current)
+                outcomes = decider.outcomes(decider.responses, post,
+                                            current)
                 assert len(set(outcomes)) == len(outcomes)
-                decided = {decider.decide(r, post, current,
-                                          lambda n, i=i: i % n)
-                           for r in responses for i in range(len(PHASES))}
-                assert decided == set(outcomes), post
+                decided = {r: {decider.decide(r, post, current,
+                                              lambda n, i=i: i % n)
+                               for i in range(len(PHASES))}
+                           for r in responses}
+                assert set().union(*decided.values()) == set(outcomes), post
+                for r, results in decided.items():
+                    one = decider.outcomes((r,), post, current)
+                    assert len(set(one)) == len(one)
+                    assert set(one) == results, (post, r)
                 tags |= {tag for _, tag in outcomes}
         assert tags == {BOUND_OK, FALLBACK_TAKEN, SAFE_STALL}
 

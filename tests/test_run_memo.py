@@ -255,8 +255,9 @@ def checked_resolver(protected, device, seed, k, fresh, sites):
                 return i % n
             assert decider.decide(response, post, current, draw) == \
                 fresh.decide(response, post, current, draw)
-        assert decider.outcomes(post, current) == \
-            fresh.outcomes(post, current)
+        for responses in (decider.responses, (response,)):
+            assert decider.outcomes(responses, post, current) == \
+                fresh.outcomes(responses, post, current)
         sites.append(site)
         return reference(site, challenge, post, current)
     return resolve
