@@ -18,12 +18,12 @@ from . import FORMULA_DIALECT, __version__
 from .ast import CasmError, Program, format_location
 from .interp import (
     ConstantOracle, MonitoredOracle, RandomOracle, Trace, TraceEntry,
-    load_scripted_oracle, run,
+    check_step_count, load_scripted_oracle, run,
 )
 from .parser import load_program, format_term
 from .protect import (
-    FALLBACK_TAKEN, SAFE_STALL, derive_safe_condition, load_protected,
-    protect, run_protected,
+    FALLBACK_TAKEN, SAFE_STALL, ProtectedRunner, derive_safe_condition,
+    load_protected, protect, run_protected,
 )
 from .puf import EnrollmentExhausted, NoisyReadout, make_device
 from .symexec import (
@@ -312,15 +312,16 @@ def cmd_compare(directory: str, target_seed: int, clone_seeds: str,
         enrollment = protected.enrollment
         target = make_device(target_seed, enrollment.challenge_bits,
                              enrollment.response_bits, 0.0)
-        baseline = run_protected(protected, target, steps, oracle, seed)
-        target_fallbacks = sum(e.events.count(FALLBACK_TAKEN)
-                               for e in baseline.entries)
-        target_stalls = sum(e.events.count(SAFE_STALL)
-                            for e in baseline.entries)
-        decoded_baseline = Trace(entries=[
-            TraceEntry(e.step, protected.decoded_values(e.state),
-                       e.monitored, e.fired, e.events)
-            for e in baseline.entries])
+        check_step_count(steps)
+        target_fallbacks = target_stalls = 0
+        decoded_baseline = Trace()
+        for e in ProtectedRunner(protected, target, seed).iter_entries(
+                steps, oracle):
+            target_fallbacks += e.events.count(FALLBACK_TAKEN)
+            target_stalls += e.events.count(SAFE_STALL)
+            decoded_baseline.entries.append(TraceEntry(
+                e.step, protected.decoded_values(e.state), e.monitored,
+                e.fired, e.events))
         report = clone_divergence_report(protected, decoded_baseline, seeds,
                                          steps, noise, oracle, seed)
     except CasmError as exc:

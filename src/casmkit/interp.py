@@ -648,8 +648,76 @@ class TraceEntry:
         }, sort_keys=True, separators=(",", ":"))
 
 
+# TraceEntry's own slots, which a collected entry's fields stand over;
+# their setters are bound once, since collect builds an entry per step
+_SLOTS = (TraceEntry.state, TraceEntry.monitored, TraceEntry.fired,
+          TraceEntry.events)
+_hold_state, _hold_monitored, _hold_fired, _hold_events = (
+    slot.__set__ for slot in _SLOTS)
+
+
+def _copied_on_read(slot, copy: Callable, bit: int) -> property:
+    """A field of a :class:`_CollectedEntry` over ``slot``: the object
+    the slot holds, replaced by ``copy`` of it the first time it is
+    read.  An entry owns a value assigned to the field as it is."""
+    held, hold = slot.__get__, slot.__set__
+
+    def read(entry):
+        if not entry._owned & bit:
+            hold(entry, copy(held(entry)))
+            entry._owned |= bit
+        return held(entry)
+
+    def assign(entry, value):
+        hold(entry, value)
+        entry._owned |= bit
+    return property(read, assign)
+
+
+class _CollectedEntry(TraceEntry):
+    """An entry of a collected trace (:func:`collect`).  It holds the
+    objects the run yielded, which the run shares between steps but
+    never changes, and copies each of ``state``, ``monitored``,
+    ``fired`` and ``events`` the first time it is read, keeping the
+    copy: every object it hands out is its own.  Serialising, comparing
+    and printing read the held objects and copy nothing; it compares
+    equal to a :class:`TraceEntry` with the same fields."""
+
+    __slots__ = ("_owned",)  # a bit for each field read or assigned
+
+    state = _copied_on_read(TraceEntry.state, dict, 1)
+    monitored = _copied_on_read(TraceEntry.monitored, dict, 2)
+    fired = _copied_on_read(TraceEntry.fired, list, 4)
+    events = _copied_on_read(TraceEntry.events, list, 8)
+
+    def __init__(self, entry: TraceEntry):
+        self.step = entry.step
+        _hold_state(self, entry.state)
+        _hold_monitored(self, entry.monitored)
+        _hold_fired(self, entry.fired)
+        _hold_events(self, entry.events)
+        self._owned = 0
+
+    def held(self) -> TraceEntry:
+        """A plain entry over the objects this entry holds."""
+        return TraceEntry(self.step, *[slot.__get__(self) for slot in _SLOTS])
+
+    def to_json(self) -> str:
+        return self.held().to_json()
+
+    def __eq__(self, other):
+        return self.held() == other
+
+    def __repr__(self):
+        return repr(self.held())
+
+
 @dataclass
 class Trace:
+    """A run's entries.  A trace that :func:`collect` builds holds the
+    run's shared objects until a field is read, and each entry then owns
+    its copy (:class:`_CollectedEntry`)."""
+
     entries: list[TraceEntry] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
@@ -684,7 +752,8 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     Yielded state dicts and ``fired`` lists are shared between steps,
     and with the graph: consumers must not mutate them, and need not copy
     one to retain it, since the run never changes a dict it has yielded.
-    :func:`run` gives every entry its own copies.
+    :func:`run` keeps them, and each of its entries copies a field the
+    first time it is read.
     """
     cp = compiled(program)
     values = program.initial_values()
@@ -720,18 +789,17 @@ def check_step_count(steps: int) -> None:
 
 
 def collect(steps: int, entries: Iterable[TraceEntry]) -> Trace:
-    """The trace of a run of ``steps`` steps, from its entries, each
-    given its own copies; a negative count is refused."""
+    """The trace of a run of ``steps`` steps, from its entries; a
+    negative count is refused.  Each entry holds the objects the run
+    yielded, shared with other entries and with the run, until a field
+    is read; it then owns its copy (:class:`_CollectedEntry`).
+    Serialising the trace copies nothing."""
     check_step_count(steps)
-    trace = Trace()
-    for entry in entries:
-        trace.entries.append(TraceEntry(entry.step, dict(entry.state),
-                                        dict(entry.monitored),
-                                        list(entry.fired), list(entry.events)))
-    return trace
+    return Trace([_CollectedEntry(entry) for entry in entries])
 
 
 def run(program: Program, steps: int, oracle: MonitoredOracle,
         seed: int) -> Trace:
-    """Deterministic multi-step run: equal inputs give equal traces."""
+    """Deterministic multi-step run: equal inputs give equal traces.
+    The entries share the run's objects until read (:func:`collect`)."""
     return collect(steps, iter_run(program, steps, oracle, seed))

@@ -705,6 +705,9 @@ class ProtectedRunner:
 
 def run_protected(protected: ProtectedProgram, device, steps: int,
                   oracle: MonitoredOracle, seed: int) -> Trace:
+    """The trace of ``protected`` run on ``device``.  Its entries share
+    the run's objects until read, then own their copies
+    (:func:`~casmkit.interp.collect`)."""
     return collect(steps, ProtectedRunner(protected, device, seed)
                    .iter_entries(steps, oracle))
 

@@ -154,6 +154,23 @@ def _unsafe_verdict(cp: CompiledProgram,
     return unsafe_state
 
 
+def _subject(subject: Union[Program, ProtectedProgram],
+             adversarial_puf: bool, device
+             ) -> tuple[Program, Optional[Callable[[dict], dict]],
+                        Optional[CtlEnumerator]]:
+    """The program to step, the decoding of its states for the
+    violation predicate and the enumerator of its challenge sites: for
+    a protected program, its decoded values and its sites over every
+    response with ``adversarial_puf``, else over ``device``'s."""
+    if not isinstance(subject, ProtectedProgram):
+        return subject, None, None
+    if not adversarial_puf and device is None:
+        raise CasmError("checking a protected program without the "
+                        "adversarial model needs a device")
+    return subject.program, subject.decoded_values, \
+        subject.decider.enumerator(None if adversarial_puf else device)
+
+
 def exhaustive_safety_check(
         subject: Union[Program, ProtectedProgram],
         adversarial_puf: bool = False,
@@ -181,21 +198,7 @@ def exhaustive_safety_check(
     bounds the number of states visited, not states times input
     valuations: one more raises :class:`StateSpaceTooLarge`.
     """
-    protected: Optional[ProtectedProgram] = None
-    if isinstance(subject, ProtectedProgram):
-        protected = subject
-        program = subject.program
-    else:
-        program = subject
-
-    ctl_enum = None
-    if protected is not None:
-        if not adversarial_puf and device is None:
-            raise CasmError("checking a protected program without the "
-                            "adversarial model needs a device")
-        ctl_enum = protected.decider.enumerator(
-            None if adversarial_puf else device)
-
+    program, decode, ctl_enum = _subject(subject, adversarial_puf, device)
     cp = compiled(program)
     key_of = cp.controlled_key
     branched, domains, fixed = cp.input_split
@@ -208,8 +211,7 @@ def exhaustive_safety_check(
                                                     fixed, read)
         return inputs
 
-    unsafe_state = _unsafe_verdict(
-        cp, None if protected is None else protected.decoded_values)
+    unsafe_state = _unsafe_verdict(cp, decode)
 
     def step_state(values: dict[Location, Value]):
         """The product of the inputs the step reads, and each of its
@@ -309,21 +311,28 @@ def exhaustive_safety_check(
     )
 
 
-def replay_witness(program: Program, witness: list[WitnessStep]) -> bool:
+def replay_witness(subject: Union[Program, ProtectedProgram],
+                   witness: list[WitnessStep],
+                   adversarial_puf: bool = False, device=None) -> bool:
     """Re-check a witness against the checker's own step: valid iff each
     recorded state is the previous one (the initial state first) with
     the updates of one outcome of :func:`enumerate_step_outcomes` under
     the recorded inputs, and the checker's verdict marks the final state
     unsafe.  The outcomes range over every ``choose`` draw, so a witness
-    of a program that draws replays too."""
+    of a program that draws replays too.  A protected program's sites
+    range as in :func:`exhaustive_safety_check` with the same
+    ``adversarial_puf`` and ``device``, and its final state is judged
+    decoded."""
+    program, decode, ctl_enum = _subject(subject, adversarial_puf, device)
     cp = compiled(program)
     values = program.initial_values()
     for w in witness:
         if not any({**values, **updates} == w.state for updates in
-                   enumerate_step_outcomes(cp, values, w.monitored)):
+                   enumerate_step_outcomes(cp, values, w.monitored,
+                                           ctl_enum)):
             return False
         values = w.state
-    return _unsafe_verdict(cp)(values)
+    return _unsafe_verdict(cp, decode)(values)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ value the site can take for the device's stable response: a bound
 response, every safe fallback encoding, or the stall.  These tests hold
 it against the reference checker, whose sites are enumerated term by
 term, and through the CLI."""
+import dataclasses
 import re
 import shutil
 
@@ -13,7 +14,7 @@ from casmkit.cli import main
 from casmkit.parser import parse_or_raise
 from casmkit.protect import load_protected, protect
 from casmkit.puf import make_device
-from casmkit.verify import exhaustive_safety_check
+from casmkit.verify import exhaustive_safety_check, replay_witness
 
 import reference_checker
 from rings import ring_source
@@ -78,6 +79,24 @@ def test_tampered_condx_is_unsafe_on_clones(tampered, name, seed):
     want = reference_checker.exhaustive_safety_check(
         protected, device=make_device(seed, 16, 16))
     assert report.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("seed", [*CLONES, "adversarial"])
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_tampered_witness_replays(tampered, name, seed):
+    # on a clone, and under the adversarial model: each witness replays
+    # through the same sites, and not once its last control value is one
+    # no site gives
+    protected = tampered[name][1]
+    model = dict(adversarial_puf=True) if seed == "adversarial" else \
+        dict(device=make_device(seed, 16, 16))
+    witness = exhaustive_safety_check(protected, **model).witness
+    assert replay_witness(protected, witness, **model) is True
+    last = witness[-1]
+    moved = dataclasses.replace(
+        last, state={**last.state, protected.program.ctl_loc: -1})
+    assert replay_witness(protected, witness[:-1] + [moved],
+                          **model) is False
 
 
 @pytest.mark.parametrize("name", sorted(TAMPERS))

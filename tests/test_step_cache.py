@@ -3,10 +3,16 @@ of each (state, inputs, resolved sites) is merged and checked once, and
 the state dicts it yields are shared between steps.  These tests hold
 the aliasing contract: a yielded dict never changes after it is yielded,
 and ``run`` gives every entry its own copies."""
+import gc
+import tracemalloc
+
 import pytest
 
 import casmkit.interp as cinterp
-from casmkit.interp import RandomOracle, compiled
+from casmkit.interp import (
+    ConstantOracle, RandomOracle, TraceEntry, collect, compiled, iter_run,
+    run,
+)
 from casmkit.parser import parse_or_raise
 from casmkit.protect import ProtectedRunner, protect, run_protected
 from casmkit.puf import make_device
@@ -65,6 +71,74 @@ class TestAliasing:
             again = run_protected(protected, device, STEPS, RandomOracle(3),
                                   5)
             assert [snapshot(e) for e in again.entries] == expected, name
+
+
+def held_bytes(make):
+    """The bytes that what ``make`` returns holds, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = make()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return held
+
+
+def run_entries(traffic):
+    """(name, the entries of a run, as it yields them): the traffic
+    light under varying inputs, and each protected run."""
+    yield "traffic", list(iter_run(traffic, STEPS, RandomOracle(3), 5))
+    for name, protected, device in protected_runs(traffic):
+        yield name, list(ProtectedRunner(protected, device, 5).iter_entries(
+            STEPS, RandomOracle(3)))
+
+
+class TestCollectedEntries:
+    """A collected entry holds the run's objects and copies a field only
+    when it is read."""
+
+    def test_held_memory_near_the_runs_own(self, traffic):
+        always = ConstantOracle.always_true(traffic)
+        run(traffic, 10, always, 1)  # compile outside the measurement
+        shared = held_bytes(
+            lambda: list(iter_run(traffic, 10_000, always, 1)))
+        collected = held_bytes(lambda: run(traffic, 10_000, always, 1))
+        assert collected <= 1.5 * shared, (collected, shared)
+
+    def test_serialising_and_comparing_copy_no_field(self, traffic):
+        for name, entries in run_entries(traffic):
+            trace = collect(STEPS, entries)
+            assert trace.to_jsonl() == \
+                "".join(e.to_json() + "\n" for e in entries), name
+            for entry, yielded in zip(trace.entries, entries, strict=True):
+                assert entry == yielded, (name, entry.step)
+                held = entry.held()
+                for field in ("state", "monitored", "fired", "events"):
+                    assert getattr(held, field) is getattr(yielded, field), \
+                        (name, entry.step, field)
+
+    def test_run_serialises_as_its_entries(self, traffic):
+        always = ConstantOracle.always_true(traffic)
+        for oracle in (always, RandomOracle(3)):
+            assert run(traffic, STEPS, oracle, 5).to_jsonl() == "".join(
+                e.to_json() + "\n"
+                for e in iter_run(traffic, STEPS, oracle, 5))
+
+    def test_equal_to_an_entry_of_copies(self, traffic):
+        for name, entries in run_entries(traffic):
+            trace = collect(STEPS, entries)
+            for entry in trace.entries:
+                plain = TraceEntry(entry.step, dict(entry.state),
+                                   dict(entry.monitored), list(entry.fired),
+                                   list(entry.events))
+                assert entry == plain and plain == entry, (name, entry.step)
+                assert not entry != plain
+                assert repr(entry) == repr(plain)
+                plain.fired.append("other")
+                assert entry != plain and plain != entry
+            assert trace.entries == collect(STEPS, entries).entries, name
 
 
 class TestWholeStepMemo:
