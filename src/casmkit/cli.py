@@ -17,20 +17,19 @@ import click
 from . import FORMULA_DIALECT, __version__
 from .ast import CasmError, Program, format_location
 from .interp import (
-    ConstantOracle, MonitoredOracle, RandomOracle, Trace, TraceEntry,
-    check_step_count, load_scripted_oracle, run,
+    ConstantOracle, MonitoredOracle, RandomOracle, load_scripted_oracle, run,
 )
 from .parser import load_program, format_term
 from .protect import (
-    FALLBACK_TAKEN, SAFE_STALL, ProtectedRunner, derive_safe_condition,
-    load_protected, protect, run_protected,
+    derive_safe_condition, load_protected, protect, run_protected,
 )
 from .puf import EnrollmentExhausted, NoisyReadout, make_device
 from .symexec import (
     SymInit, analysis, format_symexpr, merge_successors, symbolic_step,
 )
 from .verify import (
-    clone_divergence_report, exhaustive_safety_check, random_safety_search,
+    clone_divergence_report, decoded_target_run, exhaustive_safety_check,
+    random_safety_search,
 )
 
 EXIT_OK = 0
@@ -312,16 +311,8 @@ def cmd_compare(directory: str, target_seed: int, clone_seeds: str,
         enrollment = protected.enrollment
         target = make_device(target_seed, enrollment.challenge_bits,
                              enrollment.response_bits, 0.0)
-        check_step_count(steps)
-        target_fallbacks = target_stalls = 0
-        decoded_baseline = Trace()
-        for e in ProtectedRunner(protected, target, seed).iter_entries(
-                steps, oracle):
-            target_fallbacks += e.events.count(FALLBACK_TAKEN)
-            target_stalls += e.events.count(SAFE_STALL)
-            decoded_baseline.entries.append(TraceEntry(
-                e.step, protected.decoded_values(e.state), e.monitored,
-                e.fired, e.events))
+        decoded_baseline, target_fallbacks, target_stalls = \
+            decoded_target_run(protected, target, steps, oracle, seed)
         report = clone_divergence_report(protected, decoded_baseline, seeds,
                                          steps, noise, oracle, seed)
     except CasmError as exc:

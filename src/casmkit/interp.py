@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Generator, Iterable, Optional, Sized
 from weakref import WeakKeyDictionary
 
 from .ast import (
@@ -389,17 +389,28 @@ class CompiledProgram:
 
         The step is looked up in the node's table by ``inputs``, the
         input values in monitored-location order, and fired only on a
-        miss.  ``ctl_resolver`` stages each challenge site of a step
-        once, and each staged site resolves at ``step_index``
-        (:meth:`_Step.finish`).  The returned values and lists may be
-        shared with other steps of the run and must not be mutated."""
-        steps = node.steps
-        step = steps.get(inputs)
-        if step is None:
-            step = steps[inputs] = _Step(
-                self.ctl_loc, values,
-                *self.fire_rules(values, monitored, pick))
-        return step.finish(ctl_resolver, step_index, node.graph)
+        miss (:meth:`fire_step`).  ``ctl_resolver`` stages each
+        challenge site of a step once, and each staged site resolves at
+        ``step_index`` (:meth:`_Step.finish`).  The returned values and
+        lists may be shared with other steps of the run and must not be
+        mutated."""
+        step = node.steps.get(inputs) or self.fire_step(node, monitored,
+                                                         pick, inputs)
+        events: list[str] = []
+        successor = step.finish(ctl_resolver, step_index, node.graph, events)
+        if not step.fired:
+            events.append(STALL)
+        return successor, step.fired, events
+
+    def fire_step(self, node: _Node, monitored: dict, pick, inputs
+                  ) -> _Step:
+        """The step from ``node`` under ``inputs``, its inputs key, that
+        the node's table lacks: the rule pass fired, and the step kept in
+        the table, where a run looks it up first."""
+        values = node.values
+        step = node.steps[inputs] = _Step(
+            self.ctl_loc, values, *self.fire_rules(values, monitored, pick))
+        return step
 
 
 class _Node:
@@ -469,32 +480,33 @@ class _Step:
         self.after: dict = {}
 
     def finish(self, ctl_resolver: Optional[CtlResolver], step_index: int,
-               graph: _Graph) -> tuple[_Node, list[str], list[str]]:
+               graph: _Graph, events: Optional[list[str]] = None) -> _Node:
         """Resolve the sites at ``step_index`` and give the successor,
-        the fired rules and the events."""
+        adding each site's tag to ``events`` when it is given: the one
+        step body of a run, whether it yields an entry
+        (:meth:`CompiledProgram.step_values`) or is driven on without
+        one (:func:`drive`)."""
         if not self.sites:
             resolved = ()
-            events = []
         else:
             staged = self.staged or self._stage(ctl_resolver)
             if len(staged) == 1:
                 resolved, tag = staged[0](step_index)
-                events = [tag]
+                if events is not None:
+                    events.append(tag)
             else:
                 chosen = []
-                events = []
                 for site in staged:
                     value, tag = site(step_index)
                     chosen.append(value)
-                    events.append(tag)
+                    if events is not None:
+                        events.append(tag)
                 resolved = tuple(chosen)
-        if not self.fired:
-            events.append(STALL)
         successor = self.after.get(resolved)
         if successor is None:
             successor = self.after[resolved] = self._successor(resolved,
                                                                graph)
-        return successor, self.fired, events
+        return successor
 
     def _stage(self, ctl_resolver: Optional[CtlResolver | CtlEnumerator]
                ) -> list:
@@ -637,15 +649,29 @@ class TraceEntry:
     fired: list[str]
     events: list[str]
 
-    def to_json(self) -> str:
+    def to_json(self, names: Optional[dict[Location, str]] = None) -> str:
+        """The entry as one JSON line.  ``names`` is a memo of formatted
+        locations that a caller may share between entries
+        (:meth:`Trace.to_jsonl`), so that each is formatted once."""
+        if names is None:
+            names = _LocationNames()
         return json.dumps({
             "step": self.step,
-            "state": {format_location(l): v for l, v in self.state.items()},
-            "monitored": {format_location(l): v
-                          for l, v in self.monitored.items()},
+            "state": {names[l]: v for l, v in self.state.items()},
+            "monitored": {names[l]: v for l, v in self.monitored.items()},
             "fired": self.fired,
             "events": self.events,
         }, sort_keys=True, separators=(",", ":"))
+
+
+class _LocationNames(dict):
+    """Locations' formatted names, each formatted on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, loc: Location) -> str:
+        name = self[loc] = format_location(loc)
+        return name
 
 
 # TraceEntry's own slots, which a collected entry's fields stand over;
@@ -702,8 +728,8 @@ class _CollectedEntry(TraceEntry):
         """A plain entry over the objects this entry holds."""
         return TraceEntry(self.step, *[slot.__get__(self) for slot in _SLOTS])
 
-    def to_json(self) -> str:
-        return self.held().to_json()
+    def to_json(self, names: Optional[dict[Location, str]] = None) -> str:
+        return self.held().to_json(names)
 
     def __eq__(self, other):
         return self.held() == other
@@ -721,12 +747,13 @@ class Trace:
     entries: list[TraceEntry] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        return "\n".join(e.to_json() for e in self.entries) + "\n"
+        names = _LocationNames()
+        return "\n".join(e.to_json(names) for e in self.entries) + "\n"
 
 
 def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
              ctl_resolver: Optional[CtlResolver] = None
-             ) -> Iterator[TraceEntry]:
+             ) -> Generator[TraceEntry, object, None]:
     """Yield the initial snapshot and one entry per step.
 
     The one run loop, for plain and protected programs alike:
@@ -735,7 +762,8 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     monitored-location order checks them total.  A
     :class:`ConstantOracle` (checked by type: a subclass may vary) gives
     every step its one dict, so its valuation and inputs key are taken
-    once, at step 0; every step still calls ``step_values``.
+    once, at step 0; every step that yields an entry still calls
+    ``step_values``.
 
     The run walks a graph of its states (:class:`_Graph`).  A node holds
     a state's values and, by inputs key, the step taken from it; a step
@@ -754,11 +782,19 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     one to retain it, since the run never changes a dict it has yielded.
     :func:`run` keeps them, and each of its entries copies a field the
     first time it is read.
+
+    A consumer that needs no more entries, but whose resolver draws
+    something at every step, steps the run on without them
+    (:func:`drive`): it sends the run a non-empty collection, and each
+    later step takes the same step record and staged sites
+    (:meth:`CompiledProgram.fire_step`, :meth:`_Step.finish`) but builds
+    no entry and no events, until the collection is empty or the run
+    ends.
     """
     cp = compiled(program)
     values = program.initial_values()
-    yield TraceEntry(0, values, {}, [], [])
-    step_values = cp.step_values
+    watched = yield TraceEntry(0, values, {}, [], [])
+    step_values, fire_step = cp.step_values, cp.fire_step
     inputs_key = cp.inputs_key
     draws = not cp.choose_free
     node = _Graph(None if draws else cp.state_key).node(values)
@@ -775,11 +811,35 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
         if draws:
             pick = rng_picker(seed, k)
         try:
+            if watched is not None:
+                step = node.steps.get(inputs) or fire_step(
+                    node, monitored, pick, inputs)
+                node = step.finish(ctl_resolver, k, node.graph)
+                if not watched:
+                    return
+                continue
             node, fired, events = step_values(
                 node.values, monitored, pick, ctl_resolver, k, node, inputs)
         except InconsistentUpdate as exc:
             raise StepError(str(exc), k) from exc
-        yield TraceEntry(k + 1, node.values, monitored, fired, events)
+        watched = yield TraceEntry(k + 1, node.values, monitored, fired,
+                                   events)
+
+
+def drive(entries: Generator[TraceEntry, object, None],
+          watched: Sized) -> None:
+    """Step the run of ``entries``, an :func:`iter_run` generator, on
+    from the last entry it yielded, without entries, while ``watched``,
+    a non-empty collection that its resolver empties, is non-empty, up
+    to its last step.  Its sites resolve as they would if every entry
+    were taken, so a resolver that draws at each step, as a led twin's
+    does (:meth:`~casmkit.protect.ProtectedRunner.iter_entries`), draws
+    alike."""
+    try:
+        entries.send(watched)
+    except StopIteration:
+        return
+    raise RuntimeError("a driven run yielded another entry")
 
 
 def check_step_count(steps: int) -> None:

@@ -30,7 +30,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from .ast import (
     App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq,
@@ -531,33 +531,56 @@ class SiteDecider:
         return values[0], tag
 
     def stage(self, response: int, post: dict, current_ctl: Value,
-              word: Callable[[int], int],
-              flip: Optional[Callable[[int], Optional[int]]] = None
-              ) -> StagedSite:
+              word: Callable[[int], int], noise: Optional[tuple] = None,
+              lead: Optional[tuple[list, dict]] = None) -> StagedSite:
         """:meth:`decide` at one site of a step, as a function of the
         step index, for a device whose stable response is ``response``.
         That response is decided here, once, and the staged site is one
         closure for its outcome: a bound site (or a stall) gives one
-        result, a fallback draws ``word(step) % n``.  On a noisy device
-        ``flip(step)`` gives the response where noise flips it (else
-        ``None``), and :meth:`decide` decides it at that step."""
+        result, a fallback draws ``word(step) % n``.
+
+        On a noisy device ``noise`` is its
+        :meth:`~casmkit.puf.PufDevice.flips_at` here, ``(fires,
+        flipped)``, and where the coin fires :meth:`decide` decides the
+        flipped response at that step.  A noise-free run that leads
+        trials passes ``lead``, the coins of its trials here and the
+        dict of those that still follow: ``(trial, stable response,
+        fires, flipped)`` for each.  At each step the site first draws
+        the coin of each trial still in the dict and drops a trial
+        whose flip :meth:`departs`; each coin is tested directly, and
+        the flipped response is made only where it fires."""
         values, tag = self._rule(response, self._safe(post), current_ctl)
         n = len(values)
         result = values[0], tag
-        if flip is not None:
+        falls_back = tag is FALLBACK_TAKEN
+        if noise is not None:
+            fires, flipped = noise
             decide = self.decide
-            falls_back = tag is FALLBACK_TAKEN
 
             def noisy(step):
-                flipped = flip(step)
-                if flipped is not None:
-                    return decide(flipped, post, current_ctl,
+                if fires(step):
+                    return decide(flipped(step), post, current_ctl,
                                   lambda k: word(step) % k)
                 if falls_back:
                     return values[word(step) % n], tag
                 return result
             return noisy
-        if tag is FALLBACK_TAKEN:
+        if lead is not None:
+            coins, followers = lead
+            departs = self.departs
+
+            def led(step):
+                # one label for every block the site hashes at this step
+                at = str(step)
+                for trial, stable, fires, flipped in coins:
+                    if trial in followers and fires(at) and departs(
+                            stable, flipped(at), post, current_ctl):
+                        del followers[trial]
+                if falls_back:
+                    return values[word(at) % n], tag
+                return result
+            return led
+        if falls_back:
             def fallback(step):
                 return values[word(step) % n], tag
             return fallback
@@ -574,7 +597,10 @@ class SiteDecider:
         coin does not fire the two give alike; where it fires they
         differ exactly when :meth:`_rule` does, since a fallback draws
         ``word(step) % n`` over one tuple whichever response fell
-        back."""
+        back.  Two responses that decode to nothing have one rule."""
+        decode = self._decode
+        if flipped not in decode and response not in decode:
+            return False
         safe = self._safe(post)
         return (self._rule(flipped, safe, current_ctl)
                 != self._rule(response, safe, current_ctl))
@@ -635,12 +661,14 @@ class ProtectedRunner:
         self._draws: dict[tuple[str, int], tuple] = {}
 
     def _stage(self, site: str, challenge: int, post: dict,
-               current_ctl: Value) -> StagedSite:
+               current_ctl: Value, lead: Optional[tuple[list, dict]] = None
+               ) -> StagedSite:
         """Stage one site of a step (:data:`~casmkit.interp.CtlResolver`):
         the device's stable response and noise, decided by the program's
-        :class:`SiteDecider`.  A fallback draws once from the stream
-        ("fallback", seed, step, site).  The draws depend on the site
-        alone, so the fallback word and the device's
+        :class:`SiteDecider`, which draws the coins of ``lead`` as well
+        (:meth:`SiteDecider.stage`).  A fallback draws once from the
+        stream ("fallback", seed, step, site).  The draws depend on the
+        site alone, so the fallback word and the device's
         :meth:`~casmkit.puf.PufDevice.flips_at` are made once per
         (site, challenge) of the run and serve every step staged
         there."""
@@ -651,8 +679,9 @@ class ProtectedRunner:
                 device.stable(challenge),
                 step_words(("fallback", self.seed), site),
                 device.flips_at(challenge, self.seed, site))
-        response, word, flip = draws
-        return self.decider.stage(response, post, current_ctl, word, flip)
+        response, word, noise = draws
+        return self.decider.stage(response, post, current_ctl, word, noise,
+                                  lead)
 
     def _resolver(self, step: int, site: str, challenge: int, post: dict,
                   current_ctl: Value) -> tuple[Value, str]:
@@ -662,43 +691,39 @@ class ProtectedRunner:
 
     def iter_entries(self, steps: int, oracle: MonitoredOracle,
                      followers: Optional[dict] = None
-                     ) -> Iterator[TraceEntry]:
-        """The run's entries.  This run may lead ``followers``, a dict
-        from trial to a noisy device whose noise-free twin is this run's
-        device: a noise-free device of the same
-        :meth:`~SiteDecider.device_key`, run with the same seed and
-        inputs.  Both draw the same fallbacks and inputs, so a follower
-        steps as this run until its noise changes a site's result.  Each
-        follower's stable response and noise coin are staged once per
-        (site, challenge), as the run's own draws are (:meth:`_stage`),
-        and each step that resolves the site draws the coin of each
-        follower still in the dict; a follower leaves it at its first
-        flip that :meth:`SiteDecider.departs`.  Draws are kept by site,
-        not by staged step, since the run's graph keeps its staged steps
-        until a full collection."""
+                     ) -> Generator[TraceEntry, object, None]:
+        """The run's entries (:func:`~casmkit.interp.iter_run`).  This
+        run may lead ``followers``, a dict from trial to a noisy device
+        whose noise-free twin is this run's device: a noise-free device
+        of the same :meth:`~SiteDecider.device_key`, run with the same
+        seed and inputs.  Both draw the same fallbacks and inputs, so a
+        follower steps as this run until its noise changes a site's
+        result.  Each follower's stable response and noise coin are made
+        once per (site, challenge), as the run's own draws are
+        (:meth:`_stage`), and each step that resolves the site draws the
+        coin of each follower still in the dict; a follower leaves it at
+        its first flip that :meth:`SiteDecider.departs`.  Draws are kept
+        by site, not by staged step, since the run's graph keeps its
+        staged steps until a full collection.
+
+        The sites draw the coins, not the entries, so a consumer that
+        needs no more entries can step the run on without them, over
+        the states it has reached, while a trial follows
+        (:func:`~casmkit.interp.drive`)."""
         stage = self._stage
         if followers is not None:
-            seed, departs = self.seed, self.decider.departs
+            seed = self.seed
             coins_at: dict[tuple[str, int], list] = {}
 
             def stage(site, challenge, post, current_ctl):
-                staged = self._stage(site, challenge, post, current_ctl)
                 coins = coins_at.get((site, challenge))
                 if coins is None:
                     coins = coins_at[site, challenge] = [
                         (trial, device.stable(challenge),
-                         device.flips_at(challenge, seed, site))
+                         *device.flips_at(challenge, seed, site))
                         for trial, device in followers.items()]
-
-                def led(step):
-                    for trial, response, flip in coins:
-                        if trial in followers:
-                            flipped = flip(step)
-                            if flipped is not None and departs(
-                                    response, flipped, post, current_ctl):
-                                del followers[trial]
-                    return staged(step)
-                return led
+                return self._stage(site, challenge, post, current_ctl,
+                                   (coins, followers))
         return iter_run(self.protected.program, steps, oracle, self.seed,
                         stage)
 
@@ -797,6 +822,12 @@ def load_protected(directory: str) -> ProtectedProgram:
             f"{enr_path} has ctlFunction {enrollment.ctl_name}, but "
             f"{casm_path} protects {program.ctl_name}")
     _check_response_width(program, enrollment, enr_path)
+    initial = program.initial_ctl()
+    if enrollment.init_token != initial:
+        raise CasmError(
+            f"{enr_path} has initToken {enrollment.init_token}, but "
+            f"{casm_path} starts {program.ctl_name} at "
+            f"{format_value(initial)}")
     plain_sort = program.sort(result.extras.plain_sort)
     if enrollment.init_state not in plain_sort.values():
         raise CasmError(

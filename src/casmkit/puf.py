@@ -112,32 +112,32 @@ class PufDevice:
         return lo
 
     def flips_at(self, challenge: int, seed: int, site: str
-                 ) -> Optional[Callable[[int], Optional[int]]]:
+                 ) -> Optional[tuple[Callable[[int], bool],
+                                     Callable[[int], int]]]:
         """The noise at a site of a run, staged once per site: ``None``
-        on a noise-free device, else ``flip(step)``.  That gives the
-        response at ``step`` where :meth:`query` with the noise stream
-        named after this device and (seed, step, site) flips it, and
-        ``None`` where that query gives the stable response.  The noise
-        coin is one block of the stream compared with a bound found once
-        per device (:func:`~casmkit.rng.step_below`): its word ``#0``
-        is below the bound exactly where ``random() < noise_rate``.
-        Word ``#1``, which :meth:`query`'s ``randrange`` reads for the
-        flipped response, is hashed on its own
-        (:func:`~casmkit.rng.step_words`), only when the coin fires."""
+        on a noise-free device, else ``(fires, flipped)``.  Where
+        ``fires(step)`` holds, :meth:`query` with the noise stream named
+        after this device and (seed, step, site) flips the response at
+        ``step``, to ``flipped(step)``; elsewhere it gives the stable
+        response.  The caller tests the coin itself and calls
+        ``flipped`` only where it fires.  The noise coin is one block of
+        the stream compared with a bound found once per device
+        (:func:`~casmkit.rng.step_below`): its word ``#0`` is below the
+        bound exactly where ``random() < noise_rate``.  Word ``#1``,
+        which :meth:`query`'s ``randrange`` reads for the flipped
+        response, is hashed on its own (:func:`~casmkit.rng.step_words`)
+        by ``flipped``."""
         if self.noise_rate <= 0.0:
             return None
         prefix = ("pufnoise", self.device_seed, seed)
-        fires = step_below(prefix, site, self._coin_bound)
         word = step_words(prefix, site, 1)
         stable = self.stable(challenge)
         others = self.response_count - 1
 
-        def flip(step: int) -> Optional[int]:
-            if fires(step):
-                flipped = word(step) % others
-                return flipped + 1 if flipped >= stable else flipped
-            return None
-        return flip
+        def flipped(step: int) -> int:
+            response = word(step) % others
+            return response + 1 if response >= stable else response
+        return step_below(prefix, site, self._coin_bound), flipped
 
     def _check_challenge(self, challenge: int) -> None:
         if not 0 <= challenge < self.challenge_count:

@@ -18,10 +18,12 @@ from .ast import (
 )
 from .interp import (
     CompiledProgram, ConstantOracle, CtlEnumerator, MonitoredOracle,
-    RandomOracle, Trace, _Graph, _Step, check_step_count, compiled,
-    enumerate_step_outcomes, iter_run, location_key,
+    RandomOracle, Trace, TraceEntry, _Graph, _Step, check_step_count,
+    compiled, drive, enumerate_step_outcomes, iter_run, location_key,
 )
-from .protect import FALLBACK_TAKEN, ProtectedProgram, ProtectedRunner
+from .protect import (
+    FALLBACK_TAKEN, SAFE_STALL, ProtectedProgram, ProtectedRunner,
+)
 from .puf import make_device
 
 
@@ -410,6 +412,39 @@ def compare_target_traces(original: Program, protected: ProtectedProgram,
     return TraceComparison("EQUAL", None, None, fallbacks)
 
 
+def decoded_target_run(protected: ProtectedProgram, device, steps: int,
+                       oracle: MonitoredOracle, seed: int
+                       ) -> tuple[Trace, int, int]:
+    """The run of ``protected`` on ``device`` as a trace of decoded
+    states, a reference for :func:`clone_divergence_report`, with the
+    fallbacks and safe stalls it takes.  A ``choose``-free program's run
+    interns its states (:class:`~casmkit.interp._Graph`), so each
+    distinct state is decoded once and its entries share the decoded
+    dict; the memo, keyed by the state's id, keeps the state alive, so
+    no id is reused.  A negative step count is refused."""
+    check_step_count(steps)
+    memo: Optional[dict[int, tuple[dict, dict]]] = \
+        {} if compiled(protected.program).choose_free else None
+    decode = protected.decoded_values
+    trace = Trace()
+    fallbacks = stalls = 0
+    for e in ProtectedRunner(protected, device, seed).iter_entries(
+            steps, oracle):
+        fallbacks += e.events.count(FALLBACK_TAKEN)
+        stalls += e.events.count(SAFE_STALL)
+        state = e.state
+        if memo is None:
+            decoded = decode(state)
+        else:
+            held = memo.get(id(state))
+            if held is None:
+                held = memo[id(state)] = state, decode(state)
+            decoded = held[1]
+        trace.entries.append(TraceEntry(e.step, decoded, e.monitored,
+                                        e.fired, e.events))
+    return trace, fallbacks, stalls
+
+
 # ---------------------------------------------------------------------------
 # Clone divergence
 # ---------------------------------------------------------------------------
@@ -529,10 +564,12 @@ def clone_divergence_report(protected: ProtectedProgram,
     ``choose``-free program (whose run interns its states) and inputs
     that are a :class:`~casmkit.interp.ConstantOracle` (checked by
     type).  A noisy report's shared run is its twin's, on a noise-free
-    device, so it settles too: its counts are then fixed, and it steps
-    on only to draw its trials' coins, until the last trial departs or
-    the run ends.  The reference run's control value is read only up to
-    each trial's first divergence.  A negative step count is refused.
+    device, so it settles too: its counts are then fixed, and it yields
+    no more entries.  It is driven on over the states it has reached
+    (:func:`~casmkit.interp.drive`), only to draw its trials' coins,
+    until the last trial departs or the run ends.  The reference run's
+    control value is read only up to each trial's first divergence.  A
+    negative step count is refused.
     """
     check_step_count(steps)
     enrollment = protected.enrollment
@@ -556,10 +593,10 @@ def clone_divergence_report(protected: ProtectedProgram,
         """Steps, fallbacks, violating states and first divergence step
         of one trial, whose run leads ``followers`` and stops when none
         is left.  On a noise-free device the run stops, too, where it
-        has settled; a run that leads followers then steps on without
-        counting, as long as one follows, so that their coins are
-        drawn.  The violation predicate is evaluated once per distinct
-        state, and inputs when it reads any."""
+        has settled; a run that leads followers is then driven on
+        without entries, as long as one follows, so that their coins
+        are drawn.  The violation predicate is evaluated once per
+        distinct state, and inputs when it reads any."""
         entries = ProtectedRunner(protected, device, run_seed).iter_entries(
             steps, oracle, followers)
         may_settle = settles and device.noise_rate <= 0.0
@@ -595,9 +632,7 @@ def clone_divergence_report(protected: ProtectedProgram,
                             fallbacks += rate * left
                             total = steps
                             if followers:
-                                for _ in entries:
-                                    if not followers:
-                                        break
+                                drive(entries, followers)
                             break
             if followers is not None and not followers:
                 break

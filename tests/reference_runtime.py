@@ -177,12 +177,21 @@ def make_ctl_resolver(protected: ProtectedProgram, device, seed: int
     return resolver
 
 
+def flip_at(noise, step_index: int) -> Optional[int]:
+    """The response a site's noise, ``device.flips_at`` of the site,
+    flips to at ``step_index``, or ``None`` where it leaves the stable
+    response."""
+    if noise is None:
+        return None
+    fires, flipped = noise
+    return flipped(step_index) if fires(step_index) else None
+
+
 def query_at(device, challenge: int, seed: int, step_index: int,
              site: str) -> int:
     """The device's response at a site of a run: the stable response
     unless ``device.flips_at`` flips it at ``step_index``."""
-    flip = device.flips_at(challenge, seed, site)
-    flipped = None if flip is None else flip(step_index)
+    flipped = flip_at(device.flips_at(challenge, seed, site), step_index)
     return device.stable(challenge) if flipped is None else flipped
 
 

@@ -319,6 +319,11 @@ def _response_is_init_token(raw):
     return json.dumps(raw)
 
 
+def _foreign_init_token(raw):
+    raw["initToken"] = 70000
+    return json.dumps(raw)
+
+
 def _truncated(raw):
     return json.dumps(raw)[:-10]
 
@@ -347,6 +352,7 @@ class TestBadInputs:
         (_string_challenge, "challenge"),
         (_duplicate_response, "reused"),
         (_response_is_init_token, "reused"),
+        (_foreign_init_token, "initToken 70000"),
         (_truncated, "malformed"),
         (_other_ctl_function, "ctlFunction Passed"),
         (_init_state_outside_plain_sort, "initState Bogus"),

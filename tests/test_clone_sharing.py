@@ -12,7 +12,9 @@ import pytest
 from casmkit import protect as cprotect
 from casmkit import verify as cverify
 from casmkit.ast import Const
-from casmkit.interp import ConstantOracle, RandomOracle, ScriptedOracle, run
+from casmkit.interp import (
+    ConstantOracle, RandomOracle, ScriptedOracle, drive, run,
+)
 from casmkit.parser import parse_or_raise
 from casmkit.programs import traffic_light_source
 from casmkit.protect import ProtectedRunner, protect, run_protected
@@ -96,19 +98,39 @@ INPUTS = {"random:5": lambda program: RandomOracle(5),
 
 def run_lengths(monkeypatch) -> list:
     """The number of entries each run the protected runtime starts from
-    now on yields."""
+    now on yields.  A run its consumer drives on without entries
+    (:func:`~casmkit.interp.drive`) is driven on, and yields no more."""
     lengths = []
     iter_run = cprotect.iter_run
 
     def measured(*args):
         lengths.append(0)
         run_index = len(lengths) - 1
-        for entry in iter_run(*args):
+        entries = iter_run(*args)
+        for entry in entries:
             lengths[run_index] += 1
-            yield entry
+            watched = yield entry
+            if watched is not None:
+                drive(entries, watched)
+                return
 
     monkeypatch.setattr(cprotect, "iter_run", measured)
     return lengths
+
+
+def drives(monkeypatch) -> list:
+    """The trials that follow as each drive of a settled twin's run
+    starts, and as it ends, from now on."""
+    calls = []
+    driven = cverify.drive
+
+    def recorded(entries, watched):
+        before = set(watched)
+        driven(entries, watched)
+        calls.append((before, set(watched)))
+
+    monkeypatch.setattr(cverify, "drive", recorded)
+    return calls
 
 
 def settle_calls(monkeypatch) -> list:
@@ -293,11 +315,11 @@ def test_noise_changes_a_site_only_where_its_rule_changes(subjects, name,
         for site, challenge, post, current in sites:
             staged_twin = twin._stage(site, challenge, post, current)
             staged_noisy = noisy._stage(site, challenge, post, current)
-            flip = noisy.device.flips_at(challenge, 7, site)
+            site_noise = noisy.device.flips_at(challenge, 7, site)
             safe = decider._safe(post)
             rule = decider._rule(twin.device.stable(challenge), safe, current)
             for k in range(501):
-                flipped = flip(k)
+                flipped = reference_runtime.flip_at(site_noise, k)
                 same = staged_noisy(k) == staged_twin(k)
                 if flipped is None:
                     assert same
@@ -379,9 +401,10 @@ def test_a_led_twin_settles_while_its_trials_follow(subjects, monkeypatch,
     """A noisy report's shared run is its noise-free twin's, so under
     always-true inputs it settles as a noise-free trial does: the 16-bit
     clones share one run, which makes one settle check, at its first
-    divergence, and settles.  Its counts are then fixed, but it walks
-    every entry while a trial follows, drawing the trials' coins, and
-    the report is the reference's."""
+    divergence, and settles.  Its counts are then fixed: it yields no
+    entry after its first divergence, and steps on without entries
+    while a trial follows, drawing the trials' coins; the report is the
+    reference's."""
     protected, program = subjects[name, 16]
     oracle = ConstantOracle.always_true(program)
     original = run(program, STEPS, oracle, 7)
@@ -397,11 +420,94 @@ def test_a_led_twin_settles_while_its_trials_follow(subjects, monkeypatch,
     assert len(device_keys(protected, CLONES)) == 1
     (left, rate), = calls
     assert left == STEPS - first_div and rate is not None
-    # the led run, then each departed trial, walks every entry; some
-    # trial follows to the end
-    assert set(lengths) == {STEPS + 1}
+    # the led run yields entries only up to its first divergence, each
+    # departed trial walks every entry, and some trial follows to the end
+    assert lengths[0] == first_div + 1
+    assert set(lengths[1:]) <= {STEPS + 1}
     assert 1 <= len(lengths) < 1 + len(CLONES)
     assert got.trials_diverged == len(CLONES)
+
+
+@pytest.mark.parametrize("name", ["ring3", "traffic"])
+def test_a_trial_departs_from_a_settled_twin(subjects, monkeypatch, name):
+    """At 3-bit responses and 30% noise a trial may follow its twin past
+    the twin's first divergence, where the twin settles, and depart while
+    the twin's run is driven on without entries; the report is the
+    reference's."""
+    protected, program = subjects[name, 3]
+    calls = drives(monkeypatch)
+    got, want, _ = both_reports(protected, program, SEEDS, STEPS, 0.3,
+                                inputs="always-true")
+    assert got.to_json() == want.to_json()
+    assert calls and all(before for before, _ in calls)
+    assert any(after < before for before, after in calls)
+
+
+class Departures(dict):
+    """Following trials that note the order in which they depart."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.order = []
+
+    def __delitem__(self, trial):
+        self.order.append(trial)
+        super().__delitem__(trial)
+
+
+@pytest.mark.parametrize("inputs", sorted(INPUTS))
+@pytest.mark.parametrize("bits", [3, 16])
+@pytest.mark.parametrize("name", ["traffic", "wander"])
+def test_a_driven_run_draws_as_its_entries_do(subjects, name, bits,
+                                              inputs):
+    """A run driven on without entries, from any entry, draws its
+    followers' coins as the run that yields every entry does: the same
+    trials depart, in the same order.  Its inputs may vary and its
+    program may draw, which a settled twin's may not."""
+    protected, program = subjects[name, bits]
+    devices = {t: make_device(s, 16, bits, 0.05)
+               for t, s in enumerate(SEEDS)}
+    runner = ProtectedRunner(protected, make_device(1000, 16, bits), 7)
+    walked = Departures(devices)
+    for _ in runner.iter_entries(STEPS, INPUTS[inputs](program), walked):
+        pass
+    # some trial departs; at 16 bits most clones follow to the end
+    assert walked.order and (bits == 3 or walked)
+    for start in (0, 1, 17):
+        driven = Departures(devices)
+        entries = runner.iter_entries(STEPS, INPUTS[inputs](program), driven)
+        for entry in entries:
+            if entry.step == start:
+                break
+        drive(entries, driven)
+        assert driven.order == walked.order, start
+
+
+@pytest.mark.parametrize("inputs", sorted(INPUTS))
+@pytest.mark.parametrize("bits", [3, 16])
+@pytest.mark.parametrize("name", ["ring3", "traffic"])
+def test_every_coin_fires(subjects, name, bits, inputs):
+    """At noise 1.0 every coin fires at every step: a trial follows its
+    twin only while its flips leave each site's rule alone."""
+    protected, program = subjects[name, bits]
+    got, want, _ = both_reports(protected, program, SEEDS, STEPS, 1.0,
+                                inputs=inputs)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("name", ["ring3", "traffic"])
+def test_twenty_trials_follow_one_twin(subjects, monkeypatch, name):
+    """The 16-bit clones share one twin, which settles and is driven on
+    for all twenty of its trials; the report is the reference's."""
+    protected, program = subjects[name, 16]
+    seeds = [1000 + i for i in range(20)]
+    assert len(device_keys(protected, seeds)) == 1
+    calls = drives(monkeypatch)
+    got, want, _ = both_reports(protected, program, seeds, STEPS, 0.05,
+                                inputs="always-true")
+    assert got.to_json() == want.to_json()
+    ((before, after),) = calls
+    assert len(before) == 20 and after
 
 
 @pytest.mark.parametrize("inputs", sorted(INPUTS))

@@ -11,6 +11,8 @@ from casmkit.puf import (
 )
 from casmkit.rng import derive_rng
 
+from reference_runtime import flip_at
+
 TRAFFIC_A = [("Stop1Stop2", "Go1Stop2"), ("Go1Stop2", "Stop2Stop1"),
              ("Stop2Stop1", "Go2Stop1"), ("Go2Stop1", "Stop1Stop2")]
 
@@ -92,7 +94,8 @@ class TestNoiseCoin:
 
     def flip(self, rate, step):
         device = make_device(self.DEVICE_SEED, 16, 16, rate)
-        return device.flips_at(self.CHALLENGE, self.SEED, self.SITE)(step)
+        return flip_at(
+            device.flips_at(self.CHALLENGE, self.SEED, self.SITE), step)
 
     def test_a_rate_equal_to_the_rounded_word_does_not_flip(self):
         step, word = self.rounded_up_word()

@@ -16,8 +16,10 @@ from casmkit.interp import (
 from casmkit.parser import parse_or_raise
 from casmkit.protect import ProtectedRunner, protect, run_protected
 from casmkit.puf import make_device
+from casmkit.verify import decoded_target_run
 
 from rings import ring_source
+from test_clone_sharing import WANDER
 
 STEPS = 2000
 NOISE = 0.05
@@ -169,3 +171,44 @@ class TestWholeStepMemo:
                         for before, after in zip(entries, entries[1:])}
             assert len(calls) == len(distinct), device_seed
             assert len(calls) < STEPS // 4
+
+
+class TestDecodedTargetRun:
+    """The decoded target run that ``compare`` measures clones against
+    decodes each distinct state of a ``choose``-free program once, and
+    its entries share the decoded dict."""
+
+    def test_held_memory_near_the_runs_own(self, traffic):
+        protected, _ = protect(traffic, make_device(42, 16, 16))
+        target = make_device(42, 16, 16)
+        always = ConstantOracle.always_true(protected.program)
+        decoded_target_run(protected, target, 10, always, 1)
+        shared = held_bytes(lambda: list(ProtectedRunner(
+            protected, target, 1).iter_entries(10_000, always)))
+        baseline = held_bytes(lambda: decoded_target_run(
+            protected, target, 10_000, always, 1))
+        assert baseline <= 1.5 * shared, (baseline, shared)
+
+    @pytest.mark.parametrize("name", ["traffic", "wander"])
+    def test_decodes_every_entry(self, traffic, name):
+        program = traffic if name == "traffic" else parse_or_raise(WANDER)
+        protected, _ = protect(program, make_device(42, 16, 16))
+        for device_seed, oracle in ((42, RandomOracle(3)),
+                                    (999, ConstantOracle.always_true(
+                                        protected.program))):
+            device = make_device(device_seed, 16, 16)
+            trace, fallbacks, stalls = decoded_target_run(
+                protected, device, STEPS, oracle, 5)
+            entries = list(ProtectedRunner(protected, device, 5)
+                           .iter_entries(STEPS, oracle))
+            assert trace.entries == [
+                TraceEntry(e.step, protected.decoded_values(e.state),
+                           e.monitored, e.fired, e.events) for e in entries]
+            events = [tag for e in entries for tag in e.events]
+            assert (fallbacks, stalls) == (events.count("FALLBACK_TAKEN"),
+                                           events.count("SAFE_STALL"))
+            # a clone falls back where the enrolled device binds
+            assert (fallbacks > 0) == (device_seed == 999), name
+            if name == "traffic":
+                decoded = {id(e.state) for e in trace.entries}
+                assert len(decoded) < 10, (name, device_seed)
