@@ -156,17 +156,19 @@ def make_device(device_seed: int, challenge_bits: int, response_bits: int,
 def _majority_readout(device, challenge: int, vote_rng) -> Optional[int]:
     """The majority of nine queries, or ``None`` when no response has
     more than half the votes.  A noise-free device's queries all give
-    its stable response, which is then the readout."""
+    its stable response, which is then the readout.  The queries stop at
+    the first response to win more than half: no later vote can change
+    the majority, and every caller reads each challenge from a stream of
+    its own, so the votes not taken draw nothing another readout would."""
     if device.noise_rate <= 0.0:
         return device.stable(challenge)
     counts: dict[int, int] = {}
     for _ in range(_MAJORITY_ROUNDS):
         r = device.query(challenge, vote_rng)
-        counts[r] = counts.get(r, 0) + 1
-    best, votes = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    if votes * 2 <= _MAJORITY_ROUNDS:
-        return None
-    return best
+        votes = counts[r] = counts.get(r, 0) + 1
+        if votes * 2 > _MAJORITY_ROUNDS:
+            return r
+    return None
 
 
 def _fingerprint(device, challenge_count: int) -> str:

@@ -19,7 +19,12 @@ import hashlib
 import struct
 from typing import Callable, Hashable, Iterable, Sequence
 
-_sha256 = hashlib.sha256
+try:
+    # CPython's own SHA-256 builds and digests a one-block hash faster
+    # than OpenSSL's, and every block hashed here is a short label
+    from _sha256 import sha256 as _sha256
+except ImportError:  # pragma: no cover - a build without it, or 3.12+
+    _sha256 = hashlib.sha256
 _unpack_word = struct.Struct(">Q").unpack_from
 
 

@@ -145,6 +145,31 @@ class TestMajorityReadout:
         assert any(a is None for a, _ in readouts)
 
 
+    def test_noisy_readout_stops_at_a_majority(self):
+        # the votes after a response wins five of nine cannot change it
+        class Counting:
+            def __init__(self, device):
+                self.device, self.noise_rate, self.queries = \
+                    device, device.noise_rate, 0
+
+            def query(self, challenge, vote_rng):
+                self.queries += 1
+                return self.device.query(challenge, vote_rng)
+
+        for noise, mean in ((0.05, 6), (0.3, 9)):
+            device = Counting(make_device(42, 16, 16, noise))
+            counts = []
+            for c in range(64):
+                device.queries = 0
+                readout = _majority_readout(device, c, derive_rng(
+                    "readout", c))
+                assert readout == voted_readout(
+                    device.device, c, derive_rng("readout", c))
+                counts.append(device.queries)
+            assert min(counts) == 5 and max(counts) <= 9
+            assert sum(counts) < mean * len(counts)
+
+
 class TestEnrollment:
     def test_traffic_light_enrollment(self):
         device = make_device(42, 16, 16, 0.0)

@@ -2,6 +2,7 @@
 ``derive_rng`` names at each step of a site, ``step_below`` tells whether
 that word is below a bound, and the noise coin of ``PufDevice.flips_at``
 draws as the full noise stream does."""
+import hashlib
 import itertools
 import math
 import random
@@ -82,6 +83,29 @@ class TestStepWords:
             step_words(("a",), "d")("b|c") == \
             step_words((), "d")("a|b|c") == \
             step_words((), "c|d")("a|b")
+
+
+class TestStreamBlocks:
+    def test_a_word_is_the_label_block_hashed_by_standard_sha256(self):
+        # every draw reads the first eight bytes, big-endian, of the
+        # SHA-256 of "label#counter", whichever SHA-256 the module uses
+        def word(label: str) -> int:
+            return int.from_bytes(
+                hashlib.sha256(label.encode()).digest()[:8], "big")
+
+        rnd = random.Random(17)
+        for _ in range(500):
+            prefix = random_parts(rnd)
+            step, site = random_part(rnd), random_part(rnd)
+            label = "|".join(map(str, [*prefix, step, site]))
+            stream = derive_rng(*prefix, step, site)
+            assert stream.randrange(1 << 64) == word(f"{label}#0")
+            assert stream.randrange(1 << 64) == word(f"{label}#1")
+            assert step_words(prefix, site)(step) == word(f"{label}#0")
+            assert step_words(prefix, site, 1)(step) == word(f"{label}#1")
+            bound = rnd.randrange(1 << 64)
+            assert step_below(prefix, site, bound)(step) == \
+                (word(f"{label}#0") < bound)
 
 
 class TestStepBelow:
