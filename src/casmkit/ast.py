@@ -280,26 +280,29 @@ def canonical_values(values: Iterable[Value]) -> tuple[Value, ...]:
     return tuple(sorted(set(values), key=lambda v: (type(v).__name__, v)))
 
 
+def _fold(cls, unit: Term, terms: Iterable[Term]) -> Term:
+    """``terms`` joined by ``cls`` (``And`` or ``Or``), folded to the
+    left; ``unit`` for the empty sequence."""
+    terms = iter(terms)
+    return functools.reduce(cls, terms, next(terms, unit))
+
+
 def and_all(terms: Iterable[Term]) -> Term:
     """Left-folded conjunction; TRUE for the empty sequence."""
-    terms = list(terms)
-    if not terms:
-        return TRUE
-    out = terms[0]
-    for t in terms[1:]:
-        out = And(out, t)
-    return out
+    return _fold(And, TRUE, terms)
 
 
 def or_all(terms: Iterable[Term]) -> Term:
     """Left-folded disjunction; FALSE for the empty sequence."""
-    terms = list(terms)
-    if not terms:
-        return FALSE
-    out = terms[0]
-    for t in terms[1:]:
-        out = Or(out, t)
-    return out
+    return _fold(Or, FALSE, terms)
+
+
+def flatten(term: Term, cls) -> list[Term]:
+    """The operands of the nest of ``cls`` (``And`` or ``Or``) nodes at
+    the top of ``term``, left to right: the inverse of a fold."""
+    if isinstance(term, cls):
+        return flatten(term.left, cls) + flatten(term.right, cls)
+    return [term]
 
 
 def term_size(term: Term) -> int:
@@ -918,7 +921,8 @@ def _check_main_shape(program: Program, nr: NamedRule,
              f"rule {nr.name} must be a single guarded conditional"))
         return
     guard = nr.body[0].guard
-    if not any(_constrains_ctl(g, program.ctl_name) for g in _conjuncts(guard)):
+    if not any(_constrains_ctl(g, program.ctl_name)
+               for g in flatten(guard, And)):
         problems.append(
             ("E-CTLSHAPE",
              f"guard of rule {nr.name} does not constrain {program.ctl_name}"))
@@ -948,12 +952,6 @@ def _check_ctl_writes(program: Program, problems: list,
                 ("E-SORT",
                  f"update assigns {format_value(rule.rhs.value)} outside "
                  f"{program.ctl.result.name}"))
-
-
-def _conjuncts(term: Term) -> list[Term]:
-    if isinstance(term, And):
-        return _conjuncts(term.left) + _conjuncts(term.right)
-    return [term]
 
 
 def _constrains_ctl(literal: Term, ctl_name: str) -> bool:

@@ -162,7 +162,6 @@ class SafeCondition:
     ranging over plain control states; true marks a dangerous choice."""
 
     cond_x: Term
-    ctl_name: str
     plain_values: tuple[Value, ...]
 
     def cond_for(self, value: Value) -> Term:
@@ -212,8 +211,7 @@ def derive_safe_condition(program: Program,
     formula = substitute_initial_terms(formula, init,
                                        include=controlled_locs)
     cond_x = simplify_formula(formula, program)
-    return SafeCondition(cond_x=cond_x, ctl_name=program.ctl_name,
-                         plain_values=program.ctl_values())
+    return SafeCondition(cond_x=cond_x, plain_values=program.ctl_values())
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +832,12 @@ def load_protected(directory: str) -> ProtectedProgram:
             f"{enr_path} has initState {format_value(enrollment.init_state)}"
             f", outside the plain sort {plain_sort.name}")
     for t in enrollment.transitions:
-        if t.source not in plain_sort.values():
-            raise CasmError(
-                f"{enr_path} has a transition from {format_value(t.source)}"
-                f", outside the plain sort {plain_sort.name}")
+        for end, state in (("from", t.source), ("to", t.target)):
+            if state not in plain_sort.values():
+                raise CasmError(
+                    f"{enr_path} has a transition {end} "
+                    f"{format_value(state)}, outside the plain sort "
+                    f"{plain_sort.name}")
     enc = result.extras.enc_map()
     for state, responses in enc.items():
         if tuple(enrollment.encodings(state)) != tuple(responses):
@@ -846,7 +846,6 @@ def load_protected(directory: str) -> ProtectedProgram:
                 "match the enrollment file")
     safe_condition = SafeCondition(
         cond_x=result.extras.condx,
-        ctl_name=program.ctl_name,
         plain_values=plain_sort.values(),
     )
     protected = ProtectedProgram(

@@ -10,6 +10,13 @@ formula.  The test suite checks every simplification, feasibility
 answer and symbol elimination against a brute-force enumeration of every
 valuation (``tests/reference_symexec.py``).
 
+The simplifier treats ``And`` and ``Or`` as n-ary: it lists a nest's
+operands with :func:`~casmkit.ast.flatten`, and both connectives share
+one operand collection (units and repeats dropped, a zero or a
+complementary pair deciding the whole) before each fuses its literals
+over one leaf, and one absorption rule after; results fold back to the
+left through ``and_all``/``or_all``.
+
 Simplification, feasibility and elimination keep their work in a
 :class:`FormulaCache`; inside an :func:`analysis` block (``protect``
 opens one) every call shares the block's cache, so each distinct
@@ -32,7 +39,7 @@ from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, FALSE, Ite,
     Let, Location, Member, Not, Or, Par, Program, Sort, TRUE, Term,
     Update, Value, Var, and_all, cached_hash, canonical_values, children,
-    ctl_writes, location_term, locations_of_interest, or_all,
+    ctl_writes, flatten, location_term, locations_of_interest, or_all,
     reads_location, rebuild,
 )
 
@@ -126,7 +133,6 @@ class SymInit:
 
     sym_val: dict[Location, Term]
     base_symbols: dict[Location, Symbol]
-    constraints: tuple[Term, ...]
     namer: SymbolNamer = field(default_factory=SymbolNamer)
 
     @classmethod
@@ -134,7 +140,6 @@ class SymInit:
                     constraints: Optional[Iterable[Term]] = None) -> "SymInit":
         if constraints is None:
             constraints = program.init_constraints
-        constraints = tuple(constraints)
         interest = locations_of_interest(program)
         constrained: dict[Location, Term] = {}
         order: list[Location] = []
@@ -183,8 +188,7 @@ class SymInit:
         for loc in order:
             sym_val[loc] = translate(constrained[loc])
 
-        return cls(sym_val=sym_val, base_symbols=base,
-                   constraints=constraints, namer=namer)
+        return cls(sym_val=sym_val, base_symbols=base, namer=namer)
 
     def symbol_of(self, loc: Location) -> Symbol:
         return self.base_symbols[loc]
@@ -572,12 +576,6 @@ def simplify_formula(f: Term, program: Optional[Program] = None) -> Term:
     return _cache().simplify(f, program)
 
 
-def _flatten(term: Term, cls) -> list[Term]:
-    if isinstance(term, cls):
-        return _flatten(term.left, cls) + _flatten(term.right, cls)
-    return [term]
-
-
 def _sort_of(leaf: Term, program: Optional[Program]) -> Optional[Sort]:
     try:
         return _leaf_sort(leaf, program)
@@ -624,10 +622,10 @@ def _simp_node(term: Term, program: Optional[Program],
         return Not(inner)
     if isinstance(term, And):
         return _simp_and([_simp(t, program, memo)
-                          for t in _flatten(term, And)], program, memo)
+                          for t in flatten(term, And)], program, memo)
     if isinstance(term, Or):
         return _simp_or([_simp(t, program, memo)
-                         for t in _flatten(term, Or)], program, memo)
+                         for t in flatten(term, Or)], program, memo)
     if isinstance(term, Eq):
         left = _simp(term.left, program, memo)
         right = _simp(term.right, program, memo)
@@ -712,29 +710,43 @@ def _domain_literal(leaf: Term, allowed: frozenset, program) -> Term:
     return Member(leaf, tuple(allowed))
 
 
-def _simp_and(parts: list[Term], program, memo: dict[Term, Term]) -> Term:
+def _operands(parts: list[Term], cls) -> Optional[list[Term]]:
+    """The operands of ``parts`` joined by ``cls`` (``And`` or ``Or``):
+    flattened, without units (``TRUE`` for ``And``) and repeats, in
+    first-seen order; ``None`` where they hold the zero (``FALSE`` for
+    ``And``) or a term and its complement, so the whole is the zero."""
+    unit, zero = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
     items: list[Term] = []
     for p in parts:
-        if p == TRUE:
+        if p == unit:
             continue
-        if p == FALSE:
-            return FALSE
-        items.extend(_flatten(p, And))
-    # idempotence and complements
-    uniq: list[Term] = []
-    seen: set = set()
-    for p in items:
-        if p in seen:
-            continue
-        seen.add(p)
-        uniq.append(p)
+        if p == zero:
+            return None
+        items.extend(flatten(p, cls))
+    uniq = dict.fromkeys(items)
     for p in uniq:
-        if s_not(p) in seen or (isinstance(p, Not) and p.operand in seen):
-            return FALSE
+        if s_not(p) in uniq or (isinstance(p, Not) and p.operand in uniq):
+            return None
+    return list(uniq)
+
+
+def _absorb(terms: list[Term], dual) -> list[Term]:
+    """``terms`` without each ``dual`` term (an ``Or`` among conjuncts,
+    an ``And`` among disjuncts) that has another of them as an operand:
+    ``a and (a or b)`` is ``a``, ``a or (a and b)`` is ``a``."""
+    present = set(terms)
+    return [p for p in terms if not (
+        isinstance(p, dual) and any(d in present for d in flatten(p, dual)))]
+
+
+def _simp_and(parts: list[Term], program, memo: dict[Term, Term]) -> Term:
+    operands = _operands(parts, And)
+    if operands is None:
+        return FALSE
     # intersect per-leaf domains
     domains: dict[Term, frozenset] = {}
     rest: list[Term] = []
-    for p in uniq:
+    for p in operands:
         lit = _literal_domain(p, program)
         if lit is not None:
             leaf, allowed = lit
@@ -765,75 +777,36 @@ def _simp_and(parts: list[Term], program, memo: dict[Term, Term]) -> Term:
             return FALSE
         if lit != TRUE:
             out.append(lit)
-    out.extend(rest)
-    # absorption: drop a disjunction that contains another conjunct
-    out_set = set(out)
-    kept = []
-    for p in out:
-        if isinstance(p, Or):
-            disjuncts = _flatten(p, Or)
-            if any(d in out_set for d in disjuncts):
-                continue
-        kept.append(p)
-    return and_all(kept)
+    return and_all(_absorb(out + rest, Or))
 
 
 def _simp_or(parts: list[Term], program, memo: dict[Term, Term]) -> Term:
-    items: list[Term] = []
-    for p in parts:
-        if p == FALSE:
-            continue
-        if p == TRUE:
-            return TRUE
-        items.extend(_flatten(p, Or))
-    uniq: list[Term] = []
-    seen: set = set()
-    for p in items:
-        if p in seen:
-            continue
-        seen.add(p)
-        uniq.append(p)
-    for p in uniq:
-        if s_not(p) in seen or (isinstance(p, Not) and p.operand in seen):
-            return TRUE
+    operands = _operands(parts, Or)
+    if operands is None:
+        return TRUE
     # fuse equality/membership literals over one leaf
     domains: dict[Term, frozenset] = {}
-    order: list[Term] = []
     rest: list[Term] = []
-    for p in uniq:
+    for p in operands:
         lit = _literal_domain(p, program)
         if lit is not None:
             leaf, allowed = lit
-            if leaf not in domains:
-                order.append(leaf)
-                domains[leaf] = allowed
-            else:
-                domains[leaf] = domains[leaf] | allowed
+            domains[leaf] = domains.get(leaf, allowed) | allowed
         else:
             rest.append(p)
     out: list[Term] = []
-    for leaf in order:
+    for leaf, allowed in domains.items():
         sort = _sort_of(leaf, program)
-        allowed = domains[leaf]
         if sort is not None and len(allowed) == sort.size:
             return TRUE
         lit = _domain_literal(leaf, allowed, program)
         if lit == TRUE:
             return TRUE
         out.append(lit)
-    out.extend(rest)
-    # absorption: drop a conjunction that contains another disjunct
-    out_set = set(out)
-    kept = []
-    for p in out:
-        if isinstance(p, And):
-            conjuncts = _flatten(p, And)
-            if any(c in out_set for c in conjuncts):
-                continue
-        kept.append(p)
+    kept = _absorb(out + rest, And)
     # factor out conjuncts common to every disjunct
     if len(kept) > 1:
-        lists = [_flatten(p, And) for p in kept]
+        lists = [flatten(p, And) for p in kept]
         common = [c for c in lists[0]
                   if all(c in other for other in lists[1:])]
         if common and any(len(l) > 1 for l in lists):
@@ -1112,9 +1085,9 @@ def _elim(f: Term, symbol: Symbol) -> Term:
         if ref not in leaves(f):
             return f
         if isinstance(f, Or):
-            return or_all([elim(d) for d in _flatten(f, Or)])
+            return or_all([elim(d) for d in flatten(f, Or)])
         if isinstance(f, And):
-            parts = _flatten(f, And)
+            parts = flatten(f, And)
             inside = [p for p in parts if ref in leaves(p)]
             outside = [p for p in parts if ref not in leaves(p)]
             if outside:

@@ -517,7 +517,7 @@ def _settled_fallbacks(cp: CompiledProgram, sites: CtlEnumerator,
                     if len(graph) > budget:
                         return None
                     todo.append(node)
-    except Exception:
+    except (CasmError, KeyError):
         # the walk raises where it reaches such a step
         return None
     return rate

@@ -343,6 +343,11 @@ def _transition_from_outside_plain_sort(raw):
     return json.dumps(raw)
 
 
+def _transition_to_outside_plain_sort(raw):
+    raw["transitions"][0]["to"] = "Bogus"
+    return json.dumps(raw)
+
+
 class TestBadInputs:
     """Malformed artifacts and input specs end in exit code 2 with a
     one-line diagnostic, never a traceback."""
@@ -356,7 +361,8 @@ class TestBadInputs:
         (_truncated, "malformed"),
         (_other_ctl_function, "ctlFunction Passed"),
         (_init_state_outside_plain_sort, "initState Bogus"),
-        (_transition_from_outside_plain_sort, "transition from Bogus")])
+        (_transition_from_outside_plain_sort, "transition from Bogus"),
+        (_transition_to_outside_plain_sort, "transition to Bogus")])
     def test_corrupt_enrollment(self, workspace, corrupt, names):
         invoke("protect", "traffic.casm", "--device-seed", "42",
                "--challenge-bits", "16", "--response-bits", "16",
@@ -366,6 +372,29 @@ class TestBadInputs:
         result = invoke("run-protected", "p", "--device-seed", "42",
                         "--steps", "3", "--seed", "1")
         assert_one_line_usage_error(result, names)
+
+    @pytest.mark.parametrize("command", [
+        ("run-protected", "p", "--device-seed", "42", "--steps", "3",
+         "--seed", "1"),
+        ("verify", "p"),
+        ("compare", "p", "--target-seed", "42", "--steps", "200")])
+    def test_transition_to_outside_plain_sort(self, workspace, command):
+        # with its response dropped from the enc line as well, the
+        # tampered transition agrees with the encoding annotation
+        invoke("protect", "traffic.casm", "--device-seed", "42",
+               "--challenge-bits", "16", "--response-bits", "16",
+               "--out", "p")
+        path = workspace / "p" / "enrollment.json"
+        raw = json.loads(path.read_text())
+        target, response = raw["transitions"][0]["to"], \
+            raw["transitions"][0]["response"]
+        path.write_text(_transition_to_outside_plain_sort(raw))
+        casm = workspace / "p" / "protected.casm"
+        text = casm.read_text()
+        assert text.count(f"{target}: [{response}]") == 1
+        casm.write_text(text.replace(f"{target}: [{response}]",
+                                     f"{target}: []"))
+        assert_one_line_usage_error(invoke(*command), "transition to Bogus")
 
     @pytest.mark.parametrize("bits", [8, 20])
     def test_response_width_disagrees_with_the_control_sort(self, workspace,

@@ -357,6 +357,26 @@ def test_a_settled_trial_stops_stepping(subjects, traffic, monkeypatch):
     assert lengths == [first_div + 1] and first_div <= 3
 
 
+def test_a_fault_in_the_settle_walk_propagates(subjects, traffic,
+                                               monkeypatch):
+    """The settle walk treats only what a step raises as a step it
+    cannot take; any other error, here the site enumerator's, ends the
+    report instead of letting the trial step on."""
+    protected, _ = subjects["traffic", 16]
+    oracle = ConstantOracle.always_true(traffic)
+    original = run(traffic, STEPS, oracle, 7)
+
+    def broken(self, device):
+        def enumerate_site(*args):
+            raise RuntimeError("broken enumerator")
+        return enumerate_site
+
+    monkeypatch.setattr(cprotect.SiteDecider, "enumerator", broken)
+    with pytest.raises(RuntimeError, match="broken enumerator"):
+        clone_divergence_report(protected, original, CLONES, STEPS, 0.0,
+                                oracle, 7)
+
+
 def refused_case(subjects, case):
     """The protected and plain program, trial seeds, noise and inputs of
     a report whose trials must not settle."""

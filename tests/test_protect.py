@@ -338,8 +338,7 @@ class TestChooseCtlState:
 
     def test_empty_safe_set_stalls(self, traffic, protected_traffic):
         protected, enrollment, device = protected_traffic
-        always_bad = SafeCondition(cond_x=Const(True), ctl_name="phase",
-                                   plain_values=PHASES)
+        always_bad = SafeCondition(cond_x=Const(True), plain_values=PHASES)
         site = enrollment.transitions[0]
         post = dict(protected.program.initial_values())
         value, tag = choose_ctl_state(
@@ -366,8 +365,7 @@ class TestSiteDecider:
         responses = [t.response for t in enrollment.transitions]
         responses.append(next(r for r in range(1 << 16)
                               if enrollment.decode_stored(r) is None))
-        always_bad = SafeCondition(cond_x=Const(True), ctl_name="phase",
-                                   plain_values=PHASES)
+        always_bad = SafeCondition(cond_x=Const(True), plain_values=PHASES)
         deciders = (protected.decider,
                     SiteDecider(protected.program, enrollment, always_bad))
         tags = set()
