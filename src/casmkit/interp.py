@@ -663,6 +663,11 @@ class TraceEntry:
             "events": self.events,
         }, sort_keys=True, separators=(",", ":"))
 
+    def held(self) -> "TraceEntry":
+        """The entry itself, whose fields are the objects it holds, as
+        :meth:`_CollectedEntry.held` gives them without a copy."""
+        return self
+
 
 class _LocationNames(dict):
     """Locations' formatted names, each formatted on first use."""
@@ -674,59 +679,58 @@ class _LocationNames(dict):
         return name
 
 
-# TraceEntry's own slots, which a collected entry's fields stand over;
-# their setters are bound once, since collect builds an entry per step
-_SLOTS = (TraceEntry.state, TraceEntry.monitored, TraceEntry.fired,
-          TraceEntry.events)
-_hold_state, _hold_monitored, _hold_fired, _hold_events = (
-    slot.__set__ for slot in _SLOTS)
-
-
-def _copied_on_read(slot, copy: Callable, bit: int) -> property:
-    """A field of a :class:`_CollectedEntry` over ``slot``: the object
-    the slot holds, replaced by ``copy`` of it the first time it is
-    read.  An entry owns a value assigned to the field as it is."""
-    held, hold = slot.__get__, slot.__set__
+def _copied_on_read(name: str, copy: Callable, bit: int) -> property:
+    """A field of a :class:`_CollectedEntry` over its private slot
+    ``_name``: the object the slot holds, replaced by ``copy`` of it the
+    first time it is read.  An entry owns a value assigned to the field
+    as it is."""
+    slot = "_" + name
 
     def read(entry):
         if not entry._owned & bit:
-            hold(entry, copy(held(entry)))
+            setattr(entry, slot, copy(getattr(entry, slot)))
             entry._owned |= bit
-        return held(entry)
+        return getattr(entry, slot)
 
     def assign(entry, value):
-        hold(entry, value)
+        setattr(entry, slot, value)
         entry._owned |= bit
     return property(read, assign)
 
 
-class _CollectedEntry(TraceEntry):
-    """An entry of a collected trace (:func:`collect`).  It holds the
-    objects the run yielded, which the run shares between steps but
-    never changes, and copies each of ``state``, ``monitored``,
-    ``fired`` and ``events`` the first time it is read, keeping the
-    copy: every object it hands out is its own.  Serialising, comparing
-    and printing read the held objects and copy nothing; it compares
-    equal to a :class:`TraceEntry` with the same fields."""
+class _CollectedEntry:
+    """An entry of a collected trace (:func:`collect`), built by the run
+    as it steps (:func:`iter_run`) with the fields of a
+    :class:`TraceEntry`.  It holds the objects the run yields, which the
+    run shares between steps but never changes, and copies each of
+    ``state``, ``monitored``, ``fired`` and ``events`` the first time it
+    is read, keeping the copy: every object it hands out is its own.
+    Serialising, comparing, printing and :meth:`held` read the held
+    objects and copy nothing; it compares equal to a :class:`TraceEntry`
+    with the same fields."""
 
-    __slots__ = ("_owned",)  # a bit for each field read or assigned
+    __slots__ = ("step", "_state", "_monitored", "_fired", "_events",
+                 "_owned")  # _owned: a bit for each field read or assigned
 
-    state = _copied_on_read(TraceEntry.state, dict, 1)
-    monitored = _copied_on_read(TraceEntry.monitored, dict, 2)
-    fired = _copied_on_read(TraceEntry.fired, list, 4)
-    events = _copied_on_read(TraceEntry.events, list, 8)
-
-    def __init__(self, entry: TraceEntry):
-        self.step = entry.step
-        _hold_state(self, entry.state)
-        _hold_monitored(self, entry.monitored)
-        _hold_fired(self, entry.fired)
-        _hold_events(self, entry.events)
+    def __init__(self, step: int, state: dict[Location, Value],
+                 monitored: dict[Location, Value], fired: list[str],
+                 events: list[str]):
+        self.step = step
+        self._state = state
+        self._monitored = monitored
+        self._fired = fired
+        self._events = events
         self._owned = 0
+
+    state = _copied_on_read("state", dict, 1)
+    monitored = _copied_on_read("monitored", dict, 2)
+    fired = _copied_on_read("fired", list, 4)
+    events = _copied_on_read("events", list, 8)
 
     def held(self) -> TraceEntry:
         """A plain entry over the objects this entry holds."""
-        return TraceEntry(self.step, *[slot.__get__(self) for slot in _SLOTS])
+        return TraceEntry(self.step, self._state, self._monitored,
+                          self._fired, self._events)
 
     def to_json(self, names: Optional[dict[Location, str]] = None) -> str:
         return self.held().to_json(names)
@@ -752,9 +756,14 @@ class Trace:
 
 
 def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
-             ctl_resolver: Optional[CtlResolver] = None
+             ctl_resolver: Optional[CtlResolver] = None,
+             entry: Callable[..., TraceEntry] = TraceEntry
              ) -> Generator[TraceEntry, object, None]:
-    """Yield the initial snapshot and one entry per step.
+    """Yield the initial snapshot and one entry per step, each built
+    once, as ``entry(step, state, monitored, fired, events)``: a
+    :class:`TraceEntry` by default, and a :class:`_CollectedEntry` for
+    a run that keeps its entries (:func:`run`,
+    :func:`~casmkit.protect.run_protected`).
 
     The one run loop, for plain and protected programs alike:
     ``ctl_resolver`` stages the challenge sites of a step, and step ``k``
@@ -780,8 +789,8 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     Yielded state dicts and ``fired`` lists are shared between steps,
     and with the graph: consumers must not mutate them, and need not copy
     one to retain it, since the run never changes a dict it has yielded.
-    :func:`run` keeps them, and each of its entries copies a field the
-    first time it is read.
+    :func:`run` keeps them in the entries it has the run build, and each
+    of those copies a field the first time it is read.
 
     A consumer that needs no more entries, but whose resolver draws
     something at every step, steps the run on without them
@@ -793,7 +802,7 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     """
     cp = compiled(program)
     values = program.initial_values()
-    watched = yield TraceEntry(0, values, {}, [], [])
+    watched = yield entry(0, values, {}, [], [])
     step_values, fire_step = cp.step_values, cp.fire_step
     inputs_key = cp.inputs_key
     draws = not cp.choose_free
@@ -822,8 +831,7 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
                 node.values, monitored, pick, ctl_resolver, k, node, inputs)
         except InconsistentUpdate as exc:
             raise StepError(str(exc), k) from exc
-        watched = yield TraceEntry(k + 1, node.values, monitored, fired,
-                                   events)
+        watched = yield entry(k + 1, node.values, monitored, fired, events)
 
 
 def drive(entries: Generator[TraceEntry, object, None],
@@ -852,14 +860,19 @@ def collect(steps: int, entries: Iterable[TraceEntry]) -> Trace:
     """The trace of a run of ``steps`` steps, from its entries; a
     negative count is refused.  Each entry holds the objects the run
     yielded, shared with other entries and with the run, until a field
-    is read; it then owns its copy (:class:`_CollectedEntry`).
-    Serialising the trace copies nothing."""
+    is read; it then owns its copy (:class:`_CollectedEntry`).  An entry
+    the run built collected (:func:`iter_run`) is kept as it is, and any
+    other is wrapped in one over its fields.  Serialising the trace
+    copies nothing."""
     check_step_count(steps)
-    return Trace([_CollectedEntry(entry) for entry in entries])
+    return Trace([e if type(e) is _CollectedEntry else _CollectedEntry(
+        e.step, e.state, e.monitored, e.fired, e.events) for e in entries])
 
 
 def run(program: Program, steps: int, oracle: MonitoredOracle,
         seed: int) -> Trace:
     """Deterministic multi-step run: equal inputs give equal traces.
-    The entries share the run's objects until read (:func:`collect`)."""
-    return collect(steps, iter_run(program, steps, oracle, seed))
+    The run builds each entry collected, once per step, and the entries
+    share the run's objects until read (:func:`collect`)."""
+    return collect(steps, iter_run(program, steps, oracle, seed, None,
+                                   _CollectedEntry))

@@ -41,8 +41,8 @@ from .ast import (
     program_rules, rebuild, rebuild_rule, rule_parts, validate_program,
 )
 from .interp import (
-    CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry, collect,
-    iter_run, location_key,
+    CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry,
+    _CollectedEntry, collect, iter_run, location_key,
     _check_total,  # noqa: F401 -- the traced benchmark run wraps it here
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
@@ -688,21 +688,24 @@ class ProtectedRunner:
         return self._stage(site, challenge, post, current_ctl)(step)
 
     def iter_entries(self, steps: int, oracle: MonitoredOracle,
-                     followers: Optional[dict] = None
+                     followers: Optional[dict] = None,
+                     entry: Callable[..., TraceEntry] = TraceEntry
                      ) -> Generator[TraceEntry, object, None]:
-        """The run's entries (:func:`~casmkit.interp.iter_run`).  This
-        run may lead ``followers``, a dict from trial to a noisy device
-        whose noise-free twin is this run's device: a noise-free device
-        of the same :meth:`~SiteDecider.device_key`, run with the same
-        seed and inputs.  Both draw the same fallbacks and inputs, so a
-        follower steps as this run until its noise changes a site's
-        result.  Each follower's stable response and noise coin are made
-        once per (site, challenge), as the run's own draws are
-        (:meth:`_stage`), and each step that resolves the site draws the
-        coin of each follower still in the dict; a follower leaves it at
-        its first flip that :meth:`SiteDecider.departs`.  Draws are kept
-        by site, not by staged step, since the run's graph keeps its
-        staged steps until a full collection.
+        """The run's entries (:func:`~casmkit.interp.iter_run`), each
+        built once as ``entry``, a :class:`~casmkit.interp.TraceEntry`
+        by default.  This run may lead ``followers``, a dict from trial
+        to a noisy device whose noise-free twin is this run's device: a
+        noise-free device of the same :meth:`~SiteDecider.device_key`,
+        run with the same seed and inputs.  Both draw the same
+        fallbacks and inputs, so a follower steps as this run until its
+        noise changes a site's result.  Each follower's stable response
+        and noise coin are made once per (site, challenge), as the run's
+        own draws are (:meth:`_stage`), and each step that resolves the
+        site draws the coin of each follower still in the dict; a
+        follower leaves it at its first flip that
+        :meth:`SiteDecider.departs`.  Draws are kept by site, not by
+        staged step, since the run's graph keeps its staged steps until
+        a full collection.
 
         The sites draw the coins, not the entries, so a consumer that
         needs no more entries can step the run on without them, over
@@ -723,16 +726,17 @@ class ProtectedRunner:
                 return self._stage(site, challenge, post, current_ctl,
                                    (coins, followers))
         return iter_run(self.protected.program, steps, oracle, self.seed,
-                        stage)
+                        stage, entry)
 
 
 def run_protected(protected: ProtectedProgram, device, steps: int,
                   oracle: MonitoredOracle, seed: int) -> Trace:
-    """The trace of ``protected`` run on ``device``.  Its entries share
-    the run's objects until read, then own their copies
+    """The trace of ``protected`` run on ``device``.  The run builds
+    each entry collected, once per step, and the entries share the
+    run's objects until read, then own their copies
     (:func:`~casmkit.interp.collect`)."""
     return collect(steps, ProtectedRunner(protected, device, seed)
-                   .iter_entries(steps, oracle))
+                   .iter_entries(steps, oracle, None, _CollectedEntry))
 
 
 # ---------------------------------------------------------------------------

@@ -385,8 +385,14 @@ def compare_target_traces(original: Program, protected: ProtectedProgram,
     step's inputs are drawn once and given to both runs; otherwise each
     run draws its own.  A :class:`~casmkit.interp.ConstantOracle` gives
     both runs its one dict either way, and goes to them as it is, so
-    each run reads it once (:func:`~casmkit.interp.iter_run`).  A
-    negative step count is refused."""
+    each run reads it once (:func:`~casmkit.interp.iter_run`).
+
+    When both programs are ``choose``-free, both runs intern their
+    states (:class:`~casmkit.interp._Graph`), so each distinct pair of
+    states is decoded and compared once: the verdict is kept by the
+    pair's ids, and the memo keeps both states alive, so no id is
+    reused.  A program that draws makes a fresh state each step, which
+    is compared at that step.  A negative step count is refused."""
     check_step_count(steps)
     enrollment = protected.enrollment
     device = make_device(device_seed, enrollment.challenge_bits,
@@ -400,15 +406,37 @@ def compare_target_traces(original: Program, protected: ProtectedProgram,
     orig_iter = iter_run(original, steps, oracle, run_seed)
     prot_iter = runner.iter_entries(steps, oracle)
     order = sorted(original.initial_values(), key=str)
+
+    def mismatch(orig_state: dict, prot_state: dict) -> Optional[str]:
+        """The first location, in name order, where the decoded state
+        differs from the original's, formatted; ``None`` if none does."""
+        decoded = protected.decoded_values(prot_state)
+        if decoded != orig_state:
+            for loc in order:
+                if decoded.get(loc) != orig_state.get(loc):
+                    return format_location(loc)
+        return None
+
+    # (id of the original state, id of the protected state) -> the two
+    # states, kept alive, and their mismatch
+    memo: Optional[dict[tuple[int, int], tuple]] = \
+        {} if compiled(original).choose_free and \
+        compiled(protected.program).choose_free else None
     for orig_entry, prot_entry in zip(orig_iter, prot_iter):
         fallbacks += prot_entry.events.count(FALLBACK_TAKEN)
-        decoded = protected.decoded_values(prot_entry.state)
-        if decoded != orig_entry.state:
-            for loc in order:
-                if decoded.get(loc) != orig_entry.state.get(loc):
-                    return TraceComparison(
-                        "MISMATCH", orig_entry.step, format_location(loc),
-                        fallbacks)
+        orig_state, prot_state = orig_entry.state, prot_entry.state
+        if memo is None:
+            loc = mismatch(orig_state, prot_state)
+        else:
+            key = id(orig_state), id(prot_state)
+            held = memo.get(key)
+            if held is None:
+                held = memo[key] = (orig_state, prot_state,
+                                    mismatch(orig_state, prot_state))
+            loc = held[2]
+        if loc is not None:
+            return TraceComparison("MISMATCH", orig_entry.step, loc,
+                                   fallbacks)
     return TraceComparison("EQUAL", None, None, fallbacks)
 
 
@@ -568,7 +596,9 @@ def clone_divergence_report(protected: ProtectedProgram,
     no more entries.  It is driven on over the states it has reached
     (:func:`~casmkit.interp.drive`), only to draw its trials' coins,
     until the last trial departs or the run ends.  The reference run's
-    control value is read only up to each trial's first divergence.  A
+    control value is read only up to each trial's first divergence, from
+    the state its entry holds (:meth:`~casmkit.interp.TraceEntry.held`):
+    a collected reference trace copies nothing for the report.  A
     negative step count is refused.
     """
     check_step_count(steps)
@@ -621,7 +651,7 @@ def clone_divergence_report(protected: ProtectedProgram,
                 violations += 1
             if first_div is None:
                 decoded = enrollment.decode_stored(state[ctl_loc])
-                if decoded != reference[entry.step].state[ctl_loc]:
+                if decoded != reference[entry.step].held().state[ctl_loc]:
                     first_div = entry.step
                     left = steps - first_div
                     if may_settle and left:
