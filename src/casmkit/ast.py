@@ -514,10 +514,19 @@ class Program:
     ctl_name: str
     unsafe: Term
     init_constraints: tuple[Term, ...] = ()
-    _sort_index: dict = field(default_factory=dict, compare=False, repr=False)
-    _fn_index: dict = field(default_factory=dict, compare=False, repr=False)
-    _literal_sorts: dict = field(default_factory=dict, compare=False, repr=False)
-    _named_index: dict = field(default_factory=dict, compare=False, repr=False)
+    # built by each instance for itself: ``dataclasses.replace`` makes
+    # new ones for the copy instead of handing it the original's
+    _sort_index: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
+    _fn_index: dict = field(default_factory=dict, init=False,
+                            compare=False, repr=False)
+    _literal_sorts: dict = field(default_factory=dict, init=False,
+                                 compare=False, repr=False)
+    _named_index: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
+    # validate_program's problems, by its (protected, plain_sort)
+    _problems: dict = field(default_factory=dict, init=False,
+                            compare=False, repr=False)
 
     def __post_init__(self):
         self._sort_index.update({s.name: s for s in self.sorts})
@@ -835,7 +844,21 @@ def validate_program(program: Program, protected: bool = False,
     control-state guards test membership in encoded value sets.  The
     violation predicate is only evaluated on decoded states, so it is
     checked with the control function at ``plain_sort`` when given.
+
+    A program is validated once per ``protected`` and ``plain_sort``:
+    the answer is kept on the program, so ``protect`` of a parsed
+    program reuses the parser's.
     """
+    key = (protected, plain_sort)
+    problems = program._problems.get(key)
+    if problems is None:
+        problems = program._problems[key] = _validate(
+            program, protected, plain_sort)
+    return list(problems)
+
+
+def _validate(program: Program, protected: bool,
+              plain_sort: Optional[Sort]) -> list[tuple[str, str]]:
     problems: list[tuple[str, str]] = []
 
     names = [s.name for s in program.sorts]

@@ -699,8 +699,9 @@ def _copied_on_read(name: str, copy: Callable, bit: int) -> property:
 
 
 class _CollectedEntry:
-    """An entry of a collected trace (:func:`collect`), built by the run
-    as it steps (:func:`iter_run`) with the fields of a
+    """An entry of a collected trace (:func:`run`,
+    :func:`~casmkit.protect.run_protected`, :func:`collect`), built by
+    the run as it steps (:func:`iter_run`) with the fields of a
     :class:`TraceEntry`.  It holds the objects the run yields, which the
     run shares between steps but never changes, and copies each of
     ``state``, ``monitored``, ``fired`` and ``events`` the first time it
@@ -744,9 +745,9 @@ class _CollectedEntry:
 
 @dataclass
 class Trace:
-    """A run's entries.  A trace that :func:`collect` builds holds the
-    run's shared objects until a field is read, and each entry then owns
-    its copy (:class:`_CollectedEntry`)."""
+    """A run's entries.  A collected trace (:func:`run`, :func:`collect`)
+    holds the run's shared objects until a field is read, and each entry
+    then owns its copy (:class:`_CollectedEntry`)."""
 
     entries: list[TraceEntry] = field(default_factory=list)
 
@@ -857,13 +858,15 @@ def check_step_count(steps: int) -> None:
 
 
 def collect(steps: int, entries: Iterable[TraceEntry]) -> Trace:
-    """The trace of a run of ``steps`` steps, from its entries; a
-    negative count is refused.  Each entry holds the objects the run
+    """The trace of a run of ``steps`` steps, from entries of any type;
+    a negative count is refused.  Each entry holds the objects the run
     yielded, shared with other entries and with the run, until a field
     is read; it then owns its copy (:class:`_CollectedEntry`).  An entry
     the run built collected (:func:`iter_run`) is kept as it is, and any
     other is wrapped in one over its fields.  Serialising the trace
-    copies nothing."""
+    copies nothing.  :func:`run` and
+    :func:`~casmkit.protect.run_protected` have their runs build only
+    collected entries, and keep them without this test."""
     check_step_count(steps)
     return Trace([e if type(e) is _CollectedEntry else _CollectedEntry(
         e.step, e.state, e.monitored, e.fired, e.events) for e in entries])
@@ -872,7 +875,9 @@ def collect(steps: int, entries: Iterable[TraceEntry]) -> Trace:
 def run(program: Program, steps: int, oracle: MonitoredOracle,
         seed: int) -> Trace:
     """Deterministic multi-step run: equal inputs give equal traces.
-    The run builds each entry collected, once per step, and the entries
-    share the run's objects until read (:func:`collect`)."""
-    return collect(steps, iter_run(program, steps, oracle, seed, None,
-                                   _CollectedEntry))
+    The run builds each entry collected (:class:`_CollectedEntry`), once
+    per step, and the entries share the run's objects until read.  A
+    negative step count is refused."""
+    check_step_count(steps)
+    return Trace(list(iter_run(program, steps, oracle, seed, None,
+                               _CollectedEntry)))

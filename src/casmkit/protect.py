@@ -42,7 +42,7 @@ from .ast import (
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry,
-    _CollectedEntry, collect, iter_run, location_key,
+    _CollectedEntry, check_step_count, iter_run, location_key,
     _check_total,  # noqa: F401 -- the traced benchmark run wraps it here
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
@@ -51,7 +51,7 @@ from .rng import step_words
 from .rng import derive_rng  # noqa: F401 -- the traced benchmark wraps it
 from . import symexec
 from .symexec import (
-    PathedSymState, SymInit, elim_symbol, free_symbols_in,
+    PathedSymState, SymInit, elim_symbol, free_symbols_in, group_successors,
     merge_successors, simplify_formula, subst_symbol, subst_term,
     substitute_initial_terms, symbolic_step,
 )
@@ -176,10 +176,12 @@ def derive_safe_condition(program: Program,
     path condition and the violation predicate pushed through its
     successor map.  Symbols with no concrete carrier at run time
     (environment inputs, the abstracted next control value, internal
-    choices) are eliminated existentially."""
+    choices) are eliminated existentially.  Only the groups with a
+    non-stutter path are merged: a stutter group adds no disjunct."""
     init, paths = step or _one_step(program)
-    merged = merge_successors(paths)
-    contributing = [p for p in merged if not p.stutter]
+    contributing = merge_successors(paths, [
+        g for g in group_successors(paths)
+        if not all(paths[i].stutter for i in g)])
 
     ctl_loc = program.ctl_loc
     alpha = init.symbol_of(ctl_loc)
@@ -732,11 +734,12 @@ class ProtectedRunner:
 def run_protected(protected: ProtectedProgram, device, steps: int,
                   oracle: MonitoredOracle, seed: int) -> Trace:
     """The trace of ``protected`` run on ``device``.  The run builds
-    each entry collected, once per step, and the entries share the
-    run's objects until read, then own their copies
-    (:func:`~casmkit.interp.collect`)."""
-    return collect(steps, ProtectedRunner(protected, device, seed)
-                   .iter_entries(steps, oracle, None, _CollectedEntry))
+    each entry collected (:class:`~casmkit.interp._CollectedEntry`),
+    once per step, and the entries share the run's objects until read,
+    then own their copies.  A negative step count is refused."""
+    check_step_count(steps)
+    return Trace(list(ProtectedRunner(protected, device, seed)
+                      .iter_entries(steps, oracle, None, _CollectedEntry)))
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +851,11 @@ def load_protected(directory: str) -> ProtectedProgram:
             raise CasmError(
                 f"encoding annotation for {format_value(state)} does not "
                 "match the enrollment file")
+    for state in plain_sort.values():
+        if state not in enc and enrollment.encodings(state):
+            raise CasmError(
+                f"encoding annotation omits {format_value(state)}, which "
+                f"{enr_path} enrolls")
     safe_condition = SafeCondition(
         cond_x=result.extras.condx,
         plain_values=plain_sort.values(),

@@ -21,7 +21,12 @@ Simplification, feasibility and elimination keep their work in a
 :class:`FormulaCache`; inside an :func:`analysis` block (``protect``
 opens one) every call shares the block's cache, so each distinct
 subterm is simplified, sized, listed by its leaves and compiled once per
-analysis.
+analysis.  Within one symbolic step the paths through a rule share its
+work as well: each guard, update and binding is evaluated, and each
+guard and update value simplified, once per environment, and each
+rule's control writes are counted once.  Substitution
+(:func:`subst_term`) skips the sides that its folding decides, such as
+the dead branches of a conditional whose condition it makes constant.
 
 Reads through a location whose argument is itself symbolic are grounded
 by expansion: ``f(x)`` with symbolic ``x`` becomes a conditional cascade
@@ -29,6 +34,7 @@ over all values of the argument sort, one ground location per value.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -37,7 +43,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .ast import (
     And, App, Call, CasmError, Choose, ChooseCtl, Cond, Const, Eq, FALSE, Ite,
-    Let, Location, Member, Not, Or, Par, Program, Sort, TRUE, Term,
+    Let, Location, Member, Not, Or, Par, Program, Rule, Sort, TRUE, Term,
     Update, Value, Var, and_all, cached_hash, canonical_values, children,
     ctl_writes, flatten, location_term, locations_of_interest, or_all,
     reads_location, rebuild,
@@ -264,7 +270,7 @@ class FormulaCache:
             if nxt == out:
                 break
             out = nxt
-        if self.size(out) > self.size(f):
+        if out is not f and self.size(out) > self.size(f):
             out = f
         return out
 
@@ -541,10 +547,36 @@ def s_rebuild(term: Term, kids) -> Term:
 # ---------------------------------------------------------------------------
 
 def subst_term(term: Term, mapping: dict[Term, Term]) -> Term:
-    """Replace whole subterms (top-down, outermost match wins)."""
+    """Replace whole subterms (top-down, outermost match wins) and
+    rebuild through the smart constructors (:func:`s_rebuild`).
+
+    A side the folding decides is not substituted: an ``And`` whose left
+    side becomes ``FALSE`` is ``FALSE`` and an ``Or`` whose left side
+    becomes ``TRUE`` is ``TRUE``, and an ``Ite`` whose condition becomes
+    a constant is its chosen branch, substituted.  These are the cases
+    the constructors fold whatever the other sides become, so the result
+    is the one an eager children-first rebuild gives."""
     hit = mapping.get(term)
     if hit is not None:
         return hit
+    kind = type(term)
+    if kind is And:
+        left = subst_term(term.left, mapping)
+        if left == FALSE:
+            return FALSE
+        return s_and(left, subst_term(term.right, mapping))
+    if kind is Or:
+        left = subst_term(term.left, mapping)
+        if left == TRUE:
+            return TRUE
+        return s_or(left, subst_term(term.right, mapping))
+    if kind is Ite:
+        cond = subst_term(term.cond, mapping)
+        if isinstance(cond, Const):
+            return subst_term(term.then if cond.value else term.other,
+                              mapping)
+        return s_ite(cond, subst_term(term.then, mapping),
+                     subst_term(term.other, mapping))
     kids = children(term)
     if not kids:
         return term
@@ -933,6 +965,31 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
         return SymRef(next_sym_holder[0])
 
     paths: list[PathedSymState] = []
+    # per-step memos of pure functions, so that the paths through a rule
+    # share its work: the value of a term under an environment
+    # (``sym_eval`` reads only ``locmap0``), that value simplified, and
+    # the control writes of a rule
+    evaluated: dict[tuple, Term] = {}
+    simplified: dict[tuple, Term] = {}
+
+    def evaluate(term: Term, env: dict[str, Term]) -> Term:
+        key = (term, tuple(env.items()))
+        out = evaluated.get(key)
+        if out is None:
+            out = evaluated[key] = sym_eval(term, program, locmap0, env)
+        return out
+
+    def value_of(term: Term, env: dict[str, Term]) -> Term:
+        key = (term, tuple(env.items()))
+        out = simplified.get(key)
+        if out is None:
+            out = simplified[key] = simplify_formula(evaluate(term, env),
+                                                     program)
+        return out
+
+    @functools.cache
+    def writes_in(rule: Rule) -> int:
+        return ctl_writes(program, rule)
 
     def items_of(rules, env: dict[str, Term], site: tuple[str, int],
                  guarded: bool) -> list:
@@ -942,7 +999,7 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
         items = []
         for r in rules:
             items.append((r, env, (rule, ordinal), guarded))
-            ordinal += ctl_writes(program, r)
+            ordinal += writes_in(r)
         return items
 
     def finalize(conds: list[Term], updates: list) -> None:
@@ -971,7 +1028,7 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
             return
         (node, env, site, guarded), rest = items[0], items[1:]
         if isinstance(node, Update):
-            argexprs = [sym_eval(a, program, locmap0, env) for a in node.args]
+            argexprs = [evaluate(a, env) for a in node.args]
             if not all(isinstance(e, Const) for e in argexprs):
                 raise UnsupportedConstruct(
                     f"update to {node.fn} with a symbolic argument")
@@ -980,19 +1037,17 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
                 # the target stays concrete until finalize compares writes;
                 # the symbol is made here so fresh names keep their order
                 next_ctl_symbol()
-                rhs = sym_eval(node.rhs, program, locmap0, env)
+                rhs = evaluate(node.rhs, env)
             else:
-                rhs = simplify_formula(
-                    sym_eval(node.rhs, program, locmap0, env), program)
+                rhs = value_of(node.rhs, env)
             write = CtlWrite(*site, rhs, guarded) if loc == ctl_loc else None
             walk(rest, conds, updates + [(loc, rhs, write)])
         elif isinstance(node, Cond):
             guarded = guarded or reads_location(node.guard, ctl_loc)
-            guard = simplify_formula(
-                sym_eval(node.guard, program, locmap0, env), program)
+            guard = value_of(node.guard, env)
             then = items_of(node.then_rules, env, site, guarded)
             other = items_of(node.else_rules, env, (site[0], site[1] + sum(
-                ctl_writes(program, r) for r in node.then_rules)), guarded)
+                map(writes_in, node.then_rules))), guarded)
             if guard == TRUE:
                 walk(then + rest, conds, updates)
                 return
@@ -1024,12 +1079,12 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
                  new_conds, updates)
         elif isinstance(node, Let):
             inner = dict(env)
-            inner[node.var] = sym_eval(node.binding, program, locmap0, env)
+            inner[node.var] = evaluate(node.binding, env)
             walk(items_of(node.body, inner, site, guarded) + rest, conds,
                  updates)
         elif isinstance(node, Call):
             target = program.named_rule(node.name)
-            inner = {p: sym_eval(a, program, locmap0, env)
+            inner = {p: evaluate(a, env)
                      for (p, _), a in zip(target.params, node.args)}
             walk(items_of(target.body, inner, site, guarded) + rest, conds,
                  updates)
@@ -1044,20 +1099,25 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
     return paths
 
 
-def merge_successors(paths: list[PathedSymState]) -> list[PathedSymState]:
-    """Merge paths with structurally equal successor maps; the merged
-    condition is the simplified disjunction of the group's conditions."""
+def group_successors(paths: list[PathedSymState]) -> list[list[int]]:
+    """The indices of ``paths`` grouped by structurally equal successor
+    maps, groups in the order of their first paths."""
     groups: dict[frozenset, list[int]] = {}
-    order: list[frozenset] = []
     for i, p in enumerate(paths):
-        key = frozenset(p.loc_map.items())
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
+        groups.setdefault(frozenset(p.loc_map.items()), []).append(i)
+    return list(groups.values())
+
+
+def merge_successors(paths: list[PathedSymState],
+                     groups: Optional[list[list[int]]] = None
+                     ) -> list[PathedSymState]:
+    """Merge each of ``groups`` of ``paths``, by default every group of
+    :func:`group_successors`; the merged condition is the simplified
+    disjunction of the group's conditions."""
+    if groups is None:
+        groups = group_successors(paths)
     out: list[PathedSymState] = []
-    for key in order:
-        idxs = groups[key]
+    for idxs in groups:
         members = [paths[i] for i in idxs]
         cond = simplify_formula(or_all([m.path_cond for m in members]))
         updated = frozenset().union(*(m.updated for m in members))

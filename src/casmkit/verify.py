@@ -449,18 +449,17 @@ def decoded_target_run(protected: ProtectedProgram, device, steps: int,
     interns its states (:class:`~casmkit.interp._Graph`), so each
     distinct state is decoded once and its entries share the decoded
     dict; the memo, keyed by the state's id, keeps the state alive, so
-    no id is reused.  A negative step count is refused."""
+    no id is reused.  The run builds each decoded entry itself, once per
+    step.  A negative step count is refused."""
     check_step_count(steps)
     memo: Optional[dict[int, tuple[dict, dict]]] = \
         {} if compiled(protected.program).choose_free else None
     decode = protected.decoded_values
-    trace = Trace()
-    fallbacks = stalls = 0
-    for e in ProtectedRunner(protected, device, seed).iter_entries(
-            steps, oracle):
-        fallbacks += e.events.count(FALLBACK_TAKEN)
-        stalls += e.events.count(SAFE_STALL)
-        state = e.state
+    counts = [0, 0]  # fallbacks, stalls
+
+    def decoded_entry(step, state, monitored, fired, events):
+        counts[0] += events.count(FALLBACK_TAKEN)
+        counts[1] += events.count(SAFE_STALL)
         if memo is None:
             decoded = decode(state)
         else:
@@ -468,9 +467,11 @@ def decoded_target_run(protected: ProtectedProgram, device, steps: int,
             if held is None:
                 held = memo[id(state)] = state, decode(state)
             decoded = held[1]
-        trace.entries.append(TraceEntry(e.step, decoded, e.monitored,
-                                        e.fired, e.events))
-    return trace, fallbacks, stalls
+        return TraceEntry(step, decoded, monitored, fired, events)
+
+    trace = Trace(list(ProtectedRunner(protected, device, seed).iter_entries(
+        steps, oracle, None, decoded_entry)))
+    return trace, *counts
 
 
 # ---------------------------------------------------------------------------

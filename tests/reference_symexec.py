@@ -2,8 +2,9 @@
 valuation of a formula's finite-sorted leaves.
 
 ``equivalent_on_finite_domains`` is a complete equivalence check,
-``eval_fd`` evaluates a formula under one full valuation, and
-``free_symbols`` lists the symbols a term reads.
+``eval_fd`` evaluates a formula under one full valuation,
+``free_symbols`` lists the symbols a term reads, and ``subst_eager``
+substitutes into every subterm.
 ``transitions_by_enumeration`` finds a program's control-state
 transitions by running one step from every state the symbolic step
 ranges over, under the inputs ``monitored_reads`` finds the step reads.
@@ -122,6 +123,19 @@ def _oracle_check(f: Term, g: Term, program: Optional[Program]) -> None:
         if not ok:
             raise CasmError(
                 f"simplification changed meaning under {witness!r}")
+
+
+def subst_eager(term: Term, mapping: dict[Term, Term]) -> Term:
+    """The reference for ``subst_term``: replace whole subterms
+    (outermost match wins), substitute every child first, and rebuild
+    each node through the smart constructors (``symexec.s_rebuild``)."""
+    hit = mapping.get(term)
+    if hit is not None:
+        return hit
+    kids = children(term)
+    if not kids:
+        return term
+    return symexec.s_rebuild(term, [subst_eager(c, mapping) for c in kids])
 
 
 def _bind_x(term: Term, value: Value) -> Term:

@@ -333,6 +333,24 @@ class TestValidation:
     def test_bundled_program_is_clean(self, traffic):
         assert validate_program(traffic) == []
 
+    def test_replace_leaves_the_original_alone(self, traffic):
+        # the copy builds its own indexes and validates anew; the
+        # original keeps its declarations and its answer
+        old = traffic.function("GoLight")
+        new = dataclasses.replace(old, init=make_init({(1,): True}))
+        copy = dataclasses.replace(traffic, functions=tuple(
+            new if f is old else f for f in traffic.functions))
+        assert validate_program(traffic) == []
+        assert {c for c, _ in validate_program(copy)} == {"E-NOINIT"}
+        assert traffic.function("GoLight") is old
+        assert copy.function("GoLight") is new
+        assert validate_program(traffic) == []
+
+    def test_answer_is_the_callers_own(self, traffic):
+        problems = validate_program(traffic)
+        problems.append(("E-TEST", "appended by the caller"))
+        assert validate_program(traffic) == []
+
     def test_ctl_update_must_be_constant(self, traffic):
         mode = Sort("Mode", "enum", ("A", "B"))
         program = Program(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -348,6 +349,16 @@ def _transition_to_outside_plain_sort(raw):
     return json.dumps(raw)
 
 
+def _enc_line_omits_an_enrolled_state(raw):
+    # the enrollment stays as it is, and the protected program beside it
+    # (the workspace is the working directory) loses Go2Stop1's encoding
+    casm = Path("p", "protected.casm")
+    text = casm.read_text()
+    assert text.count(", Go2Stop1: [28866]") == 1
+    casm.write_text(text.replace(", Go2Stop1: [28866]", ""))
+    return json.dumps(raw)
+
+
 class TestBadInputs:
     """Malformed artifacts and input specs end in exit code 2 with a
     one-line diagnostic, never a traceback."""
@@ -362,7 +373,9 @@ class TestBadInputs:
         (_other_ctl_function, "ctlFunction Passed"),
         (_init_state_outside_plain_sort, "initState Bogus"),
         (_transition_from_outside_plain_sort, "transition from Bogus"),
-        (_transition_to_outside_plain_sort, "transition to Bogus")])
+        (_transition_to_outside_plain_sort, "transition to Bogus"),
+        (_enc_line_omits_an_enrolled_state,
+         "encoding annotation omits Go2Stop1")])
     def test_corrupt_enrollment(self, workspace, corrupt, names):
         invoke("protect", "traffic.casm", "--device-seed", "42",
                "--challenge-bits", "16", "--response-bits", "16",

@@ -134,8 +134,9 @@ def checked_against_fresh(monkeypatch):
 def test_cached_answers_match_fresh_ones_protecting_rings(
         n, checked_against_fresh):
     protect(parse_or_raise(ring_source(n)), device())
-    # the whole analysis ran on one cache
-    assert len(checked_against_fresh) > 50
+    # the whole analysis ran on one cache (ring-2 makes 49 calls: 28
+    # feasibility queries and 21 simplifications)
+    assert len(checked_against_fresh) > 40
     assert len(set(map(id, checked_against_fresh))) == 1
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casmkit.ast import (
     BOOL, And, App, Const, Eq, Ite, Member, Not, Or, Sort, TRUE, FALSE,
@@ -9,13 +10,15 @@ from casmkit.ast import (
 )
 from casmkit.symexec import (
     DomainTooLarge, SymInit, SymRef, Symbol, UnhousedSymbol, elim_symbol,
-    free_symbols_in, merge_successors, simplify_formula,
+    free_symbols_in, merge_successors, simplify_formula, subst_term,
     substitute_initial_terms, symbolic_step,
 )
 
 from fuzzing import formula_symbols, random_formula
 from reference_runtime import step
-from reference_symexec import equivalent_on_finite_domains, eval_fd
+from reference_symexec import (
+    equivalent_on_finite_domains, eval_fd, subst_eager,
+)
 from reference_walker import initial_state
 
 PHASE = ("phase", ())
@@ -262,6 +265,30 @@ class TestSimplify:
             ok, witness = equivalent_on_finite_domains(f, g)
             assert ok, (i, witness)
             assert term_size(g) <= term_size(f)
+
+
+class TestSubstitution:
+    @settings(max_examples=400, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_short_circuit_equals_eager(self, rng):
+        # symbols mapped to constants, to other symbols, or left alone,
+        # and now and then a whole subformula mapped to a constant
+        symbols = formula_symbols(rng)
+        f = random_formula(rng, symbols)
+        refs = [SymRef(s) for s in symbols]
+        mapping = {}
+        for s in symbols:
+            roll = rng.random()
+            if roll < 0.6:
+                mapping[SymRef(s)] = Const(rng.choice(s.sort.values()))
+            elif roll < 0.8:
+                mapping[SymRef(s)] = rng.choice(
+                    [r for r in refs if r.symbol.sort == s.sort])
+        if rng.random() < 0.3:
+            inner = random_formula(rng, symbols, depth=2)
+            mapping[inner] = Const(rng.random() < 0.5)
+        want = subst_eager(f, mapping)
+        assert repr(subst_term(f, mapping)) == repr(want)
 
 
 class TestElimination:
