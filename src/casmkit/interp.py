@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, partial
+from operator import eq, itemgetter
 from typing import Callable, Generator, Iterable, Optional, Sized
 from weakref import WeakKeyDictionary
 
@@ -45,7 +47,9 @@ class EmptyChooseSet(StepError):
 
 STALL = "STALL"
 
-# A staged challenge site: the step index -> (value, tag).
+# A staged challenge site: the step index -> (value, tag).  A staged site
+# whose tag is the same at every step may say so with a true ``steady``
+# attribute.
 StagedSite = Callable[[int], tuple[Value, str]]
 # Stages a pending control-state site of a run: (site, challenge,
 # post-update view of non-control locations, current control value) ->
@@ -393,13 +397,25 @@ class CompiledProgram:
         challenge site of a step once, and each staged site resolves at
         ``step_index`` (:meth:`_Step.finish`).  The returned values and
         lists may be shared with other steps of the run and must not be
-        mutated."""
+        mutated: a step whose tags cannot vary, one whose staged sites are
+        all steady (:data:`StagedSite`), gives every visit the events list
+        of its first, and only a step with a site whose tag may vary, a
+        noisy one, makes a fresh list each time."""
         step = node.steps.get(inputs) or self.fire_step(node, monitored,
                                                          pick, inputs)
-        events: list[str] = []
-        successor = step.finish(ctl_resolver, step_index, node.graph, events)
-        if not step.fired:
-            events.append(STALL)
+        events = step.events
+        if events is None:
+            events = []
+            successor = step.finish(ctl_resolver, step_index, node.graph,
+                                    events)
+            if not step.fired:
+                events.append(STALL)
+            if step.steady:
+                step.events = events
+        elif step.sites:
+            successor = step.finish(ctl_resolver, step_index, node.graph)
+        else:  # no site: the one successor, found at the first visit
+            successor = step.after[()]
         return successor, step.fired, events
 
     def fire_step(self, node: _Node, monitored: dict, pick, inputs
@@ -458,10 +474,13 @@ class _Step:
     by what the sites resolve to, the successor, merged and checked
     once: the next state's node in a run's graph.  A step serves one
     run, so one resolver.  The key of ``after`` is the resolved value of
-    a one-site step, and the tuple of resolved values otherwise."""
+    a one-site step, and the tuple of resolved values otherwise.  A step
+    is ``steady`` when no tag of its can vary: it has no site, or every
+    staged site is steady; it then keeps the events list of its first
+    visit in ``events`` (:meth:`CompiledProgram.step_values`)."""
 
     __slots__ = ("ctl_loc", "values", "updates", "sites", "fired", "post",
-                 "current", "staged", "after")
+                 "current", "staged", "after", "steady", "events")
 
     def __init__(self, ctl_loc: Location, values: dict, out: _Out,
                  fired: list[str]):
@@ -470,7 +489,8 @@ class _Step:
         self.updates = out.updates
         self.sites = pending = out.pending
         self.fired = fired
-        self.post = self.current = self.staged = None
+        self.post = self.current = self.staged = self.events = None
+        self.steady = not pending
         if pending:
             if len(pending) > 1:
                 self.sites = _first_sites(pending)
@@ -489,7 +509,11 @@ class _Step:
         if not self.sites:
             resolved = ()
         else:
-            staged = self.staged or self._stage(ctl_resolver)
+            staged = self.staged
+            if staged is None:
+                staged = self._stage(ctl_resolver)
+                self.steady = all(getattr(site, "steady", False)
+                                  for site in staged)
             if len(staged) == 1:
                 resolved, tag = staged[0](step_index)
                 if events is not None:
@@ -649,24 +673,10 @@ class TraceEntry:
     fired: list[str]
     events: list[str]
 
-    def to_json(self, names: Optional[dict[Location, str]] = None) -> str:
-        """The entry as one JSON line.  ``names`` is a memo of formatted
-        locations that a caller may share between entries
-        (:meth:`Trace.to_jsonl`), so that each is formatted once."""
-        if names is None:
-            names = _LocationNames()
-        return json.dumps({
-            "step": self.step,
-            "state": {names[l]: v for l, v in self.state.items()},
-            "monitored": {names[l]: v for l, v in self.monitored.items()},
-            "fired": self.fired,
-            "events": self.events,
-        }, sort_keys=True, separators=(",", ":"))
-
-    def held(self) -> "TraceEntry":
-        """The entry itself, whose fields are the objects it holds, as
-        :meth:`_CollectedEntry.held` gives them without a copy."""
-        return self
+    def to_json(self) -> str:
+        """The entry as one JSON line."""
+        return _json_line(self.step, self.state, self.monitored, self.fired,
+                          self.events, _LocationNames())
 
 
 class _LocationNames(dict):
@@ -677,6 +687,21 @@ class _LocationNames(dict):
     def __missing__(self, loc: Location) -> str:
         name = self[loc] = format_location(loc)
         return name
+
+
+def _json_line(step: int, state: dict[Location, Value],
+               monitored: dict[Location, Value], fired: list[str],
+               events: list[str], names: dict[Location, str]) -> str:
+    """One step of a trace as a JSON line, its locations named by
+    ``names``, a memo a trace shares between its steps
+    (:meth:`Trace.to_jsonl`), so that each is formatted once."""
+    return json.dumps({
+        "step": step,
+        "state": {names[l]: v for l, v in state.items()},
+        "monitored": {names[l]: v for l, v in monitored.items()},
+        "fired": fired,
+        "events": events,
+    }, sort_keys=True, separators=(",", ":"))
 
 
 def _copied_on_read(name: str, copy: Callable, bit: int) -> property:
@@ -699,13 +724,13 @@ def _copied_on_read(name: str, copy: Callable, bit: int) -> property:
 
 
 class _CollectedEntry:
-    """An entry of a collected trace (:func:`run`,
-    :func:`~casmkit.protect.run_protected`, :func:`collect`), built by
-    the run as it steps (:func:`iter_run`) with the fields of a
-    :class:`TraceEntry`.  It holds the objects the run yields, which the
-    run shares between steps but never changes, and copies each of
-    ``state``, ``monitored``, ``fired`` and ``events`` the first time it
-    is read, keeping the copy: every object it hands out is its own.
+    """An entry of a :class:`Trace`, with the fields of a
+    :class:`TraceEntry`, built from the trace's columns the first time
+    its index is read (:class:`_Entries`).  It holds the objects the run
+    yielded, which the run shares between steps but never changes, and
+    copies each of ``state``, ``monitored``, ``fired`` and ``events`` the
+    first time it is read, keeping the copy: every object it hands out
+    is its own, and writing to one changes this entry alone.
     Serialising, comparing, printing and :meth:`held` read the held
     objects and copy nothing; it compares equal to a :class:`TraceEntry`
     with the same fields."""
@@ -733,8 +758,8 @@ class _CollectedEntry:
         return TraceEntry(self.step, self._state, self._monitored,
                           self._fired, self._events)
 
-    def to_json(self, names: Optional[dict[Location, str]] = None) -> str:
-        return self.held().to_json(names)
+    def to_json(self) -> str:
+        return self.held().to_json()
 
     def __eq__(self, other):
         return self.held() == other
@@ -743,17 +768,99 @@ class _CollectedEntry:
         return repr(self.held())
 
 
-@dataclass
-class Trace:
-    """A run's entries.  A collected trace (:func:`run`, :func:`collect`)
-    holds the run's shared objects until a field is read, and each entry
-    then owns its copy (:class:`_CollectedEntry`)."""
+class _Entries(Sequence):
+    """A trace's entries: a read-only sequence over its columns.  The
+    first read of an index builds its :class:`_CollectedEntry` and keeps
+    it, so every read of an index gives one entry, and a run that is
+    never read builds none.  A slice is a list of entries, and the
+    sequence equals a list, or another trace's entries, of equal
+    entries."""
 
-    entries: list[TraceEntry] = field(default_factory=list)
+    __slots__ = ("_columns", "_built")
+
+    def __init__(self, columns: tuple[Sequence, Sequence, Sequence,
+                                      Sequence]):
+        self._columns = columns
+        self._built: dict[int, _CollectedEntry] = {}  # by index read
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(n))]
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("trace entry index out of range")
+        entry = self._built.get(index)
+        if entry is None:
+            entry = self._built[index] = _CollectedEntry(
+                index, *(column[index] for column in self._columns))
+        return entry
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Entries)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+class Trace:
+    """A run's steps in four columns, by step: the state, monitored
+    inputs, fired rules and events the run yielded (:func:`iter_run`),
+    held as the run shares them, never copied and never changed.
+    ``entries`` is the steps as a read-only sequence of entries over the
+    columns (:class:`_Entries`): each is built the first time its index
+    is read and owns a copy of each field it hands out
+    (:class:`_CollectedEntry`), so writing to an entry changes neither
+    the columns nor any other entry.  Serialising reads the columns and
+    copies nothing."""
+
+    __slots__ = ("states", "monitored", "fired", "events", "entries")
+
+    def __init__(self, states: Sequence[dict[Location, Value]],
+                 monitored: Sequence[dict[Location, Value]],
+                 fired: Sequence[list[str]], events: Sequence[list[str]]):
+        self.states = states
+        self.monitored = monitored
+        self.fired = fired
+        self.events = events
+        self.entries = _Entries((states, monitored, fired, events))
+
+    @classmethod
+    def of_run(cls, start: Callable[[Callable[..., None]], Iterable]
+               ) -> "Trace":
+        """The trace of the run ``start(row)`` begins (:func:`iter_run`),
+        stepped to its end: ``row``, the run's entry factory, adds each
+        step's objects to the columns, and builds no entry."""
+        columns = [], [], [], []
+        add_state, add_monitored, add_fired, add_events = (
+            column.append for column in columns)
+
+        def row(step, state, monitored, fired, events):
+            add_state(state)
+            add_monitored(monitored)
+            add_fired(fired)
+            add_events(events)
+        deque(start(row), maxlen=0)
+        return cls(*map(tuple, columns))
 
     def to_jsonl(self) -> str:
         names = _LocationNames()
-        return "\n".join(e.to_json(names) for e in self.entries) + "\n"
+        return "\n".join(
+            _json_line(k, state, monitored, fired, events, names)
+            for k, (state, monitored, fired, events) in enumerate(zip(
+                self.states, self.monitored, self.fired, self.events))
+        ) + "\n"
 
 
 def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
@@ -762,9 +869,9 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
              ) -> Generator[TraceEntry, object, None]:
     """Yield the initial snapshot and one entry per step, each built
     once, as ``entry(step, state, monitored, fired, events)``: a
-    :class:`TraceEntry` by default, and a :class:`_CollectedEntry` for
-    a run that keeps its entries (:func:`run`,
-    :func:`~casmkit.protect.run_protected`).
+    :class:`TraceEntry` by default; a run kept as a :class:`Trace`
+    (:func:`run`, :func:`~casmkit.protect.run_protected`) adds each
+    step's objects to the trace's columns instead (:meth:`Trace.of_run`).
 
     The one run loop, for plain and protected programs alike:
     ``ctl_resolver`` stages the challenge sites of a step, and step ``k``
@@ -787,11 +894,12 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     draws afresh each step: each of its states is a node of its own, and
     each step fires its rule pass under a seeded picker.
 
-    Yielded state dicts and ``fired`` lists are shared between steps,
-    and with the graph: consumers must not mutate them, and need not copy
-    one to retain it, since the run never changes a dict it has yielded.
-    :func:`run` keeps them in the entries it has the run build, and each
-    of those copies a field the first time it is read.
+    Yielded state dicts, ``fired`` lists and the ``events`` lists of
+    steps whose tags cannot vary are shared between steps, and with the
+    graph: consumers must not mutate them, and need not copy one to
+    retain it, since the run never changes an object it has yielded.
+    :func:`run` keeps them in its trace's columns, and an entry read from
+    the trace copies a field the first time it is read.
 
     A consumer that needs no more entries, but whose resolver draws
     something at every step, steps the run on without them
@@ -857,27 +965,12 @@ def check_step_count(steps: int) -> None:
         raise CasmError("step count must be non-negative")
 
 
-def collect(steps: int, entries: Iterable[TraceEntry]) -> Trace:
-    """The trace of a run of ``steps`` steps, from entries of any type;
-    a negative count is refused.  Each entry holds the objects the run
-    yielded, shared with other entries and with the run, until a field
-    is read; it then owns its copy (:class:`_CollectedEntry`).  An entry
-    the run built collected (:func:`iter_run`) is kept as it is, and any
-    other is wrapped in one over its fields.  Serialising the trace
-    copies nothing.  :func:`run` and
-    :func:`~casmkit.protect.run_protected` have their runs build only
-    collected entries, and keep them without this test."""
-    check_step_count(steps)
-    return Trace([e if type(e) is _CollectedEntry else _CollectedEntry(
-        e.step, e.state, e.monitored, e.fired, e.events) for e in entries])
-
-
 def run(program: Program, steps: int, oracle: MonitoredOracle,
         seed: int) -> Trace:
     """Deterministic multi-step run: equal inputs give equal traces.
-    The run builds each entry collected (:class:`_CollectedEntry`), once
-    per step, and the entries share the run's objects until read.  A
-    negative step count is refused."""
+    The run adds the objects it yields to the trace's columns, one row
+    per step (:meth:`Trace.of_run`), and no entry is built until one is
+    read (:class:`Trace`).  A negative step count is refused."""
     check_step_count(steps)
-    return Trace(list(iter_run(program, steps, oracle, seed, None,
-                               _CollectedEntry)))
+    return Trace.of_run(partial(iter_run, program, steps, oracle, seed,
+                                None))

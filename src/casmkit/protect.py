@@ -29,7 +29,7 @@ import itertools
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Generator, Iterable, Optional
 
 from .ast import (
@@ -42,7 +42,7 @@ from .ast import (
 )
 from .interp import (
     CtlEnumerator, MonitoredOracle, StagedSite, Trace, TraceEntry,
-    _CollectedEntry, check_step_count, iter_run, location_key,
+    check_step_count, iter_run, location_key,
     _check_total,  # noqa: F401 -- the traced benchmark run wraps it here
 )
 from .parser import ProtectedExtras, parse_program, pretty_print
@@ -537,7 +537,9 @@ class SiteDecider:
         step index, for a device whose stable response is ``response``.
         That response is decided here, once, and the staged site is one
         closure for its outcome: a bound site (or a stall) gives one
-        result, a fallback draws ``word(step) % n``.
+        result, a fallback draws ``word(step) % n``.  Only a noisy site
+        can change its tag from step to step: every other staged site is
+        steady (:data:`~casmkit.interp.StagedSite`).
 
         On a noisy device ``noise`` is its
         :meth:`~casmkit.puf.PufDevice.flips_at` here, ``(fires,
@@ -579,15 +581,15 @@ class SiteDecider:
                 if falls_back:
                     return values[word(at) % n], tag
                 return result
-            return led
-        if falls_back:
-            def fallback(step):
+            staged = led
+        elif falls_back:
+            def staged(step):
                 return values[word(step) % n], tag
-            return fallback
-
-        def bound(step):
-            return result
-        return bound
+        else:
+            def staged(step):
+                return result
+        staged.steady = True
+        return staged
 
     def departs(self, response: int, flipped: int, post: dict,
                 current_ctl: Value) -> bool:
@@ -733,13 +735,15 @@ class ProtectedRunner:
 
 def run_protected(protected: ProtectedProgram, device, steps: int,
                   oracle: MonitoredOracle, seed: int) -> Trace:
-    """The trace of ``protected`` run on ``device``.  The run builds
-    each entry collected (:class:`~casmkit.interp._CollectedEntry`),
-    once per step, and the entries share the run's objects until read,
-    then own their copies.  A negative step count is refused."""
+    """The trace of ``protected`` run on ``device``.  The run adds the
+    objects it yields to the trace's columns, one row per step
+    (:meth:`~casmkit.interp.Trace.of_run`), and no entry is built until
+    one is read (:class:`~casmkit.interp.Trace`).  A negative step count
+    is refused."""
     check_step_count(steps)
-    return Trace(list(ProtectedRunner(protected, device, seed)
-                      .iter_entries(steps, oracle, None, _CollectedEntry)))
+    return Trace.of_run(partial(
+        ProtectedRunner(protected, device, seed).iter_entries, steps,
+        oracle, None))
 
 
 # ---------------------------------------------------------------------------

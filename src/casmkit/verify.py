@@ -18,7 +18,7 @@ from .ast import (
 )
 from .interp import (
     CompiledProgram, ConstantOracle, CtlEnumerator, MonitoredOracle,
-    RandomOracle, Trace, TraceEntry, _Graph, _Step, check_step_count,
+    RandomOracle, Trace, _Graph, _Step, check_step_count,
     compiled, drive, enumerate_step_outcomes, iter_run, location_key,
 )
 from .protect import (
@@ -447,30 +447,36 @@ def decoded_target_run(protected: ProtectedProgram, device, steps: int,
     states, a reference for :func:`clone_divergence_report`, with the
     fallbacks and safe stalls it takes.  A ``choose``-free program's run
     interns its states (:class:`~casmkit.interp._Graph`), so each
-    distinct state is decoded once and its entries share the decoded
-    dict; the memo, keyed by the state's id, keeps the state alive, so
-    no id is reused.  The run builds each decoded entry itself, once per
-    step.  A negative step count is refused."""
+    distinct state is decoded once and the state column shares the
+    decoded dict; the memo, keyed by the state's id, keeps the state
+    alive, so no id is reused.  The run adds each step's decoded state
+    and its other objects to the trace's columns itself, once per step
+    (:meth:`~casmkit.interp.Trace.of_run`), and an entry read from the
+    trace owns a copy of each field it hands out
+    (:class:`~casmkit.interp.Trace`).  A negative step count is
+    refused."""
     check_step_count(steps)
     memo: Optional[dict[int, tuple[dict, dict]]] = \
         {} if compiled(protected.program).choose_free else None
     decode = protected.decoded_values
     counts = [0, 0]  # fallbacks, stalls
 
-    def decoded_entry(step, state, monitored, fired, events):
-        counts[0] += events.count(FALLBACK_TAKEN)
-        counts[1] += events.count(SAFE_STALL)
-        if memo is None:
-            decoded = decode(state)
-        else:
-            held = memo.get(id(state))
-            if held is None:
-                held = memo[id(state)] = state, decode(state)
-            decoded = held[1]
-        return TraceEntry(step, decoded, monitored, fired, events)
+    def decoded_run(row):
+        def decoded_row(step, state, monitored, fired, events):
+            counts[0] += events.count(FALLBACK_TAKEN)
+            counts[1] += events.count(SAFE_STALL)
+            if memo is None:
+                decoded = decode(state)
+            else:
+                held = memo.get(id(state))
+                if held is None:
+                    held = memo[id(state)] = state, decode(state)
+                decoded = held[1]
+            row(step, decoded, monitored, fired, events)
+        return ProtectedRunner(protected, device, seed).iter_entries(
+            steps, oracle, None, decoded_row)
 
-    trace = Trace(list(ProtectedRunner(protected, device, seed).iter_entries(
-        steps, oracle, None, decoded_entry)))
+    trace = Trace.of_run(decoded_run)
     return trace, *counts
 
 
@@ -598,14 +604,13 @@ def clone_divergence_report(protected: ProtectedProgram,
     (:func:`~casmkit.interp.drive`), only to draw its trials' coins,
     until the last trial departs or the run ends.  The reference run's
     control value is read only up to each trial's first divergence, from
-    the state its entry holds (:meth:`~casmkit.interp.TraceEntry.held`):
-    a collected reference trace copies nothing for the report.  A
-    negative step count is refused.
+    the state column of its trace (:class:`~casmkit.interp.Trace`), which
+    copies nothing for the report.  A negative step count is refused.
     """
     check_step_count(steps)
     enrollment = protected.enrollment
     ctl_loc = (enrollment.ctl_name, ())
-    reference = original_trace.entries
+    reference = original_trace.states
     if len(reference) < steps + 1:
         raise CasmError("original trace is shorter than the trial length")
 
@@ -652,7 +657,7 @@ def clone_divergence_report(protected: ProtectedProgram,
                 violations += 1
             if first_div is None:
                 decoded = enrollment.decode_stored(state[ctl_loc])
-                if decoded != reference[entry.step].held().state[ctl_loc]:
+                if decoded != reference[entry.step][ctl_loc]:
                     first_div = entry.step
                     left = steps - first_div
                     if may_settle and left:

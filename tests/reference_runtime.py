@@ -10,16 +10,19 @@ gives every result it can give at a site, for the model checker.
 and checks the inputs total first; ``unmemoized_step`` is that step from
 a fresh node of its own, so nothing of an earlier step is reused.
 ``protected_run`` chains such steps, with no memo, and decides every
-site term by term at its step.  ``clone_divergence_report`` runs every
-clone trial in full, with no trial sharing another's run.  ``query_at`` gives a device's response
-at one site and step of a run.  ``random_valuation`` draws a random
+site term by term at its step.  ``collect`` keeps a run as the
+list-backed reference trace, one plain entry of copies per step, which
+the column traces of ``casmkit`` are held against.
+``clone_divergence_report`` runs every clone trial in full, with no
+trial sharing another's run.  ``query_at`` gives a device's response at
+one site and step of a run.  ``random_valuation`` draws a random
 oracle's inputs from full named streams, and ``compare_target_traces``
 gives each of its two runs an oracle of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from casmkit.ast import (
     CasmError, InconsistentUpdate, Location, Program, Value, compile_term,
@@ -27,7 +30,8 @@ from casmkit.ast import (
 )
 from casmkit.interp import (
     CompiledProgram, CtlEnumerator, CtlResolver, MonitoredOracle, StepError,
-    Trace, TraceEntry, _check_total, _Graph, compiled, iter_run, rng_picker,
+    Trace, TraceEntry, _check_total, _Graph, check_step_count, compiled,
+    iter_run, rng_picker,
 )
 from casmkit.protect import (
     BOUND_OK, FALLBACK_TAKEN, SAFE_STALL, ProtectedProgram, ProtectedRunner,
@@ -210,6 +214,32 @@ def protected_run(protected: ProtectedProgram, device, steps: int,
         state = result.state
         yield TraceEntry(k + 1, dict(state.values), dict(monitored),
                          list(result.fired), list(result.events))
+
+
+@dataclass
+class ListTrace:
+    """The list-backed reference trace: one plain entry per step, which
+    owns its fields.  ``states`` is its state column, as
+    :func:`casmkit.verify.clone_divergence_report` reads a trace's."""
+
+    entries: list[TraceEntry]
+
+    @property
+    def states(self) -> list[dict[Location, Value]]:
+        return [e.state for e in self.entries]
+
+    def to_jsonl(self) -> str:
+        return "".join(e.to_json() + "\n" for e in self.entries)
+
+
+def collect(steps: int, entries: Iterable[TraceEntry]) -> ListTrace:
+    """The reference trace of a run of ``steps`` steps, from entries of
+    any type, each copied into a plain entry of its own; a negative
+    count is refused."""
+    check_step_count(steps)
+    return ListTrace([TraceEntry(e.step, dict(e.state), dict(e.monitored),
+                                 list(e.fired), list(e.events))
+                      for e in entries])
 
 
 def random_valuation(program: Program, seed: int, step_index: int

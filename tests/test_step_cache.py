@@ -10,14 +10,14 @@ import pytest
 
 import casmkit.interp as cinterp
 from casmkit.interp import (
-    ConstantOracle, RandomOracle, TraceEntry, collect, compiled, iter_run,
-    run,
+    ConstantOracle, RandomOracle, TraceEntry, compiled, iter_run, run,
 )
 from casmkit.parser import parse_or_raise
 from casmkit.protect import ProtectedRunner, protect, run_protected
 from casmkit.puf import make_device
 from casmkit.verify import decoded_target_run
 
+from reference_runtime import collect
 from rings import ring_source
 from test_clone_sharing import WANDER
 
@@ -88,18 +88,22 @@ def held_bytes(make):
     return held
 
 
-def run_entries(traffic):
-    """(name, the entries of a run, as it yields them): the traffic
-    light under varying inputs, and each protected run."""
-    yield "traffic", list(iter_run(traffic, STEPS, RandomOracle(3), 5))
+def run_traces(traffic):
+    """(name, the trace of a run, the entries of the same run as it
+    yields them): the traffic light under varying inputs, and each
+    protected run."""
+    yield ("traffic", run(traffic, STEPS, RandomOracle(3), 5),
+           list(iter_run(traffic, STEPS, RandomOracle(3), 5)))
     for name, protected, device in protected_runs(traffic):
-        yield name, list(ProtectedRunner(protected, device, 5).iter_entries(
-            STEPS, RandomOracle(3)))
+        yield (name,
+               run_protected(protected, device, STEPS, RandomOracle(3), 5),
+               list(ProtectedRunner(protected, device, 5).iter_entries(
+                   STEPS, RandomOracle(3))))
 
 
 class TestCollectedEntries:
-    """A collected entry holds the run's objects and copies a field only
-    when it is read."""
+    """An entry of a trace holds the objects of the trace's columns and
+    copies a field only when it is read."""
 
     def test_held_memory_near_the_runs_own(self, traffic):
         always = ConstantOracle.always_true(traffic)
@@ -110,15 +114,18 @@ class TestCollectedEntries:
         assert collected <= 1.5 * shared, (collected, shared)
 
     def test_serialising_and_comparing_copy_no_field(self, traffic):
-        for name, entries in run_entries(traffic):
-            trace = collect(STEPS, entries)
+        columns = {"state": "states", "monitored": "monitored",
+                   "fired": "fired", "events": "events"}
+        for name, trace, entries in run_traces(traffic):
             assert trace.to_jsonl() == \
                 "".join(e.to_json() + "\n" for e in entries), name
             for entry, yielded in zip(trace.entries, entries, strict=True):
                 assert entry == yielded, (name, entry.step)
+                assert repr(entry) == repr(yielded), (name, entry.step)
                 held = entry.held()
-                for field in ("state", "monitored", "fired", "events"):
-                    assert getattr(held, field) is getattr(yielded, field), \
+                for field, column in columns.items():
+                    assert getattr(held, field) is \
+                        getattr(trace, column)[entry.step], \
                         (name, entry.step, field)
 
     def test_run_serialises_as_its_entries(self, traffic):
@@ -129,8 +136,7 @@ class TestCollectedEntries:
                 for e in iter_run(traffic, STEPS, oracle, 5))
 
     def test_equal_to_an_entry_of_copies(self, traffic):
-        for name, entries in run_entries(traffic):
-            trace = collect(STEPS, entries)
+        for name, trace, entries in run_traces(traffic):
             for entry in trace.entries:
                 plain = TraceEntry(entry.step, dict(entry.state),
                                    dict(entry.monitored), list(entry.fired),
@@ -141,6 +147,7 @@ class TestCollectedEntries:
                 plain.fired.append("other")
                 assert entry != plain and plain != entry
             assert trace.entries == collect(STEPS, entries).entries, name
+            assert trace.entries != collect(STEPS, entries[:-1]).entries
 
 
 class TestWholeStepMemo:
@@ -176,7 +183,8 @@ class TestWholeStepMemo:
 class TestDecodedTargetRun:
     """The decoded target run that ``compare`` measures clones against
     decodes each distinct state of a ``choose``-free program once, and
-    its entries share the decoded dict."""
+    its state column shares the decoded dict; each entry read from it
+    owns its copy."""
 
     def test_held_memory_near_the_runs_own(self, traffic):
         protected, _ = protect(traffic, make_device(42, 16, 16))
@@ -210,5 +218,23 @@ class TestDecodedTargetRun:
             # a clone falls back where the enrolled device binds
             assert (fallbacks > 0) == (device_seed == 999), name
             if name == "traffic":
-                decoded = {id(e.state) for e in trace.entries}
+                decoded = {id(state) for state in trace.states}
                 assert len(decoded) < 10, (name, device_seed)
+
+    def test_a_write_to_an_entry_changes_it_alone(self, traffic):
+        """Entries of one decoded state own their copies: writing to one
+        changes no other entry, and no later run."""
+        protected, _ = protect(traffic, make_device(42, 16, 16))
+        device = make_device(42, 16, 16)
+        always = ConstantOracle.always_true(protected.program)
+        trace = decoded_target_run(protected, device, 40, always, 5)[0]
+        before = [snapshot(e) for e in trace.entries]
+        phase = next(iter(before[5][0]))
+        trace.entries[5].state[phase] = "written"
+        trace.entries[9].events.append("written")
+        after = [snapshot(e) for e in trace.entries]
+        changed = [k for k, (a, b) in enumerate(zip(before, after))
+                   if a != b]
+        assert changed == [5, 9]
+        again = decoded_target_run(protected, device, 40, always, 5)[0]
+        assert [snapshot(e) for e in again.entries] == before
