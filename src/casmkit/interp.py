@@ -49,7 +49,8 @@ STALL = "STALL"
 
 # A staged challenge site: the step index -> (value, tag).  A staged site
 # whose tag is the same at every step may say so with a true ``steady``
-# attribute.
+# attribute, and one whose whole result is the same at every step, with a
+# true ``fixed`` attribute as well.
 StagedSite = Callable[[int], tuple[Value, str]]
 # Stages a pending control-state site of a run: (site, challenge,
 # post-update view of non-control locations, current control value) ->
@@ -532,6 +533,13 @@ class _Step:
                                                                graph)
         return successor
 
+    @property
+    def fixed(self) -> bool:
+        """Whether the step, once finished, gives one result at every
+        step index: it has no site, or every staged site is fixed
+        (:func:`iter_run`)."""
+        return all(getattr(site, "fixed", False) for site in self.staged or ())
+
     def _stage(self, ctl_resolver: Optional[CtlResolver | CtlEnumerator]
                ) -> list:
         """Each site staged by ``ctl_resolver`` on the post-update view:
@@ -841,7 +849,11 @@ class Trace:
                ) -> "Trace":
         """The trace of the run ``start(row)`` begins (:func:`iter_run`),
         stepped to its end: ``row``, the run's entry factory, adds each
-        step's objects to the columns, and builds no entry."""
+        step's objects to the columns, and builds no entry.  A run whose
+        rows repeat from some row on may hand the rest of its rows over
+        to ``row.repeat(first, stop)`` instead of yielding them: each
+        column is extended to ``stop`` rows by repeating its rows from
+        ``first`` on, so it holds the objects those rows would have."""
         columns = [], [], [], []
         add_state, add_monitored, add_fired, add_events = (
             column.append for column in columns)
@@ -851,6 +863,14 @@ class Trace:
             add_monitored(monitored)
             add_fired(fired)
             add_events(events)
+
+        def repeat(first, stop):
+            for column in columns:
+                cycle = column[first:]
+                count, rest = divmod(stop - len(column), len(cycle))
+                column += cycle * count
+                column += cycle[:rest]
+        row.repeat = repeat
         deque(start(row), maxlen=0)
         return cls(*map(tuple, columns))
 
@@ -879,8 +899,7 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     monitored-location order checks them total.  A
     :class:`ConstantOracle` (checked by type: a subclass may vary) gives
     every step its one dict, so its valuation and inputs key are taken
-    once, at step 0; every step that yields an entry still calls
-    ``step_values``.
+    once, at step 0.
 
     The run walks a graph of its states (:class:`_Graph`).  A node holds
     a state's values and, by inputs key, the step taken from it; a step
@@ -908,6 +927,18 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     (:meth:`CompiledProgram.fire_step`, :meth:`_Step.finish`) but builds
     no entry and no events, until the collection is empty or the run
     ends.
+
+    Under a :class:`ConstantOracle` a choose-free program is a finite
+    state machine, so its run is periodic from the first state it
+    revisits.  When the entry factory is :meth:`Trace.of_run`'s row,
+    the run notes the step at which it first yielded each node, for as
+    long as every step is fixed (:class:`_Step`: no site gives another
+    result at another step).  On yielding a node again, at step ``k``,
+    first yielded at step ``first``, it knows every later row: rows
+    ``k + 1`` on repeat rows ``first + 1`` to ``k``.  It hands them to
+    the row's ``repeat`` and ends, and ``step_values`` is not called for
+    them.  Every other consumer gets one entry per step, and the run
+    keeps no notes for it.
     """
     cp = compiled(program)
     values = program.initial_values()
@@ -918,6 +949,11 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
     node = _Graph(None if draws else cp.state_key).node(values)
     pick = None
     varies = type(oracle) is not ConstantOracle
+    # node -> the step it was first yielded at, while every step is fixed
+    first_at = None
+    if not (varies or draws) and hasattr(entry, "repeat"):
+        first_at = {node: 0}
+    source = node
     for k in range(steps):
         if varies or not k:
             monitored = oracle.valuation(program, k)
@@ -941,6 +977,15 @@ def iter_run(program: Program, steps: int, oracle: MonitoredOracle, seed: int,
         except InconsistentUpdate as exc:
             raise StepError(str(exc), k) from exc
         watched = yield entry(k + 1, node.values, monitored, fired, events)
+        if first_at is not None:
+            if not source.steps[inputs].fixed:
+                first_at = None
+                continue
+            source = node
+            first = first_at.setdefault(node, k + 1)
+            if first <= k:
+                entry.repeat(first + 1, steps + 1)
+                return
 
 
 def drive(entries: Generator[TraceEntry, object, None],
@@ -969,8 +1014,10 @@ def run(program: Program, steps: int, oracle: MonitoredOracle,
         seed: int) -> Trace:
     """Deterministic multi-step run: equal inputs give equal traces.
     The run adds the objects it yields to the trace's columns, one row
-    per step (:meth:`Trace.of_run`), and no entry is built until one is
-    read (:class:`Trace`).  A negative step count is refused."""
+    per step, and under constant inputs fills its periodic tail into
+    them instead of stepping it (:meth:`Trace.of_run`,
+    :func:`iter_run`); no entry is built until one is read
+    (:class:`Trace`).  A negative step count is refused."""
     check_step_count(steps)
     return Trace.of_run(partial(iter_run, program, steps, oracle, seed,
                                 None))

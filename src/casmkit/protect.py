@@ -539,7 +539,9 @@ class SiteDecider:
         closure for its outcome: a bound site (or a stall) gives one
         result, a fallback draws ``word(step) % n``.  Only a noisy site
         can change its tag from step to step: every other staged site is
-        steady (:data:`~casmkit.interp.StagedSite`).
+        steady (:data:`~casmkit.interp.StagedSite`).  A bound or stalled
+        site that is neither noisy nor led gives one result at every
+        step, and is fixed as well.
 
         On a noisy device ``noise`` is its
         :meth:`~casmkit.puf.PufDevice.flips_at` here, ``(fires,
@@ -588,6 +590,7 @@ class SiteDecider:
         else:
             def staged(step):
                 return result
+            staged.fixed = True
         staged.steady = True
         return staged
 
@@ -736,10 +739,13 @@ class ProtectedRunner:
 def run_protected(protected: ProtectedProgram, device, steps: int,
                   oracle: MonitoredOracle, seed: int) -> Trace:
     """The trace of ``protected`` run on ``device``.  The run adds the
-    objects it yields to the trace's columns, one row per step
-    (:meth:`~casmkit.interp.Trace.of_run`), and no entry is built until
-    one is read (:class:`~casmkit.interp.Trace`).  A negative step count
-    is refused."""
+    objects it yields to the trace's columns, one row per step, and
+    under constant inputs on a noise-free device fills its periodic tail
+    into them while every site it meets binds or stalls
+    (:meth:`~casmkit.interp.Trace.of_run`,
+    :func:`~casmkit.interp.iter_run`); no entry is built until one is
+    read (:class:`~casmkit.interp.Trace`).  A negative step count is
+    refused."""
     check_step_count(steps)
     return Trace.of_run(partial(
         ProtectedRunner(protected, device, seed).iter_entries, steps,

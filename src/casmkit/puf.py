@@ -172,10 +172,14 @@ def _majority_readout(device, challenge: int, vote_rng) -> Optional[int]:
 
 
 def _fingerprint(device, challenge_count: int) -> str:
+    """The device's majority readouts of its first 64 challenges, hashed.
+    Only a noisy device's readout reads the stream ("fingerprint", c) of
+    challenge ``c``, so only a noisy device's probes derive it."""
     probes = min(challenge_count, 64)
+    noisy = device.noise_rate > 0.0
     parts = []
     for c in range(probes):
-        rng = derive_rng("fingerprint", c)
+        rng = derive_rng("fingerprint", c) if noisy else None
         r = _majority_readout(device, c, rng)
         parts.append(f"{c}:{'?' if r is None else r}")
     return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]

@@ -146,7 +146,7 @@ class SymInit:
                     constraints: Optional[Iterable[Term]] = None) -> "SymInit":
         if constraints is None:
             constraints = program.init_constraints
-        interest = locations_of_interest(program)
+        interest = _cache().interest(program)
         constrained: dict[Location, Term] = {}
         order: list[Location] = []
         for c in constraints:
@@ -219,7 +219,9 @@ class FormulaCache:
       * the three-valued closure of a term (``_partial``).  Closures read
         one slot per leaf, numbered in the order the cache first met the
         leaves rather than per query, so a query compiles only the
-        subterms no earlier query has seen.
+        subterms no earlier query has seen;
+      * a program's locations of interest (``interest``), which seed
+        the symbolic step and check its seed.
 
     A cache keeps every formula its analysis met, so it lives exactly as
     long as the analysis: :func:`analysis` installs one for a block, and
@@ -228,11 +230,18 @@ class FormulaCache:
 
     def __init__(self):
         self._simplified: dict[Optional[Program], dict[Term, Term]] = {}
+        self._interest: dict[Program, tuple[Location, ...]] = {}
         self._sizes: dict[Term, int] = {}
         self._leaves: dict[Term, tuple[Term, ...]] = {}
         self._slot_of: dict[Term, int] = {}
         self._slots: list = []
         self._closures: dict[Term, Callable] = {}
+
+    def interest(self, program: Program) -> tuple[Location, ...]:
+        out = self._interest.get(program)
+        if out is None:
+            out = self._interest[program] = locations_of_interest(program)
+        return out
 
     def size(self, term: Term) -> int:
         n = self._sizes.get(term)
@@ -950,7 +959,7 @@ def symbolic_step(program: Program, init: Optional[SymInit] = None,
     if init is None:
         init = SymInit.for_program(program)
     locmap0 = dict(init.sym_val)
-    for loc in locations_of_interest(program):
+    for loc in _cache().interest(program):
         if loc not in locmap0:
             raise CasmError(f"symbolic seed misses location {loc[0]}{loc[1]!r}")
 

@@ -136,6 +136,22 @@ class TestMajorityReadout:
                          enroll(d, TRAFFIC_A, "Stop1Stop2"))
                         for d in devices]
 
+    def test_fingerprint_derives_vote_streams_on_a_noisy_device_alone(
+            self, monkeypatch):
+        derived = []
+
+        def counting(*name):
+            derived.append(name)
+            return derive_rng(*name)
+
+        monkeypatch.setattr("casmkit.puf.derive_rng", counting)
+        quiet = make_device(42, 16, 16).fingerprint()
+        assert derived == []
+        noisy = make_device(42, 16, 16, 0.05).fingerprint()
+        assert derived == [("fingerprint", c) for c in range(64)]
+        # at 5% noise every probe still reads the stable response
+        assert noisy == quiet
+
     def test_noisy_readout_still_votes(self):
         device = make_device(42, 16, 16, 0.3)
         readouts = [(_majority_readout(device, c, derive_rng("readout", c)),

@@ -116,3 +116,17 @@ def test_protect_reuses_the_parsers_validation(monkeypatch):
     protect(program, make_device(42, 16, 16))
     protect(program, make_device(7, 16, 16))
     assert Counter(map(id, checked))[id(program)] == passes[id(program)]
+
+
+def test_protect_finds_the_locations_of_interest_once(ring4, monkeypatch):
+    # the symbolic seed and the symbolic step's check of it share them
+    found = []
+    locations_of_interest = csymexec.locations_of_interest
+
+    def counting(program):
+        found.append(program)
+        return locations_of_interest(program)
+
+    monkeypatch.setattr(csymexec, "locations_of_interest", counting)
+    protect(ring4, make_device(42, 16, 16))
+    assert found == [ring4]
